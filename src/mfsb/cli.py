@@ -7,7 +7,6 @@ Commands: solve, mkv, simulate, verify, report.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -37,7 +36,7 @@ def _solve(scenario: Scenario, reverse: bool = False, time_grid=None):
 
 
 def _write_manifest(out: Path, scenario: Scenario, command: str, fmt: str,
-                    threads: int, extra=None):
+                    extra=None):
     flowio.write_manifest(
         out / "manifest.json",
         command=command,
@@ -47,13 +46,12 @@ def _write_manifest(out: Path, scenario: Scenario, command: str, fmt: str,
         grid=scenario.grid,
         time_grid=scenario.time_grid,
         out_format=fmt,
-        threads=threads,
         package_version=__version__,
         extra=extra,
     )
 
 
-def _cmd_solve(scenario: Scenario, out: Path, fmt: str, threads: int, args) -> int:
+def _cmd_solve(scenario: Scenario, out: Path, fmt: str, args) -> int:
     sol = _solve(scenario)
     residual = optimality_residual(sol, scenario.potential)
     flowio.save_flow(out / f"flow.{fmt}", sol.flow, fmt)
@@ -68,22 +66,22 @@ def _cmd_solve(scenario: Scenario, out: Path, fmt: str, threads: int, args) -> i
             "threshold": residual.threshold,
         },
     })
-    _write_manifest(out, scenario, "solve", fmt, threads)
+    _write_manifest(out, scenario, "solve", fmt)
     return EXIT_OK if sol.diagnostics["converged"] else EXIT_NO_CONVERGENCE
 
 
-def _cmd_mkv(scenario: Scenario, out: Path, fmt: str, threads: int, args) -> int:
+def _cmd_mkv(scenario: Scenario, out: Path, fmt: str, args) -> int:
     flow = mkv_flow(scenario.potential, scenario.mu_in(), scenario.time_grid)
     flowio.save_flow(out / f"mkv_flow.{fmt}", flow, fmt)
     flowio.write_json(out / "summary.json", {
         "final_mean": float(flow.density(scenario.time_grid.n_steps).mean()),
         "final_variance": float(flow.density(scenario.time_grid.n_steps).variance()),
     })
-    _write_manifest(out, scenario, "mkv", fmt, threads)
+    _write_manifest(out, scenario, "mkv", fmt)
     return EXIT_OK
 
 
-def _cmd_simulate(scenario: Scenario, out: Path, fmt: str, threads: int, args) -> int:
+def _cmd_simulate(scenario: Scenario, out: Path, fmt: str, args) -> int:
     ens = simulate_particles(scenario.potential, scenario.mu_in(),
                              scenario.time_grid, scenario.n_particles,
                              scenario.seed)
@@ -95,7 +93,7 @@ def _cmd_simulate(scenario: Scenario, out: Path, fmt: str, threads: int, args) -
         "final_mean": float(final.mean()),
         "final_variance": float(final.var()),
     })
-    _write_manifest(out, scenario, "simulate", fmt, threads)
+    _write_manifest(out, scenario, "simulate", fmt)
     return EXIT_OK
 
 
@@ -172,7 +170,7 @@ def _run_checks(scenario: Scenario, strict_w2: bool):
     return entries, environment, sol
 
 
-def _cmd_verify(scenario: Scenario, out: Path, fmt: str, threads: int, args) -> int:
+def _cmd_verify(scenario: Scenario, out: Path, fmt: str, args) -> int:
     entries, environment, sol = _run_checks(scenario, args.strict_w2)
     environment.update({
         "grid": {"half_width": scenario.grid.half_width,
@@ -185,13 +183,13 @@ def _cmd_verify(scenario: Scenario, out: Path, fmt: str, threads: int, args) -> 
     })
     report = V.VerificationReport(scenario.name, entries, environment)
     flowio.write_json(out / "report.json", report.to_dict())
-    _write_manifest(out, scenario, "verify", fmt, threads)
+    _write_manifest(out, scenario, "verify", fmt)
     if sol is not None and not sol.diagnostics["converged"]:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_report(scenario: Scenario, out: Path, fmt: str, threads: int, args) -> int:
+def _cmd_report(scenario: Scenario, out: Path, fmt: str, args) -> int:
     pot = scenario.potential
     sol = _solve(scenario)
     tg = scenario.time_grid
@@ -204,8 +202,7 @@ def _cmd_report(scenario: Scenario, out: Path, fmt: str, threads: int, args) -> 
     c1 = np.array([V._exp_coeff_start(pot.kappa, tg.horizon, t) for t in ts])
     c3 = np.array([V._exp_coeff_cost(pot.kappa, tg.horizon, t) for t in ts])
     envelope = c1 * f_rel[0] + (1 - c1) * f_rel[-1] - c3 * sol.cost
-    energy = 0.5 * np.sum(sol.corrector.values**2 * sol.flow.values, axis=1) \
-        * scenario.grid.dx
+    energy = V._corrector_energy(sol)
     cumulative = np.concatenate([[0.0], np.cumsum(
         0.5 * (energy[1:] + energy[:-1]) * tg.dt)])
     flowio.save_matrix(out / "free_energy_profile.csv", "free_energy",
@@ -218,8 +215,7 @@ def _cmd_report(scenario: Scenario, out: Path, fmt: str, threads: int, args) -> 
 
     if args.plots:
         _write_plots(out, ts, f_rel, envelope, energy, prof)
-    _write_manifest(out, scenario, "report", fmt, threads,
-                    extra={"cost": sol.cost})
+    _write_manifest(out, scenario, "report", fmt, extra={"cost": sol.cost})
     return EXIT_OK if sol.diagnostics["converged"] else EXIT_NO_CONVERGENCE
 
 
@@ -263,13 +259,13 @@ _COMMANDS = {
 
 
 def run(scenario: Scenario, command: str, out_dir, *, fmt: str = "bin",
-        threads: int = 1, strict_w2: bool = False, plots: bool = False) -> int:
+        strict_w2: bool = False, plots: bool = False) -> int:
     """Programmatic entry point mirroring the CLI; returns the exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     args = argparse.Namespace(strict_w2=strict_w2, plots=plots)
     try:
-        return _COMMANDS[command](scenario, out, fmt, threads, args)
+        return _COMMANDS[command](scenario, out, fmt, args)
     except NoConvergence as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -292,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--format", choices=("bin", "csv"), default="bin")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("MFSB_THREADS", "1")))
         p.add_argument("--strict-w2", action="store_true", dest="strict_w2",
                        help="check squared-distance bounds with exact quantile W2")
         if name == "report":
@@ -313,8 +307,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return run(scenario, args.command, args.out, fmt=args.format,
-                   threads=args.threads, strict_w2=args.strict_w2,
-                   plots=args.plots)
+                   strict_w2=args.strict_w2, plots=args.plots)
     except MFSBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -48,15 +48,9 @@ def interaction_drift(pot: InteractionPotential, x: np.ndarray,
                       chunk: int = 512) -> np.ndarray:
     """Empirical drift -(1/N) sum_j W'(x_i - x_j) for every particle."""
     x = np.asarray(x, dtype=float)
-    if pot.kind == "zero":
-        return np.zeros_like(x)
-    if pot.kind == "quadratic":
-        # The pairwise sum telescopes exactly for a quadratic kernel.
-        return -pot.kappa * (x - x.mean())
     out = np.empty_like(x)
     for lo in range(0, x.size, chunk):
-        hi = min(lo + chunk, x.size)
-        out[lo:hi] = -pot.dw(x[lo:hi, None] - x[None, :]).mean(axis=1)
+        out[lo:lo + chunk] = pot.drift(x[lo:lo + chunk], x)
     return out
 
 
@@ -159,23 +153,30 @@ def _bernoulli(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fp_step(p: np.ndarray, b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
-    """One implicit Fokker-Planck step with no-flux boundaries."""
+def _fp_banded(b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
+    """Banded matrix of one implicit Fokker-Planck step, no-flux boundaries."""
     b_edges = 0.5 * (b_cells[:-1] + b_cells[1:])
     w = b_edges * dx / _DIFFUSIVITY
     bm = _bernoulli(-w)  # weight of the left cell in the edge flux
     bp = _bernoulli(w)   # weight of the right cell
     c = _DIFFUSIVITY * dt / dx**2
-    n = p.size
-    diag = np.ones(n)
-    diag[:-1] += c * bm
-    diag[1:] += c * bp
-    ab = np.zeros((3, n))
-    ab[1] = diag
+    ab = np.zeros((3, b_cells.size))
+    ab[1] = 1.0
+    ab[1, :-1] += c * bm
+    ab[1, 1:] += c * bp
     ab[0, 1:] = -c * bp   # superdiagonal
     ab[2, :-1] = -c * bm  # subdiagonal
-    out = solve_banded((1, 1), ab, p)
-    return np.maximum(out, 0.0)
+    return ab
+
+
+def _fp_step(p: np.ndarray, b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
+    """One implicit Fokker-Planck step applied to the density p."""
+    return np.maximum(solve_banded((1, 1), _fp_banded(b_cells, dx, dt), p), 0.0)
+
+
+def _fp_step_matrix(b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
+    """One-step transition matrix of the implicit Fokker-Planck scheme."""
+    return solve_banded((1, 1), _fp_banded(b_cells, dx, dt), np.eye(b_cells.size))
 
 
 def _check_drift_resolution(b: np.ndarray, dx: float, dt: float, limit: float):
@@ -187,6 +188,23 @@ def _check_drift_resolution(b: np.ndarray, dx: float, dt: float, limit: float):
         )
 
 
+def _march(pot: InteractionPotential, mu_start: Density, time_grid: TimeGrid,
+           drive, limit: float) -> MarginalFlow:
+    """Implicit Fokker-Planck march whose step-k drift is induced by drive[k].
+
+    drive=None drives the march by its own flow (the self-consistent case).
+    """
+    grid, dx, dt = mu_start.grid, mu_start.grid.dx, time_grid.dt
+    values = np.empty((time_grid.n_steps + 1, grid.n_cells))
+    values[0] = mu_start.values
+    drive = values if drive is None else drive
+    for k in range(time_grid.n_steps):
+        b = -conv_force(pot, Density(grid, drive[k]))
+        _check_drift_resolution(b, dx, dt, limit)
+        values[k + 1] = _fp_step(values[k], b, dx, dt)
+    return MarginalFlow(time_grid, grid, values)
+
+
 def mkv_flow(pot: InteractionPotential, mu_in: Density, time_grid: TimeGrid, *,
              drift_resolution_limit: float = 8.0,
              boundary_mass_tol: float = 1e-8) -> MarginalFlow:
@@ -196,14 +214,7 @@ def mkv_flow(pot: InteractionPotential, mu_in: Density, time_grid: TimeGrid, *,
             f"initial density carries {mu_in.boundary_mass():.2e} boundary mass; "
             "enlarge the domain"
         )
-    grid, dx, dt = mu_in.grid, mu_in.grid.dx, time_grid.dt
-    values = np.empty((time_grid.n_steps + 1, grid.n_cells))
-    values[0] = mu_in.values
-    for k in range(time_grid.n_steps):
-        b = -conv_force(pot, Density(grid, values[k]))
-        _check_drift_resolution(b, dx, dt, drift_resolution_limit)
-        values[k + 1] = _fp_step(values[k], b, dx, dt)
-    return MarginalFlow(time_grid, grid, values)
+    return _march(pot, mu_in, time_grid, None, drift_resolution_limit)
 
 
 def reference_flow(pot: InteractionPotential, frozen: MarginalFlow,
@@ -219,11 +230,5 @@ def reference_flow(pot: InteractionPotential, frozen: MarginalFlow,
         raise ValueError("start density and frozen flow live on different grids")
     if mu_start.boundary_mass() > boundary_mass_tol:
         raise ValueError("start density carries too much boundary mass")
-    grid, dx, dt = frozen.grid, frozen.grid.dx, frozen.time_grid.dt
-    values = np.empty_like(frozen.values)
-    values[0] = mu_start.values
-    for k in range(frozen.time_grid.n_steps):
-        b = -conv_force(pot, frozen.density(k))
-        _check_drift_resolution(b, dx, dt, drift_resolution_limit)
-        values[k + 1] = _fp_step(values[k], b, dx, dt)
-    return MarginalFlow(frozen.time_grid, grid, values)
+    return _march(pot, mu_start, frozen.time_grid, frozen.values,
+                  drift_resolution_limit)

@@ -148,7 +148,7 @@ def write_json(path, document: dict):
 
 def write_manifest(path, *, command: str, scenario_hash: str, scenario_name: str,
                    seed: int, grid: SpatialGrid, time_grid: TimeGrid,
-                   out_format: str, threads: int, package_version: str,
+                   out_format: str, package_version: str,
                    extra: dict | None = None):
     """Run manifest: everything needed to reproduce the artifacts bitwise."""
     doc = {
@@ -160,7 +160,6 @@ def write_manifest(path, *, command: str, scenario_hash: str, scenario_name: str
         "grid": {"half_width": grid.half_width, "n_cells": grid.n_cells},
         "time": {"horizon": time_grid.horizon, "n_steps": time_grid.n_steps},
         "out_format": out_format,
-        "threads": threads,
         "package_version": package_version,
     }
     if extra:

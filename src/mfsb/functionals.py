@@ -23,13 +23,7 @@ from .grids import (
     retained_mask,
     time_derivative,
 )
-from .potentials import (
-    InteractionPotential,
-    PotentialTables,
-    conv_force,
-    convolved_potential,
-    interaction_energy,
-)
+from .potentials import InteractionPotential, conv_force, interaction_energy
 
 
 @dataclass
@@ -62,10 +56,9 @@ class ConservedProfile:
     spread: float
 
 
-def free_energy(pot: InteractionPotential, mu: Density,
-                tables: PotentialTables | None = None) -> float:
+def free_energy(pot: InteractionPotential, mu: Density) -> float:
     """Entropy integral p log p plus the pair interaction energy."""
-    return mu.entropy() + interaction_energy(pot, mu, tables)
+    return mu.entropy() + interaction_energy(pot, mu)
 
 
 def equilibrium(pot: InteractionPotential, grid: SpatialGrid, mean: float, *,
@@ -79,7 +72,6 @@ def equilibrium(pot: InteractionPotential, grid: SpatialGrid, mean: float, *,
     if pot.kappa <= 0:
         raise ValueError("equilibrium requires a uniformly convex potential (kappa > 0)")
     x = grid.centers
-    tables = PotentialTables(pot, grid)
 
     def solved_candidate(phi: np.ndarray) -> np.ndarray:
         lo, hi = multiplier_bounds
@@ -101,7 +93,7 @@ def equilibrium(pot: InteractionPotential, grid: SpatialGrid, mean: float, *,
     mu = Density(grid, np.exp(-0.5 * (x - mean) ** 2 / sigma2))
     residual = np.inf
     for _ in range(max_iters):
-        phi = -2.0 * convolved_potential(pot, mu, tables)
+        phi = -2.0 * pot.potential(mu.values, grid)
         cand = solved_candidate(phi)
         residual = float(np.max(np.abs(cand - mu.values)))
         if residual <= tol:
@@ -124,11 +116,10 @@ def relative_free_energy(pot: InteractionPotential, mu: Density,
     return free_energy(pot, mu) - free_energy(pot, equilibrium_measure.density)
 
 
-def fisher_information(pot: InteractionPotential, mu: Density,
-                       tables: PotentialTables | None = None) -> float:
+def fisher_information(pot: InteractionPotential, mu: Density) -> float:
     """Integral of |grad log mu + 2 W' * mu|^2 against mu over retained cells."""
     score = log_density_gradient(mu.values, mu.grid.dx)
-    force = conv_force(pot, mu, tables)
+    force = conv_force(pot, mu)
     mask = retained_mask(mu.values)
     integrand = (score + 2.0 * force) ** 2 * mu.values
     return float(np.sum(integrand[mask]) * mu.grid.dx)
@@ -173,12 +164,8 @@ def corrector(flow: MarginalFlow, velocity: GridField,
     """Corrector field Psi = w + (1/2) grad log mu + W' * mu."""
     if velocity.values.shape != flow.values.shape:
         raise GridMismatch("velocity and flow shapes differ")
-    tables = PotentialTables(pot, flow.grid)
     score = log_density_gradient(flow.values, flow.grid.dx)
-    force = np.stack([
-        conv_force(pot, flow.density(k), tables)
-        for k in range(flow.values.shape[0])
-    ])
+    force = pot.force(flow.values, flow.grid)
     return GridField(flow.time_grid, flow.grid, velocity.values + 0.5 * score + force)
 
 
@@ -186,16 +173,9 @@ def entropic_cost(psi: GridField, flow: MarginalFlow) -> float:
     """Cost (1/2) int int |Psi|^2 dmu dt, trapezoidal in time, midpoint in space."""
     if psi.values.shape != flow.values.shape:
         raise GridMismatch("corrector and flow shapes differ")
-    tw = _time_weights(flow.time_grid)
+    tw = flow.time_grid.trapezoid_weights
     slicewise = 0.5 * np.sum(psi.values**2 * flow.values, axis=1) * flow.grid.dx
     return float(np.sum(tw * slicewise))
-
-
-def _time_weights(time_grid) -> np.ndarray:
-    tw = np.full(time_grid.n_steps + 1, time_grid.dt)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-    return tw
 
 
 def backward_corrector(psi: GridField, flow: MarginalFlow,
@@ -204,12 +184,8 @@ def backward_corrector(psi: GridField, flow: MarginalFlow,
 
     Applying the relation twice recovers the forward corrector exactly.
     """
-    tables = PotentialTables(pot, flow.grid)
     score = log_density_gradient(flow.values, flow.grid.dx)
-    force = np.stack([
-        conv_force(pot, flow.density(k), tables)
-        for k in range(flow.values.shape[0])
-    ])
+    force = pot.force(flow.values, flow.grid)
     hat_forward_index = -psi.values + score + 2.0 * force
     return GridField(flow.time_grid, flow.grid, hat_forward_index[::-1].copy())
 
@@ -247,13 +223,13 @@ def schrodinger_potentials(sol: BridgeSolution, pot: InteractionPotential):
     flow, psi_field = sol.flow, sol.corrector
     grid, tg = flow.grid, flow.time_grid
     dx, dt = grid.dx, tg.dt
-    tables = PotentialTables(pot, grid)
     mask = retained_mask(flow.values)
 
     n_nodes = tg.n_steps + 1
     psi_pot = np.zeros_like(flow.values)
     phi_pot = np.zeros_like(flow.values)
-    wconv = np.zeros_like(flow.values)
+    wconv = pot.potential(flow.values, grid)
+    force = pot.force(flow.values, grid)
     for k in range(n_nodes):
         idx = np.flatnonzero(mask[k])
         lo, hi = idx[0], idx[-1]
@@ -264,7 +240,6 @@ def schrodinger_potentials(sol: BridgeSolution, pot: InteractionPotential):
         interior[:lo] = acc[0]
         interior[hi + 1:] = acc[-1]
         psi_pot[k] = interior
-        wconv[k] = convolved_potential(pot, flow.density(k), tables)
         logmu = np.log(np.maximum(flow.values[k], 1e-300))
         phi_pot[k] = logmu + 2.0 * wconv[k] - psi_pot[k]
 
@@ -274,15 +249,15 @@ def schrodinger_potentials(sol: BridgeSolution, pot: InteractionPotential):
         # slices carry the one-sided corrector reconstruction.
         res = np.zeros_like(pot_vals)
         dpot_dt = (pot_vals[2:-1] - pot_vals[1:-2]) / dt
+        # x -> int W'(x - y) (g(x) - g(y)) mu(dy), up to a constant per slice
+        # (the quadratic closed-form adjoint drops one), which the de-gauging
+        # below removes
+        kern = (gradient_field * force
+                + pot.force_adjoint(gradient_field * flow.values, grid))
         for j, k in enumerate(range(1, n_nodes - 2)):
             g = gradient_field[k]
             lap = grad(g, dx)
-            kern = np.zeros(grid.n_cells)
-            weights = flow.values[k] * dx
-            dwm = tables.dw_matrix if pot.kind != "zero" else None
-            if dwm is not None:
-                kern = g * (dwm @ weights) - dwm @ (g * weights)
-            r = sign * dpot_dt[j] + 0.5 * lap + 0.5 * g**2 - kern
+            r = sign * dpot_dt[j] + 0.5 * lap + 0.5 * g**2 - kern[k]
             w_slice = flow.values[k]
             r = r - np.sum(r * w_slice) * dx  # remove the free function of time
             res[k] = r

@@ -76,6 +76,15 @@ class TimeGrid:
         t.setflags(write=False)
         return t
 
+    @cached_property
+    def trapezoid_weights(self) -> np.ndarray:
+        """Trapezoidal quadrature weights of the nodes."""
+        tw = np.full(self.n_steps + 1, self.dt)
+        tw[0] *= 0.5
+        tw[-1] *= 0.5
+        tw.setflags(write=False)
+        return tw
+
 
 class Density:
     """Probability density sampled at cell centers, normalized on construction."""

@@ -2,14 +2,25 @@
 
 The library covers three kernels: ``zero`` (free diffusion), ``quadratic``
 kappa*z^2/2 (uniformly convex, closed-form oracles) and ``gaussian-well``
-a*(1 - exp(-z^2/2s^2)) (bounded Hessian, not convex).  Convolutions against
-densities are direct double sums; at the grid sizes used here that is cheap
-and avoids periodic wrap-around artifacts on the truncated domain.
+a*(1 - exp(-z^2/2s^2)) (bounded Hessian, not convex).
+
+``InteractionPotential`` is the one kernel interface.  Its grid actions
+(``force``, ``force_adjoint``, ``potential``, ``hessian_term``) take one
+density or a stack of density rows and are direct double sums over pairwise
+tables of w, dw and d2w; at the grid sizes used here that is cheap and
+avoids periodic wrap-around artifacts on the truncated domain.  ``drift``
+is the empirical particle counterpart of ``force``.
+
+To add a potential, write one subclass that supplies ``w``, ``dw``, ``d2w``
+and ``to_spec``, plus a constructor and its ``from_spec`` entry.  Closed
+forms are optional: a subclass may override any grid action, as the
+quadratic kernel does where its double sums telescope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,21 +42,21 @@ class InteractionPotential:
 
     @classmethod
     def zero(cls) -> "InteractionPotential":
-        return cls("zero", 0.0, 0.0)
+        return _Quadratic("zero", 0.0, 0.0)
 
     @classmethod
     def quadratic(cls, kappa: float) -> "InteractionPotential":
         if kappa <= 0:
             raise ValueError("quadratic potential needs kappa > 0")
-        return cls("quadratic", float(kappa), float(kappa))
+        return _Quadratic("quadratic", float(kappa), float(kappa))
 
     @classmethod
     def gaussian_well(cls, amplitude: float, width: float) -> "InteractionPotential":
         if amplitude <= 0 or width <= 0:
             raise ValueError("gaussian-well needs positive amplitude and width")
         # W''(0) = a/s^2 is the Hessian peak; no positive convexity bound exists.
-        return cls("gaussian-well", 0.0, float(amplitude) / float(width) ** 2,
-                   (float(amplitude), float(width)))
+        return _GaussianWell("gaussian-well", 0.0, float(amplitude) / float(width) ** 2,
+                             (float(amplitude), float(width)))
 
     @classmethod
     def from_spec(cls, spec: dict) -> "InteractionPotential":
@@ -59,121 +70,142 @@ class InteractionPotential:
         raise ValueError(f"unknown potential kind: {kind!r}")
 
     def to_spec(self) -> dict:
-        if self.kind == "quadratic":
+        raise NotImplementedError
+
+    def w(self, z):
+        raise NotImplementedError
+
+    def dw(self, z):
+        raise NotImplementedError
+
+    def d2w(self, z):
+        raise NotImplementedError
+
+    def _table(self, name: str, grid: SpatialGrid) -> np.ndarray:
+        """Pairwise matrix of w, dw or d2w at x_i - x_j over the cell centers."""
+        x = grid.centers
+        return getattr(self, name)(x[:, None] - x[None, :])
+
+    def force(self, mu: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+        """Interaction force W' * mu at the cell centers."""
+        return (mu * grid.dx) @ self._table("dw", grid).T
+
+    def force_adjoint(self, rho: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+        """Adjoint of mu -> force(mu): maps weights rho on the force to dmu."""
+        return grid.dx * (rho @ self._table("dw", grid))
+
+    def potential(self, mu: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+        """Values of W * mu at the cell centers."""
+        return (mu * grid.dx) @ self._table("w", grid).T
+
+    def hessian_term(self, mu: np.ndarray, psi: np.ndarray,
+                     grid: SpatialGrid) -> np.ndarray:
+        """x -> integral of W''(x - y) (psi(x) - psi(y)) mu(dy)."""
+        k = self._table("d2w", grid)
+        weights = mu * grid.dx
+        return psi * (weights @ k.T) - (psi * weights) @ k.T
+
+    def drift(self, x: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+        """Empirical drift -(1/N) sum_j W'(x_i - cloud_j) at each x_i."""
+        return -self.dw(x[:, None] - cloud[None, :]).mean(axis=1)
+
+
+class _Quadratic(InteractionPotential):
+    """kappa*z^2/2; kappa = 0 is the zero potential.
+
+    Every pairwise sum but W * mu telescopes against a unit-mass density
+    into an affine closed form.
+    """
+
+    def to_spec(self) -> dict:
+        if self.kappa > 0:
             return {"kind": "quadratic", "kappa": self.kappa}
-        if self.kind == "gaussian-well":
-            a, s = self.params
-            return {"kind": "gaussian-well", "amplitude": a, "width": s}
         return {"kind": "zero"}
 
     def w(self, z):
+        return 0.5 * self.kappa * np.asarray(z, dtype=float) ** 2
+
+    def dw(self, z):
+        return self.kappa * np.asarray(z, dtype=float)
+
+    def d2w(self, z):
+        return np.full_like(np.asarray(z, dtype=float), self.kappa)
+
+    def force(self, mu, grid):
+        x, dx = grid.centers, grid.dx
+        # kappa * (x - mean); the two reduction orders are kept apart because
+        # near-zero bridge costs are sensitive to their roundoff
+        if mu.ndim == 1:
+            return self.kappa * (x - np.sum(x * mu) * dx)
+        return self.kappa * (x - (mu @ x * dx)[:, None])
+
+    def force_adjoint(self, rho, grid):
+        return -(self.kappa * grid.dx * np.sum(rho, axis=-1, keepdims=True)
+                 * grid.centers)
+
+    def hessian_term(self, mu, psi, grid):
+        return self.kappa * (psi - np.sum(psi * (mu * grid.dx), axis=-1,
+                                                keepdims=True))
+
+    def drift(self, x, cloud):
+        return -self.kappa * (x - cloud.mean())
+
+
+class _GaussianWell(InteractionPotential):
+    """a*(1 - exp(-z^2/2s^2)); its pairwise tables are cached per grid."""
+
+    def to_spec(self) -> dict:
+        a, s = self.params
+        return {"kind": "gaussian-well", "amplitude": a, "width": s}
+
+    def w(self, z):
         z = np.asarray(z, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(z)
-        if self.kind == "quadratic":
-            return 0.5 * self.kappa * z**2
         a, s = self.params
         return a * (1.0 - np.exp(-(z**2) / (2.0 * s**2)))
 
     def dw(self, z):
         z = np.asarray(z, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(z)
-        if self.kind == "quadratic":
-            return self.kappa * z
         a, s = self.params
         return (a / s**2) * z * np.exp(-(z**2) / (2.0 * s**2))
 
     def d2w(self, z):
         z = np.asarray(z, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(z)
-        if self.kind == "quadratic":
-            return np.full_like(z, self.kappa)
         a, s = self.params
         u = (z / s) ** 2
         return (a / s**2) * (1.0 - u) * np.exp(-0.5 * u)
 
+    @cached_property
+    def _tables(self) -> dict:
+        return {}
 
-class PotentialTables:
-    """Pairwise kernel matrices of a potential on a fixed grid, built lazily."""
-
-    def __init__(self, pot: InteractionPotential, grid: SpatialGrid):
-        self.pot = pot
-        self.grid = grid
-        self._diff = None
-        self._w = None
-        self._dw = None
-        self._d2w = None
-
-    @property
-    def diff(self) -> np.ndarray:
-        if self._diff is None:
-            x = self.grid.centers
-            self._diff = x[:, None] - x[None, :]
-        return self._diff
-
-    @property
-    def w_matrix(self) -> np.ndarray:
-        if self._w is None:
-            self._w = self.pot.w(self.diff)
-        return self._w
-
-    @property
-    def dw_matrix(self) -> np.ndarray:
-        if self._dw is None:
-            self._dw = self.pot.dw(self.diff)
-        return self._dw
-
-    @property
-    def d2w_matrix(self) -> np.ndarray:
-        if self._d2w is None:
-            self._d2w = self.pot.d2w(self.diff)
-        return self._d2w
+    def _table(self, name, grid):
+        key = (name, grid)
+        if key not in self._tables:
+            table = super()._table(name, grid)
+            table.setflags(write=False)
+            self._tables[key] = table
+        return self._tables[key]
 
 
-def conv_force(pot: InteractionPotential, mu: Density,
-               tables: PotentialTables | None = None) -> np.ndarray:
+def conv_force(pot: InteractionPotential, mu: Density) -> np.ndarray:
     """Interaction force W' * mu at the cell centers."""
-    if pot.kind == "zero":
-        return np.zeros(mu.grid.n_cells)
-    if pot.kind == "quadratic":
-        # Exactly affine: the double sum telescopes to kappa * (x - mean).
-        return pot.kappa * (mu.grid.centers - mu.mean())
-    tables = tables or PotentialTables(pot, mu.grid)
-    return tables.dw_matrix @ (mu.values * mu.grid.dx)
+    return pot.force(mu.values, mu.grid)
 
 
-def convolved_potential(pot: InteractionPotential, mu: Density,
-                        tables: PotentialTables | None = None) -> np.ndarray:
+def convolved_potential(pot: InteractionPotential, mu: Density) -> np.ndarray:
     """Values of W * mu at the cell centers."""
-    if pot.kind == "zero":
-        return np.zeros(mu.grid.n_cells)
-    tables = tables or PotentialTables(pot, mu.grid)
-    return tables.w_matrix @ (mu.values * mu.grid.dx)
+    return pot.potential(mu.values, mu.grid)
 
 
-def interaction_energy(pot: InteractionPotential, mu: Density,
-                       tables: PotentialTables | None = None) -> float:
+def interaction_energy(pot: InteractionPotential, mu: Density) -> float:
     """Double integral of W(x - y) against mu x mu."""
-    if pot.kind == "zero":
-        return 0.0
-    conv = convolved_potential(pot, mu, tables)
-    return float(np.sum(conv * mu.values) * mu.grid.dx)
+    return float(np.sum(convolved_potential(pot, mu) * mu.values) * mu.grid.dx)
 
 
-def hessian_kernel_term(pot: InteractionPotential, mu: Density, psi: np.ndarray,
-                        tables: PotentialTables | None = None) -> np.ndarray:
+def hessian_kernel_term(pot: InteractionPotential, mu: Density,
+                        psi: np.ndarray) -> np.ndarray:
     """x -> integral of W''(x - y) (psi(x) - psi(y)) mu(dy).
 
     For quadratic W this is exactly kappa * (psi - mean of psi under mu).
     """
-    psi = np.asarray(psi, dtype=float)
-    weights = mu.values * mu.grid.dx
-    if pot.kind == "zero":
-        return np.zeros_like(psi)
-    if pot.kind == "quadratic":
-        return pot.kappa * (psi - np.sum(psi * weights))
-    tables = tables or PotentialTables(pot, mu.grid)
-    k = tables.d2w_matrix
-    return psi * (k @ weights) - k @ (psi * weights)
+    return pot.hessian_term(mu.values, np.asarray(psi, dtype=float), mu.grid)

@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ContinuityViolation, InfeasibleEndpoints, NoConvergence
 from .functionals import (
     BridgeSolution,
+    center_momentum,
     corrector,
     entropic_cost,
     velocity_from_flow,
@@ -43,8 +43,8 @@ from .grids import (
     log_density_gradient,
     time_derivative,
 )
-from .potentials import InteractionPotential, PotentialTables, conv_force
-from .dynamics import mkv_flow
+from .potentials import InteractionPotential, conv_force
+from .dynamics import _fp_step_matrix, mkv_flow
 
 
 @dataclass(frozen=True)
@@ -155,15 +155,8 @@ def mkv_pullback_flow(pot: InteractionPotential, mu_in: Density, mu_fin: Density
 # discrete objective and exact gradient
 
 
-def _time_weights(tgrid: TimeGrid) -> np.ndarray:
-    tw = np.full(tgrid.n_steps + 1, tgrid.dt)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-    return tw
-
-
 class _Workspace:
-    """Per-solve cache: kernel tables, quadrature weights, grid scalars."""
+    """Per-solve cache: quadrature weights and grid scalars."""
 
     def __init__(self, pot: InteractionPotential, sgrid: SpatialGrid,
                  tgrid: TimeGrid, mass_floor_rel: float):
@@ -173,17 +166,7 @@ class _Workspace:
         self.rel = mass_floor_rel
         self.dx = sgrid.dx
         self.dt = tgrid.dt
-        self.tw = _time_weights(tgrid)
-        self.x = sgrid.centers
-        self.tables = PotentialTables(pot, sgrid) if pot.kind == "gaussian-well" else None
-
-    def force_rows(self, mu: np.ndarray) -> np.ndarray:
-        if self.pot.kind == "zero":
-            return np.zeros_like(mu)
-        if self.pot.kind == "quadratic":
-            means = mu @ self.x * self.dx
-            return self.pot.kappa * (self.x[None, :] - means[:, None])
-        return (mu * self.dx) @ self.tables.dw_matrix.T
+        self.tw = tgrid.trapezoid_weights
 
 
 def _momentum(mu: np.ndarray, dx: float, dt: float) -> np.ndarray:
@@ -215,14 +198,6 @@ def _grad_adjoint(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _center(m: np.ndarray) -> np.ndarray:
-    """Edge-indexed momentum averaged onto cell centers."""
-    c = np.empty_like(m)
-    c[..., 0] = 0.5 * m[..., 0]
-    c[..., 1:] = 0.5 * (m[..., 1:] + m[..., :-1])
-    return c
-
-
 def _center_adjoint(y: np.ndarray) -> np.ndarray:
     out = np.empty_like(y)
     out[..., :-1] = 0.5 * (y[..., :-1] + y[..., 1:])
@@ -241,10 +216,10 @@ def _terms(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg: float = 0.0):
     peak = mu.max(axis=1, keepdims=True)
     mask = mu >= ws.rel * peak
     den = mu + reg * peak
-    mc = _center(m)
+    mc = center_momentum(m)
     w = np.where(mask, mc / np.where(mask, den, 1.0), 0.0)
     s = log_density_gradient(mu, ws.dx)
-    force = ws.force_rows(mu)
+    force = ws.pot.force(mu, ws.sgrid)
     u = np.where(mask, w + 0.5 * s + force, 0.0)
     return mask, den, mc, u
 
@@ -267,10 +242,7 @@ def _partial_gradients(ws: _Workspace, mu: np.ndarray, m: np.ndarray,
     score_part = 0.5 * _grad_adjoint(rho, ws.dx)
     safe = mu > 1e-100
     gmu += np.where(safe, score_part / np.where(safe, mu, 1.0), 0.0)
-    if ws.pot.kind == "quadratic":
-        gmu -= ws.pot.kappa * ws.dx * np.sum(rho, axis=1, keepdims=True) * ws.x[None, :]
-    elif ws.pot.kind == "gaussian-well":
-        gmu += ws.dx * (rho @ ws.tables.dw_matrix)
+    gmu += ws.pot.force_adjoint(rho, ws.sgrid)
     return gmu, gm
 
 
@@ -368,7 +340,7 @@ def _edge_terms(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg):
     den = mu_edge + reg
     log_mu = np.log(np.maximum(mu, LOG_FLOOR))
     score = (log_mu[:, 1:] - log_mu[:, :-1]) / ws.dx
-    force = ws.force_rows(mu)
+    force = ws.pot.force(mu, ws.sgrid)
     force_edge = 0.5 * (force[:, :-1] + force[:, 1:])
     u = np.where(mask, m[:, :-1] / np.where(mask, den, 1.0)
                  + 0.5 * score + force_edge, 0.0)
@@ -398,17 +370,10 @@ def _edge_gradients(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg):
     inv_mu = np.where(safe, 1.0 / np.where(safe, mu, 1.0), 0.0)
     gmu[:, :-1] -= score_flow * inv_mu[:, :-1]
     gmu[:, 1:] += score_flow * inv_mu[:, 1:]
-    if ws.pot.kind == "quadratic":
-        rho_cells = np.zeros_like(mu)
-        rho_cells[:, :-1] += 0.5 * rho
-        rho_cells[:, 1:] += 0.5 * rho
-        gmu -= ws.pot.kappa * ws.dx * np.sum(rho_cells, axis=1, keepdims=True) \
-            * ws.x[None, :]
-    elif ws.pot.kind == "gaussian-well":
-        rho_cells = np.zeros_like(mu)
-        rho_cells[:, :-1] += 0.5 * rho
-        rho_cells[:, 1:] += 0.5 * rho
-        gmu += ws.dx * (rho_cells @ ws.tables.dw_matrix)
+    rho_cells = np.zeros_like(mu)
+    rho_cells[:, :-1] += 0.5 * rho
+    rho_cells[:, 1:] += 0.5 * rho
+    gmu += ws.pot.force_adjoint(rho_cells, ws.sgrid)
     return gmu, gm
 
 
@@ -521,27 +486,6 @@ def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
 # frozen-drift baseline
 
 
-def _fp_step_matrix(b_cells: np.ndarray, sgrid: SpatialGrid, dt: float) -> np.ndarray:
-    """One-step transition matrix of the implicit Fokker-Planck scheme."""
-    from .dynamics import _bernoulli
-
-    dx = sgrid.dx
-    nu = 0.5
-    b_edges = 0.5 * (b_cells[:-1] + b_cells[1:])
-    w = b_edges * dx / nu
-    bm = _bernoulli(-w)
-    bp = _bernoulli(w)
-    c = nu * dt / dx**2
-    n = sgrid.n_cells
-    ab = np.zeros((3, n))
-    ab[1] = 1.0
-    ab[1, :-1] += c * bm
-    ab[1, 1:] += c * bp
-    ab[0, 1:] = -c * bp
-    ab[2, :-1] = -c * bm
-    return solve_banded((1, 1), ab, np.eye(n))
-
-
 def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
                 sgrid: SpatialGrid, tgrid: TimeGrid,
                 config: SolverConfig | None = None) -> BridgeSolution:
@@ -558,22 +502,19 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
     a = mu_in.values * sgrid.dx
     b_target = mu_fin.values * sgrid.dx
     flow_vals = heat_interpolation_flow(mu_in, mu_fin, sgrid, tgrid, config).values
-    drift_free = pot.kind == "zero"
 
     delta = np.inf
     converged = False
     outer = 0
     static_kl = np.nan
     for outer in range(1, config.ipfp_max_outer + 1):
+        forces = pot.force(flow_vals[:-1], sgrid)
+        # without a force the kernels cannot depend on the frozen flow
+        drift_free = not forces.any()
         if drift_free:
-            steps = [_fp_step_matrix(np.zeros(sgrid.n_cells), sgrid, tgrid.dt)] * n_steps
+            steps = [_fp_step_matrix(-forces[0], sgrid.dx, tgrid.dt)] * n_steps
         else:
-            steps = [
-                _fp_step_matrix(
-                    -conv_force(pot, Density(sgrid, flow_vals[k])), sgrid, tgrid.dt
-                )
-                for k in range(n_steps)
-            ]
+            steps = [_fp_step_matrix(-f, sgrid.dx, tgrid.dt) for f in forces]
         total = steps[0]
         for s_k in steps[1:]:
             total = s_k @ total
@@ -646,7 +587,6 @@ def optimality_residual(sol: BridgeSolution, pot: InteractionPotential, *,
     mu = flow.values
     dx, dt = flow.grid.dx, flow.time_grid.dt
     n_nodes = flow.time_grid.n_steps + 1
-    tables = PotentialTables(pot, flow.grid) if pot.kind == "gaussian-well" else None
 
     residual = np.zeros_like(mu)
     for k in range(1, n_nodes - 2):
@@ -655,21 +595,14 @@ def optimality_residual(sol: BridgeSolution, pot: InteractionPotential, *,
         lap = np.zeros_like(p)
         lap[1:-1] = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / dx**2
         gpsi = grad(p, dx)
-        force = conv_force(pot, flow.density(k), tables)
-        weights = mu[k] * dx
-        if pot.kind == "zero":
-            kern = np.zeros_like(p)
-        elif pot.kind == "quadratic":
-            kern = pot.kappa * (p - np.sum(p * weights))
-        else:
-            k2 = tables.d2w_matrix
-            kern = p * (k2 @ weights) - k2 @ (p * weights)
+        force = conv_force(pot, flow.density(k))
+        kern = pot.hessian_term(mu[k], p, flow.grid)
         residual[k] = dpsi_dt + 0.5 * lap + gpsi * (-force + p) - kern
 
     live = np.zeros_like(mu, dtype=bool)
     live[1:-2, 1:-1] = True
     bulk = live & (mu >= bulk_rel * mu.max(axis=1, keepdims=True))
     sup_bulk = float(np.max(np.abs(residual[bulk]))) if bulk.any() else 0.0
-    tw = _time_weights(flow.time_grid)
+    tw = flow.time_grid.trapezoid_weights
     l2 = float(np.sqrt(np.sum(tw[:, None] * (residual * bulk) ** 2 * mu * dx)))
     return OptimalityResidual(sup_bulk, l2, threshold_scale * (dx + dt))

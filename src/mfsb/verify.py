@@ -385,9 +385,7 @@ def check_corrector_bounds(sol: BridgeSolution, pot: InteractionPotential, *,
     tg = sol.flow.time_grid
     kap, horizon = pot.kappa, tg.horizon
     energy = _corrector_energy(sol)
-    tw = np.full(tg.n_steps + 1, tg.dt)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
+    tw = tg.trapezoid_weights
     worst_partial = None
     worst_point = None
     for t in (horizon / 4, horizon / 2, 3 * horizon / 4):

@@ -207,6 +207,7 @@ def test_cli_solve_and_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert manifest["seed"] == 3
+    assert "threads" not in manifest
 
 
 def test_cli_validation_exit_code(tmp_path):
