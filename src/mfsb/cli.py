@@ -106,6 +106,7 @@ def _run_checks(scenario: Scenario, strict_w2: bool):
 
     needs_bridge = bool(set(requested) - {"theta"})
     sol = _solve(scenario) if needs_bridge else None
+    residual = gauge = None
     if sol is not None:
         environment["solver"] = sol.diagnostics
         residual = optimality_residual(sol, pot)
@@ -114,11 +115,7 @@ def _run_checks(scenario: Scenario, strict_w2: bool):
             "l2_weighted": residual.l2_weighted,
             "threshold": residual.threshold,
         }
-    gauge = None
-    if sol is not None and pot.kappa > 0:
         gauge = V.FreeEnergyGauge(pot, scenario.grid, sol.flow.density(0).mean())
-    elif sol is not None:
-        gauge = V.FreeEnergyGauge(pot, scenario.grid, 0.0)
 
     sol_reverse = None
     if "time-reversal" in requested or "conserved-bound" in requested:
@@ -163,7 +160,6 @@ def _run_checks(scenario: Scenario, strict_w2: bool):
         elif name == "mean-linearity":
             entries[name] = V.check_mean_linearity(sol)
         elif name == "optimality":
-            residual = optimality_residual(sol, pot)
             entries[name] = V.CheckEntry(
                 "optimality", residual.l2_weighted, residual.threshold, 0.0,
                 {"sup_bulk": residual.sup_bulk})
@@ -195,8 +191,7 @@ def _cmd_report(scenario: Scenario, out: Path, fmt: str, args) -> int:
     tg = scenario.time_grid
     ts = tg.nodes
 
-    gauge = V.FreeEnergyGauge(pot, scenario.grid,
-                              sol.flow.density(0).mean() if pot.kappa > 0 else 0.0)
+    gauge = V.FreeEnergyGauge(pot, scenario.grid, sol.flow.density(0).mean())
     f_rel = np.array([gauge.relative(sol.flow.density(k))
                       for k in range(tg.n_steps + 1)])
     c1 = np.array([V._exp_coeff_start(pot.kappa, tg.horizon, t) for t in ts])

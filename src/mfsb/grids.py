@@ -31,8 +31,9 @@ class SpatialGrid:
     n_cells: int
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(
+                f"half_width must be finite and positive, got {self.half_width}")
         if self.n_cells < 8:
             raise ValueError(f"n_cells must be at least 8, got {self.n_cells}")
 
@@ -61,8 +62,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.n_steps < 4:
             raise ValueError(f"n_steps must be at least 4, got {self.n_steps}")
 

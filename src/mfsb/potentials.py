@@ -27,6 +27,13 @@ import numpy as np
 from .grids import Density, SpatialGrid
 
 
+def _positive(kind: str, name: str, value) -> float:
+    value = float(value)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{kind} potential needs finite {name} > 0, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class InteractionPotential:
     """Pair potential W with derivatives and curvature bounds.
@@ -46,17 +53,16 @@ class InteractionPotential:
 
     @classmethod
     def quadratic(cls, kappa: float) -> "InteractionPotential":
-        if kappa <= 0:
-            raise ValueError("quadratic potential needs kappa > 0")
-        return _Quadratic("quadratic", float(kappa), float(kappa))
+        kappa = _positive("quadratic", "kappa", kappa)
+        return _Quadratic("quadratic", kappa, kappa)
 
     @classmethod
     def gaussian_well(cls, amplitude: float, width: float) -> "InteractionPotential":
-        if amplitude <= 0 or width <= 0:
-            raise ValueError("gaussian-well needs positive amplitude and width")
+        amplitude = _positive("gaussian-well", "amplitude", amplitude)
+        width = _positive("gaussian-well", "width", width)
         # W''(0) = a/s^2 is the Hessian peak; no positive convexity bound exists.
-        return _GaussianWell("gaussian-well", 0.0, float(amplitude) / float(width) ** 2,
-                             (float(amplitude), float(width)))
+        return _GaussianWell("gaussian-well", 0.0, amplitude / width**2,
+                             (amplitude, width))
 
     @classmethod
     def from_spec(cls, spec: dict) -> "InteractionPotential":

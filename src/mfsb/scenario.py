@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import mkv_flow
-from .errors import HypothesisViolation, ParseError
+from .errors import GridMismatch, HypothesisViolation, ParseError
 from .functionals import equilibrium
 from .grids import Density, SpatialGrid, TimeGrid, density_from_spec
 from .potentials import InteractionPotential
@@ -100,7 +100,7 @@ def _parse_structure(doc: dict) -> Scenario:
     try:
         grid = SpatialGrid(float(grid_spec["half_width"]), int(grid_spec["n_cells"]))
         time_grid = TimeGrid(float(time_spec["horizon"]), int(time_spec["n_steps"]))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid grid specification: {exc}") from exc
     try:
         potential = InteractionPotential.from_spec(doc["potential"])
@@ -115,7 +115,8 @@ def _parse_structure(doc: dict) -> Scenario:
     unknown = set(checks) - KNOWN_CHECKS
     _require(not unknown, f"unknown checks: {sorted(unknown)}")
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer")
+    _require(isinstance(seed, int) and not isinstance(seed, bool),
+             "seed must be an integer")
     n_particles = doc.get("particles", 64)
     _require(isinstance(n_particles, int) and n_particles >= 2,
              "particles must be an integer >= 2")
@@ -147,7 +148,7 @@ def _validate_hypotheses(sc: Scenario):
     try:
         mu_in = sc.mu_in()
         mu_fin = sc.mu_fin()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (GridMismatch, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid density specification: {exc}") from exc
     for name, mu in (("initial", mu_in), ("final", mu_fin)):
         if mu.boundary_mass() > BOUNDARY_MASS_GATE:

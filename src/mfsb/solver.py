@@ -1,16 +1,20 @@
 """Bridge computation between two endpoint densities under pair interaction.
 
-The primary solver minimizes the kinetic-action discretization
+The primary solver minimizes one discrete kinetic action, the staggered one,
 
-    J = (1/2) sum_k tw_k sum_i |m/mu + (1/2) grad log mu + W' * mu|^2 mu dx
+    J = (1/2) sum_k tw_k sum_e |m/mu_e + (1/2) D log mu + (W' * mu)_e|^2 mu_e dx
 
-over flows with pinned endpoints, where the momentum m is slaved to the flow
-through the divergence inversion of its discrete time derivative (the 1-D
-tangent-space choice).  Updates are multiplicative (mirror) gradient steps
-with backtracking, which keeps every slice a probability density and tames
-the 1/mu stiffness of the score term; the line search descends on a
-staggered edge form of the same action (see below) so no density mode is
-invisible to the discrete score.
+summed over interior cell edges e (momentum on edges, edge averages of mu
+and the force, D the jump across the edge over dx), over flows with pinned
+endpoints.  The momentum m is slaved to the flow through the divergence
+inversion of its discrete time derivative (the 1-D tangent-space choice).
+Updates are multiplicative (mirror) gradient steps with backtracking, which
+keeps every slice a probability density and tames the 1/mu stiffness of the
+score term.  bb_objective and bb_gradient expose this same action.
+
+Reported costs come from the corrector's cell quadrature (entropic_cost),
+not from J; the two differ by O(dx^2), which
+test_bb_objective_second_order_in_cell_quadrature checks.
 
 A frozen-drift iterative-proportional-fitting baseline is also provided; it
 alternates classical bridge fitting against the kernels of the frozen flow
@@ -20,14 +24,13 @@ of the optimality system), which is exactly why it is kept as a diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContinuityViolation, InfeasibleEndpoints, NoConvergence
 from .functionals import (
     BridgeSolution,
-    center_momentum,
     corrector,
     entropic_cost,
     velocity_from_flow,
@@ -40,7 +43,6 @@ from .grids import (
     TimeGrid,
     divergence,
     grad,
-    log_density_gradient,
     time_derivative,
 )
 from .potentials import InteractionPotential, conv_force
@@ -60,8 +62,6 @@ class SolverConfig:
     momentum: float = 0.9           # heavy-ball weight in log space, restart on failure
     damping: float = 0.5            # frozen-drift marginal update
     tol_grad: float = 1e-6
-    tol_ce: float = 1e-8
-    tol_bc: float = 1e-9
     mass_floor_rel: float = 1e-12
     kinetic_reg: float = 1e-7       # relative floor added to the velocity denominator
     update_floor_rel: float = 1e-8  # cells below this fraction of the peak stay frozen
@@ -74,9 +74,8 @@ class SolverConfig:
     sinkhorn_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("tol_grad", "tol_ce", "tol_bc"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.tol_grad <= 0:
+            raise ValueError("tol_grad must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.init not in ("heat", "mkv", "provided"):
@@ -152,7 +151,7 @@ def mkv_pullback_flow(pot: InteractionPotential, mu_in: Density, mu_fin: Density
 
 
 # ---------------------------------------------------------------------------
-# discrete objective and exact gradient
+# discrete action and exact gradient
 
 
 class _Workspace:
@@ -187,148 +186,14 @@ def _momentum_adjoint(gm: np.ndarray, dx: float, dt: float) -> np.ndarray:
     return out
 
 
-def _grad_adjoint(y: np.ndarray, dx: float) -> np.ndarray:
-    out = np.zeros_like(y)
-    out[..., 2:] += y[..., 1:-1] / (2.0 * dx)
-    out[..., :-2] -= y[..., 1:-1] / (2.0 * dx)
-    out[..., 1] += y[..., 0] / dx
-    out[..., 0] -= y[..., 0] / dx
-    out[..., -1] += y[..., -1] / dx
-    out[..., -2] -= y[..., -1] / dx
-    return out
-
-
-def _center_adjoint(y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(y)
-    out[..., :-1] = 0.5 * (y[..., :-1] + y[..., 1:])
-    out[..., -1] = 0.5 * y[..., -1]
-    return out
-
-
-def _terms(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg: float = 0.0):
-    """Velocity, score and force assembled into the action integrand root u.
-
-    The edge-indexed momentum is centered before dividing by the density.
-    With reg > 0 the velocity denominator is floored at reg times the slice
-    peak; the solver descends on that slightly mollified objective while the
-    public operations use the exact reg = 0 form.
-    """
-    peak = mu.max(axis=1, keepdims=True)
-    mask = mu >= ws.rel * peak
-    den = mu + reg * peak
-    mc = center_momentum(m)
-    w = np.where(mask, mc / np.where(mask, den, 1.0), 0.0)
-    s = log_density_gradient(mu, ws.dx)
-    force = ws.pot.force(mu, ws.sgrid)
-    u = np.where(mask, w + 0.5 * s + force, 0.0)
-    return mask, den, mc, u
-
-
-def _objective(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg: float = 0.0) -> float:
-    _, _, _, u = _terms(ws, mu, m, reg)
-    slicewise = 0.5 * np.sum(u**2 * mu, axis=1) * ws.dx
-    return float(np.sum(ws.tw * slicewise))
-
-
-def _partial_gradients(ws: _Workspace, mu: np.ndarray, m: np.ndarray,
-                       reg: float = 0.0):
-    """Exact partial derivatives of the discrete objective at fixed active set."""
-    mask, den, mc, u = _terms(ws, mu, m, reg)
-    twdx = ws.tw[:, None] * ws.dx
-    rho = twdx * u * mu  # recurring weight, zero off the active set
-    gm = _center_adjoint(np.where(mask, rho / np.where(mask, den, 1.0), 0.0))
-    gmu = twdx * 0.5 * u**2
-    gmu -= np.where(mask, rho * mc / np.where(mask, den**2, 1.0), 0.0)
-    score_part = 0.5 * _grad_adjoint(rho, ws.dx)
-    safe = mu > 1e-100
-    gmu += np.where(safe, score_part / np.where(safe, mu, 1.0), 0.0)
-    gmu += ws.pot.force_adjoint(rho, ws.sgrid)
-    return gmu, gm
-
-
-def _as_matrix(flow, m):
-    mu = flow.values if isinstance(flow, MarginalFlow) else np.asarray(flow, float)
-    m = np.asarray(m, dtype=float)
-    if m.shape != mu.shape:
-        raise ValueError("flow and momentum shapes differ")
-    return mu, m
-
-
-def bb_objective(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *,
-                 tol_ce: float = 1e-8, mass_floor_rel: float = 1e-12) -> float:
-    """Kinetic action of an admissible (flow, momentum) pair.
-
-    Raises ContinuityViolation when the pair does not satisfy the discrete
-    continuity equation.  By construction the value coincides with
-    entropic_cost(corrector(flow, m/mu), flow).
-    """
-    mu, m = _as_matrix(flow, m)
-    ws = _Workspace(pot, flow.grid, flow.time_grid, mass_floor_rel)
-    residual = time_derivative(mu, ws.dt) + divergence(m, ws.dx)
-    worst = float(np.max(np.abs(residual)))
-    if worst > tol_ce:
-        raise ContinuityViolation(
-            f"continuity residual {worst:.3e} exceeds {tol_ce:.1e}"
-        )
-    return _objective(ws, mu, m)
-
-
-def bb_gradient(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *,
-                mass_floor_rel: float = 1e-12):
-    """Exact discrete partial gradients (dJ/dmu, dJ/dm) of the kinetic action."""
-    mu, m = _as_matrix(flow, m)
-    ws = _Workspace(pot, flow.grid, flow.time_grid, mass_floor_rel)
-    return _partial_gradients(ws, mu, m)
-
-
-# ---------------------------------------------------------------------------
-# primary solver
-
-
-def _effective_support(mu: Density, rel: float) -> tuple:
-    idx = np.flatnonzero(mu.values >= rel * mu.values.max())
-    return idx[0], idx[-1]
-
-
-def _validate_endpoints(mu_in: Density, mu_fin: Density, sgrid: SpatialGrid, *,
-                        rel: float, boundary_tol: float = 1e-8):
-    if mu_in.grid != sgrid or mu_fin.grid != sgrid:
-        raise InfeasibleEndpoints("endpoint densities live on a different grid")
-    for name, mu in (("initial", mu_in), ("final", mu_fin)):
-        if mu.boundary_mass() > boundary_tol:
-            raise InfeasibleEndpoints(
-                f"{name} density carries {mu.boundary_mass():.2e} boundary mass; "
-                "enlarge the domain"
-            )
-    lo_a, hi_a = _effective_support(mu_in, rel)
-    lo_b, hi_b = _effective_support(mu_fin, rel)
-    if hi_a < lo_b or hi_b < lo_a:
-        raise InfeasibleEndpoints(
-            "endpoint supports are disjoint; the discrete cost would blow up"
-        )
-
-
-def _initial_flow(name: str, pot, mu_in, mu_fin, sgrid, tgrid,
-                  config: SolverConfig) -> MarginalFlow:
-    if name == "heat":
-        return heat_interpolation_flow(mu_in, mu_fin, sgrid, tgrid, config)
-    if name == "mkv":
-        return mkv_pullback_flow(pot, mu_in, mu_fin, sgrid, tgrid)
-    if name == "provided":
-        if config.provided_flow is None:
-            raise ValueError("init='provided' needs config.provided_flow")
-        return config.provided_flow
-    raise ValueError(f"unknown init mode {name!r}")
-
-
-# The descent minimizes a staggered (edge-indexed) form of the action: the
-# momentum from the continuity inversion already lives on cell edges, the
-# score becomes the log-density jump across the edge, and the density weight
-# is the edge average.  Unlike the colocated form, the edge score sees
-# odd-even (2 dx) modes of log mu, so the discrete minimizer cannot hide
-# sub-grid oscillations in the kinetic term.  Cell and edge action values
-# differ by O(dx^2); reported costs always come from the colocated
-# corrector quadrature.
+# The one discrete action is staggered (edge-indexed): the momentum from the
+# continuity inversion already lives on cell edges, the score is the
+# log-density jump across the edge, and the density weight is the edge
+# average.  The edge score sees odd-even (2 dx) modes of log mu, so the
+# discrete minimizer cannot hide sub-grid oscillations in the kinetic term.
+# Reported costs come from the corrector's cell quadrature (entropic_cost);
+# the two values differ by O(dx^2), which
+# test_bb_objective_second_order_in_cell_quadrature checks.
 
 
 def _edge_terms(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg):
@@ -375,6 +240,87 @@ def _edge_gradients(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg):
     rho_cells[:, 1:] += 0.5 * rho
     gmu += ws.pot.force_adjoint(rho_cells, ws.sgrid)
     return gmu, gm
+
+
+def _as_matrix(flow, m):
+    mu = flow.values
+    m = np.asarray(m, dtype=float)
+    if m.shape != mu.shape:
+        raise ValueError("flow and momentum shapes differ")
+    return mu, m
+
+
+def bb_objective(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *,
+                 tol_ce: float = 1e-8, mass_floor_rel: float = 1e-12) -> float:
+    """Staggered kinetic action of an admissible (flow, momentum) pair.
+
+    This is the action the solver descends on, without its mollifier.  It
+    differs by O(dx^2) from the corrector's cell quadrature
+    entropic_cost(corrector(flow, m/mu), flow) that reports bridge costs.
+    Raises ContinuityViolation when the pair does not satisfy the discrete
+    continuity equation.
+    """
+    mu, m = _as_matrix(flow, m)
+    ws = _Workspace(pot, flow.grid, flow.time_grid, mass_floor_rel)
+    residual = time_derivative(mu, ws.dt) + divergence(m, ws.dx)
+    worst = float(np.max(np.abs(residual)))
+    if worst > tol_ce:
+        raise ContinuityViolation(
+            f"continuity residual {worst:.3e} exceeds {tol_ce:.1e}"
+        )
+    return _edge_objective(ws, mu, m, 0.0)
+
+
+def bb_gradient(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *,
+                mass_floor_rel: float = 1e-12):
+    """Exact partial gradients (dJ/dmu, dJ/dm) of the staggered action.
+
+    These are the gradients of bb_objective, the action the solver descends
+    on; reported costs come from the corrector's cell quadrature instead.
+    """
+    mu, m = _as_matrix(flow, m)
+    ws = _Workspace(pot, flow.grid, flow.time_grid, mass_floor_rel)
+    return _edge_gradients(ws, mu, m, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# primary solver
+
+
+def _effective_support(mu: Density, rel: float) -> tuple:
+    idx = np.flatnonzero(mu.values >= rel * mu.values.max())
+    return idx[0], idx[-1]
+
+
+def _validate_endpoints(mu_in: Density, mu_fin: Density, sgrid: SpatialGrid, *,
+                        rel: float, boundary_tol: float = 1e-8):
+    if mu_in.grid != sgrid or mu_fin.grid != sgrid:
+        raise InfeasibleEndpoints("endpoint densities live on a different grid")
+    for name, mu in (("initial", mu_in), ("final", mu_fin)):
+        if mu.boundary_mass() > boundary_tol:
+            raise InfeasibleEndpoints(
+                f"{name} density carries {mu.boundary_mass():.2e} boundary mass; "
+                "enlarge the domain"
+            )
+    lo_a, hi_a = _effective_support(mu_in, rel)
+    lo_b, hi_b = _effective_support(mu_fin, rel)
+    if hi_a < lo_b or hi_b < lo_a:
+        raise InfeasibleEndpoints(
+            "endpoint supports are disjoint; the discrete cost would blow up"
+        )
+
+
+def _initial_flow(name: str, pot, mu_in, mu_fin, sgrid, tgrid,
+                  config: SolverConfig) -> MarginalFlow:
+    if name == "heat":
+        return heat_interpolation_flow(mu_in, mu_fin, sgrid, tgrid, config)
+    if name == "mkv":
+        return mkv_pullback_flow(pot, mu_in, mu_fin, sgrid, tgrid)
+    if name == "provided":
+        if config.provided_flow is None:
+            raise ValueError("init='provided' needs config.provided_flow")
+        return config.provided_flow
+    raise ValueError(f"unknown init mode {name!r}")
 
 
 def _descend(ws: _Workspace, flow0: MarginalFlow, config: SolverConfig):

@@ -70,11 +70,44 @@ def test_malformed_json_is_parse_error(tmp_path):
         load_scenario(tmp_path / "missing.json")
 
 
-def test_negative_cells_is_parse_error(tmp_path):
+def _with(path, value):
+    """MINIMAL with the entry at the key path set to value."""
     doc = copy.deepcopy(MINIMAL)
-    doc["grid"]["n_cells"] = -4
-    with pytest.raises(ParseError):
-        load_scenario(_write(tmp_path, doc))
+    *parents, key = path
+    target = doc
+    for name in parents:
+        target = target.setdefault(name, {})
+    target[key] = value
+    return doc
+
+
+INF, NAN = float("inf"), float("nan")
+MALFORMED = {
+    "negative-cells": (("grid", "n_cells"), -4, "n_cells"),
+    "infinite-cells": (("grid", "n_cells"), INF, "grid"),
+    "nan-half-width": (("grid", "half_width"), NAN, "half_width"),
+    "infinite-half-width": (("grid", "half_width"), INF, "half_width"),
+    "infinite-horizon": (("time", "horizon"), INF, "horizon"),
+    "nan-horizon": (("time", "horizon"), NAN, "horizon"),
+    "histogram-length": (("mu_in",), {"kind": "histogram", "values": [1.0] * 10},
+                         "expected 64 values"),
+    "boolean-seed": (("seed",), True, "seed"),
+    "nan-kappa": (("potential", "kappa"), NAN, "kappa"),
+    "infinite-kappa": (("potential", "kappa"), INF, "kappa"),
+    "nan-width": (("potential",),
+                  {"kind": "gaussian-well", "amplitude": 1.0, "width": NAN}, "width"),
+    "infinite-amplitude": (("potential",),
+                           {"kind": "gaussian-well", "amplitude": INF, "width": 1.0},
+                           "amplitude"),
+    "dead-solver-option": (("solver", "tol_ce"), 1e-3, "unknown solver options"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_is_parse_error(tmp_path, case):
+    path, value, message = MALFORMED[case]
+    with pytest.raises(ParseError, match=message):
+        load_scenario(_write(tmp_path, _with(path, value)))
 
 
 def test_unknown_check_is_parse_error(tmp_path):
@@ -219,6 +252,16 @@ def test_cli_validation_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("case", ["infinite-horizon", "histogram-length"])
+def test_cli_malformed_scenario_exit_code(tmp_path, case, capsys):
+    path, value, message = MALFORMED[case]
+    scenario = _write(tmp_path, _with(path, value))
+    rc = cli.main(["verify", "--scenario", str(scenario),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     scenario = _write(tmp_path, MINIMAL)
     out = tmp_path / "v"
@@ -236,6 +279,18 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     assert rc == 1
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is False
+
+
+def test_cli_optimality_check_reuses_residual(tmp_path):
+    doc = copy.deepcopy(MINIMAL)
+    doc["checks"] = ["optimality", "mean-linearity"]
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--scenario", str(_write(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    residual = report["environment"]["optimality_residual"]
+    assert report["checks"]["optimality"]["lhs"] == residual["l2_weighted"]
+    assert report["checks"]["optimality"]["rhs"] == residual["threshold"]
 
 
 def test_cli_mkv_simulate_report(tmp_path):

@@ -47,14 +47,22 @@ def _admissible_pair(grid, tg, mu0, mu1):
 # -------------------------------------------------------------- objective
 
 
-def test_bb_objective_nonnegative_and_identity(small, pot_quad05):
-    grid, tg, mu0, mu1 = small
-    flow, m = _admissible_pair(grid, tg, mu0, mu1)
-    value = bb_objective(flow, m, pot_quad05)
-    assert value >= 0.0
-    # algebraic identity with the corrector quadrature
-    psi = corrector(flow, velocity_from_flow(flow), pot_quad05)
-    assert abs(value - entropic_cost(psi, flow)) <= 1e-10
+def test_bb_objective_second_order_in_cell_quadrature(pot_quad05):
+    # the staggered action the solver descends on and the corrector's cell
+    # quadrature that reports costs agree to O(dx^2) on one pair of endpoints
+    gaps = []
+    for n_cells, n_steps in ((128, 32), (256, 64), (512, 128)):
+        grid = SpatialGrid(8.0, n_cells)
+        tg = TimeGrid(1.0, n_steps)
+        mu0 = density_from_spec(grid, {"kind": "gaussian", "mean": -0.5, "std": 1.0})
+        mu1 = density_from_spec(grid, {"kind": "gaussian", "mean": 0.5, "std": 0.9})
+        flow, m = _admissible_pair(grid, tg, mu0, mu1)
+        value = bb_objective(flow, m, pot_quad05)
+        assert value >= 0.0
+        psi = corrector(flow, velocity_from_flow(flow), pot_quad05)
+        gaps.append(abs(value - entropic_cost(psi, flow)))
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert coarse >= 3.0 * fine
 
 
 def test_bb_objective_stationary_equilibrium(grid256, pot_quad05, eq05):
@@ -97,7 +105,7 @@ def test_bb_gradient_matches_finite_differences(small, kind):
     flow, m = _admissible_pair(grid, tg, mu0, mu1)
     mu = flow.values
     gmu, gm = bb_gradient(flow, m, pot)
-    # the staggered form the descent runs on, with the solver's mollifier
+    # the same action with the mollifier the descent adds
     config = SolverConfig()
     ws = _Workspace(pot, grid, tg, config.mass_floor_rel)
     reg = config.kinetic_reg * mu.max(axis=1, keepdims=True)
