@@ -1,13 +1,17 @@
 """Command line front end: scenario runs producing artifacts on disk.
 
 Commands: solve, mkv, simulate, verify, report.  Exit codes: 0 success,
-1 failed check, 2 validation error, 3 solver non-convergence.
+1 failed check, 2 validation error, 3 solver non-convergence, 4 internal
+error (an unexpected exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import traceback
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +29,58 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_INTERNAL = 4
 
 
-def _solve(scenario: Scenario, reverse: bool = False, time_grid=None):
-    mu_in, mu_fin = scenario.mu_in(), scenario.mu_fin()
-    if reverse:
-        mu_in, mu_fin = mu_fin, mu_in
-    return solve_mfsb(scenario.potential, mu_in, mu_fin, scenario.grid,
-                      time_grid or scenario.time_grid, scenario.solver)
+class _Run:
+    """What the commands compute from one scenario, each part on first use."""
+
+    def __init__(self, scenario: Scenario, strict_w2: bool):
+        self.scenario = scenario
+        self.pot = scenario.potential
+        self.strict_w2 = strict_w2
+        self.solved = False  # whether the forward bridge `sol` was computed
+
+    def _solve(self, mu_in, mu_fin, time_grid):
+        return solve_mfsb(self.pot, mu_in, mu_fin, self.scenario.grid, time_grid,
+                          self.scenario.solver)
+
+    @cached_property
+    def sol(self):
+        sc = self.scenario
+        sol = self._solve(sc.mu_in(), sc.mu_fin(), sc.time_grid)
+        self.solved = True
+        return sol
+
+    @cached_property
+    def sol_reverse(self):
+        sc = self.scenario
+        return self._solve(sc.mu_fin(), sc.mu_in(), sc.time_grid)
+
+    @cached_property
+    def sol_double(self):
+        sc = self.scenario
+        doubled = TimeGrid(2.0 * sc.time_grid.horizon, sc.time_grid.n_steps)
+        return self._solve(sc.mu_in(), sc.mu_fin(), doubled)
+
+    @cached_property
+    def residual(self):
+        return optimality_residual(self.sol, self.pot)
+
+    @cached_property
+    def gauge(self):
+        return V.FreeEnergyGauge(self.pot, self.scenario.grid,
+                                 self.sol.flow.density(0).mean())
+
+    @cached_property
+    def mkv(self):
+        return mkv_flow(self.pot, self.scenario.mu_in(), self.scenario.time_grid)
+
+    @cached_property
+    def ensemble(self):
+        sc = self.scenario
+        return simulate_particles(self.pot, sc.mu_in(), sc.time_grid,
+                                  sc.n_particles, sc.seed)
 
 
 def _write_manifest(out: Path, scenario: Scenario, command: str, fmt: str,
@@ -51,40 +99,33 @@ def _write_manifest(out: Path, scenario: Scenario, command: str, fmt: str,
     )
 
 
-def _cmd_solve(scenario: Scenario, out: Path, fmt: str, args) -> int:
-    sol = _solve(scenario)
-    residual = optimality_residual(sol, scenario.potential)
+def _cmd_solve(run: _Run, out: Path, fmt: str, args) -> int:
+    sol = run.sol
     flowio.save_flow(out / f"flow.{fmt}", sol.flow, fmt)
     flowio.save_matrix(out / f"corrector.{fmt}", "corrector",
                        sol.corrector.values, fmt)
     flowio.write_json(out / "summary.json", {
         "cost": sol.cost,
         "diagnostics": sol.diagnostics,
-        "optimality_residual": {
-            "sup_bulk": residual.sup_bulk,
-            "l2_weighted": residual.l2_weighted,
-            "threshold": residual.threshold,
-        },
+        "optimality_residual": dataclasses.asdict(run.residual),
     })
-    _write_manifest(out, scenario, "solve", fmt)
+    _write_manifest(out, run.scenario, "solve", fmt)
     return EXIT_OK if sol.diagnostics["converged"] else EXIT_NO_CONVERGENCE
 
 
-def _cmd_mkv(scenario: Scenario, out: Path, fmt: str, args) -> int:
-    flow = mkv_flow(scenario.potential, scenario.mu_in(), scenario.time_grid)
-    flowio.save_flow(out / f"mkv_flow.{fmt}", flow, fmt)
+def _cmd_mkv(run: _Run, out: Path, fmt: str, args) -> int:
+    final = run.mkv.density(run.scenario.time_grid.n_steps)
+    flowio.save_flow(out / f"mkv_flow.{fmt}", run.mkv, fmt)
     flowio.write_json(out / "summary.json", {
-        "final_mean": float(flow.density(scenario.time_grid.n_steps).mean()),
-        "final_variance": float(flow.density(scenario.time_grid.n_steps).variance()),
+        "final_mean": float(final.mean()),
+        "final_variance": float(final.variance()),
     })
-    _write_manifest(out, scenario, "mkv", fmt)
+    _write_manifest(out, run.scenario, "mkv", fmt)
     return EXIT_OK
 
 
-def _cmd_simulate(scenario: Scenario, out: Path, fmt: str, args) -> int:
-    ens = simulate_particles(scenario.potential, scenario.mu_in(),
-                             scenario.time_grid, scenario.n_particles,
-                             scenario.seed)
+def _cmd_simulate(run: _Run, out: Path, fmt: str, args) -> int:
+    ens = run.ensemble
     flowio.save_matrix(out / f"positions.{fmt}", "positions", ens.positions, fmt)
     flowio.save_matrix(out / f"increments.{fmt}", "increments", ens.increments, fmt)
     final = ens.positions[:, -1]
@@ -93,82 +134,15 @@ def _cmd_simulate(scenario: Scenario, out: Path, fmt: str, args) -> int:
         "final_mean": float(final.mean()),
         "final_variance": float(final.var()),
     })
-    _write_manifest(out, scenario, "simulate", fmt)
+    _write_manifest(out, run.scenario, "simulate", fmt)
     return EXIT_OK
 
 
-def _run_checks(scenario: Scenario, strict_w2: bool):
-    """Solve what the requested checks need and evaluate them."""
-    pot = scenario.potential
-    requested = list(scenario.checks)
-    entries = {}
-    environment = {}
-
-    needs_bridge = bool(set(requested) - {"theta"})
-    sol = _solve(scenario) if needs_bridge else None
-    residual = gauge = None
-    if sol is not None:
-        environment["solver"] = sol.diagnostics
-        residual = optimality_residual(sol, pot)
-        environment["optimality_residual"] = {
-            "sup_bulk": residual.sup_bulk,
-            "l2_weighted": residual.l2_weighted,
-            "threshold": residual.threshold,
-        }
-        gauge = V.FreeEnergyGauge(pot, scenario.grid, sol.flow.density(0).mean())
-
-    sol_reverse = None
-    if "time-reversal" in requested or "conserved-bound" in requested:
-        sol_reverse = _solve(scenario, reverse=True)
-
-    for name in requested:
-        if name == "conserved":
-            entries[name] = V.check_conserved(sol, pot)
-        elif name == "conserved-bound":
-            entries[name] = V.check_conserved_bound(
-                sol, pot, gauge,
-                cost_reverse=None if sol_reverse is None else sol_reverse.cost)
-        elif name == "entropy-bound":
-            entries[name] = V.check_entropy_bound(sol, pot, gauge)
-        elif name == "turnpike":
-            entries[name] = V.check_turnpike(sol, pot, gauge)
-        elif name == "turnpike-rate":
-            doubled = TimeGrid(2.0 * scenario.time_grid.horizon,
-                               scenario.time_grid.n_steps)
-            sol_double = _solve(scenario, time_grid=doubled)
-            entries[name] = V.turnpike_rate(sol, sol_double, pot, gauge)
-        elif name == "talagrand":
-            entries[name] = V.check_talagrand(sol, pot, gauge)
-        elif name == "talagrand-equilibrium":
-            entries[name] = V.check_talagrand_equilibrium(sol, pot, gauge)
-        elif name == "hwi":
-            entries[name] = V.check_hwi(sol, pot, gauge)
-        elif name == "mkv-distance":
-            mkv = mkv_flow(pot, scenario.mu_in(), scenario.time_grid)
-            entries[name] = V.check_mkv_distance(sol, pot, gauge, mkv,
-                                                 strict_w2=strict_w2)
-        elif name == "corrector-bounds":
-            partial, pointwise = V.check_corrector_bounds(sol, pot)
-            entries["corrector-bound-partial"] = partial
-            entries["corrector-bound-pointwise"] = pointwise
-        elif name == "time-reversal":
-            entries[name] = V.check_time_reversal(sol, sol_reverse, pot)
-        elif name == "theta":
-            ens = simulate_particles(pot, scenario.mu_in(), scenario.time_grid,
-                                     scenario.n_particles, scenario.seed)
-            entries[name] = V.check_theta(pot, ens)
-        elif name == "mean-linearity":
-            entries[name] = V.check_mean_linearity(sol)
-        elif name == "optimality":
-            entries[name] = V.CheckEntry(
-                "optimality", residual.l2_weighted, residual.threshold, 0.0,
-                {"sup_bulk": residual.sup_bulk})
-    return entries, environment, sol
-
-
-def _cmd_verify(scenario: Scenario, out: Path, fmt: str, args) -> int:
-    entries, environment, sol = _run_checks(scenario, args.strict_w2)
-    environment.update({
+def _cmd_verify(run: _Run, out: Path, fmt: str, args) -> int:
+    scenario = run.scenario
+    entries = {entry.name: entry for name in scenario.checks
+               for entry in V.CHECKS[name][1](run)}
+    environment = {
         "grid": {"half_width": scenario.grid.half_width,
                  "n_cells": scenario.grid.n_cells},
         "time": {"horizon": scenario.time_grid.horizon,
@@ -176,41 +150,36 @@ def _cmd_verify(scenario: Scenario, out: Path, fmt: str, args) -> int:
         "potential": scenario.potential.to_spec(),
         "seed": scenario.seed,
         "package_version": __version__,
-    })
+    }
+    if run.solved:
+        environment["solver"] = run.sol.diagnostics
+        environment["optimality_residual"] = dataclasses.asdict(run.residual)
     report = V.VerificationReport(scenario.name, entries, environment)
     flowio.write_json(out / "report.json", report.to_dict())
     _write_manifest(out, scenario, "verify", fmt)
-    if sol is not None and not sol.diagnostics["converged"]:
+    if run.solved and not run.sol.diagnostics["converged"]:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_report(scenario: Scenario, out: Path, fmt: str, args) -> int:
-    pot = scenario.potential
-    sol = _solve(scenario)
-    tg = scenario.time_grid
-    ts = tg.nodes
-
-    gauge = V.FreeEnergyGauge(pot, scenario.grid, sol.flow.density(0).mean())
-    f_rel = np.array([gauge.relative(sol.flow.density(k))
-                      for k in range(tg.n_steps + 1)])
-    c1 = np.array([V._exp_coeff_start(pot.kappa, tg.horizon, t) for t in ts])
-    c3 = np.array([V._exp_coeff_cost(pot.kappa, tg.horizon, t) for t in ts])
-    envelope = c1 * f_rel[0] + (1 - c1) * f_rel[-1] - c3 * sol.cost
-    energy = V._corrector_energy(sol)
+def _cmd_report(run: _Run, out: Path, fmt: str, args) -> int:
+    sol = run.sol
+    ts = run.scenario.time_grid.nodes
+    f_rel, envelope = V.entropy_envelope(sol, run.pot, run.gauge)
+    energy = V.corrector_energy(sol)
     cumulative = np.concatenate([[0.0], np.cumsum(
-        0.5 * (energy[1:] + energy[:-1]) * tg.dt)])
+        0.5 * (energy[1:] + energy[:-1]) * run.scenario.time_grid.dt)])
     flowio.save_matrix(out / "free_energy_profile.csv", "free_energy",
                        np.column_stack([ts, f_rel, envelope]), "csv")
     flowio.save_matrix(out / "corrector_energy.csv", "corrector_energy",
                        np.column_stack([ts, energy, cumulative]), "csv")
-    prof = V.conserved_profile(sol, pot)
+    prof = V.conserved_profile(sol, run.pot)
     flowio.save_matrix(out / "conserved_profile.csv", "conserved",
                        np.column_stack([prof.times, prof.values]), "csv")
 
     if args.plots:
         _write_plots(out, ts, f_rel, envelope, energy, prof)
-    _write_manifest(out, scenario, "report", fmt, extra={"cost": sol.cost})
+    _write_manifest(out, run.scenario, "report", fmt, extra={"cost": sol.cost})
     return EXIT_OK if sol.diagnostics["converged"] else EXIT_NO_CONVERGENCE
 
 
@@ -258,9 +227,9 @@ def run(scenario: Scenario, command: str, out_dir, *, fmt: str = "bin",
     """Programmatic entry point mirroring the CLI; returns the exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    args = argparse.Namespace(strict_w2=strict_w2, plots=plots)
+    args = argparse.Namespace(plots=plots)
     try:
-        return _COMMANDS[command](scenario, out, fmt, args)
+        return _COMMANDS[command](_Run(scenario, strict_w2), out, fmt, args)
     except NoConvergence as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -293,19 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not hasattr(args, "plots"):
-        args.plots = False
     try:
         scenario = load_scenario(args.scenario)
+        return run(scenario, args.command, args.out, fmt=args.format,
+                   strict_w2=args.strict_w2, plots=getattr(args, "plots", False))
     except ScenarioError as exc:
         print(f"scenario validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        return run(scenario, args.command, args.out, fmt=args.format,
-                   strict_w2=args.strict_w2, plots=args.plots)
     except MFSBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,19 +17,7 @@ from .functionals import equilibrium
 from .grids import Density, SpatialGrid, TimeGrid, density_from_spec
 from .potentials import InteractionPotential
 from .solver import SolverConfig
-
-# Checks and what they assume beyond H1/H2.
-CHECKS_NEEDING_CONVEXITY = frozenset({
-    "conserved", "conserved-bound", "turnpike", "turnpike-rate",
-    "talagrand", "talagrand-equilibrium", "hwi", "mkv-distance",
-})
-# These have a classical (kappa -> 0) limit form and stay valid without H3;
-# with kappa > 0 they assume equal means like the convexity checks.
-CHECKS_WITH_CLASSICAL_LIMIT = frozenset({"entropy-bound", "corrector-bounds"})
-CHECKS_UNCONDITIONAL = frozenset({
-    "time-reversal", "theta", "mean-linearity", "optimality",
-})
-KNOWN_CHECKS = CHECKS_NEEDING_CONVEXITY | CHECKS_WITH_CLASSICAL_LIMIT | CHECKS_UNCONDITIONAL
+from .verify import CHECKS
 
 BOUNDARY_MASS_GATE = 1e-10
 MEAN_MATCH_TOL = 1e-6
@@ -75,14 +63,17 @@ def _require(cond: bool, message: str):
         raise ParseError(message)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build_solver_config(spec: dict) -> SolverConfig:
-    allowed = {f.name for f in fields(SolverConfig)} - {"provided_flow"}
-    unknown = set(spec) - allowed
+    unknown = set(spec) - {f.name for f in fields(SolverConfig)}
     _require(not unknown, f"unknown solver options: {sorted(unknown)}")
     kwargs = dict(spec)
-    if "multi_start" in kwargs:
-        kwargs["multi_start"] = tuple(kwargs["multi_start"])
     try:
+        if "multi_start" in kwargs:
+            kwargs["multi_start"] = tuple(kwargs["multi_start"])
         return SolverConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid solver configuration: {exc}") from exc
@@ -92,14 +83,18 @@ def _parse_structure(doc: dict) -> Scenario:
     _require(isinstance(doc, dict), "scenario document must be a JSON object")
     for key in ("name", "potential", "mu_in", "mu_fin", "grid", "time"):
         _require(key in doc, f"missing required field {key!r}")
+    for key in ("grid", "time", "potential", "mu_in", "solver"):
+        _require(isinstance(doc.get(key, {}), dict), f"{key} must be an object")
     grid_spec, time_spec = doc["grid"], doc["time"]
     for block, keys in (("grid", ("half_width", "n_cells")),
                         ("time", ("horizon", "n_steps"))):
         for key in keys:
             _require(key in doc[block], f"missing {block}.{key}")
+    _require(_is_integer(grid_spec["n_cells"]), "grid.n_cells must be an integer")
+    _require(_is_integer(time_spec["n_steps"]), "time.n_steps must be an integer")
     try:
-        grid = SpatialGrid(float(grid_spec["half_width"]), int(grid_spec["n_cells"]))
-        time_grid = TimeGrid(float(time_spec["horizon"]), int(time_spec["n_steps"]))
+        grid = SpatialGrid(float(grid_spec["half_width"]), grid_spec["n_cells"])
+        time_grid = TimeGrid(float(time_spec["horizon"]), time_spec["n_steps"])
     except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid grid specification: {exc}") from exc
     try:
@@ -111,12 +106,16 @@ def _parse_structure(doc: dict) -> Scenario:
     if isinstance(mu_fin_spec, str):
         _require(mu_fin_spec in ("equilibrium", "mkv-endpoint"),
                  f"unknown symbolic final density {mu_fin_spec!r}")
-    checks = tuple(doc.get("checks", ()))
-    unknown = set(checks) - KNOWN_CHECKS
+    else:
+        _require(isinstance(mu_fin_spec, dict),
+                 "mu_fin must be an object or a symbolic final density")
+    checks = doc.get("checks", [])
+    _require(isinstance(checks, list) and all(isinstance(c, str) for c in checks),
+             "checks must be a list of check names")
+    unknown = set(checks) - set(CHECKS)
     _require(not unknown, f"unknown checks: {sorted(unknown)}")
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "seed must be an integer")
+    _require(_is_integer(seed), "seed must be an integer")
     n_particles = doc.get("particles", 64)
     _require(isinstance(n_particles, int) and n_particles >= 2,
              "particles must be an integer >= 2")
@@ -128,7 +127,7 @@ def _parse_structure(doc: dict) -> Scenario:
         grid=grid,
         time_grid=time_grid,
         solver=_build_solver_config(doc.get("solver", {})),
-        checks=checks,
+        checks=tuple(checks),
         seed=seed,
         n_particles=n_particles,
         raw=doc,
@@ -159,15 +158,14 @@ def _validate_hypotheses(sc: Scenario):
         if not np.isfinite(mu.entropy()):
             raise HypothesisViolation("H2", f"{name} density has infinite entropy")
 
-    requested = set(sc.checks)
-    needs_convexity = requested & CHECKS_NEEDING_CONVEXITY
+    assumed = {name: CHECKS[name][0] for name in sc.checks}
+    needs_convexity = {name for name, a in assumed.items() if a == "convexity"}
     if needs_convexity and pot.kappa <= 0:
         raise HypothesisViolation(
             "H3", f"checks {sorted(needs_convexity)} require kappa > 0"
         )
-    needs_equal_means = needs_convexity | (
-        requested & CHECKS_WITH_CLASSICAL_LIMIT if pot.kappa > 0 else set()
-    )
+    needs_equal_means = {name for name, a in assumed.items() if a == "convexity"
+                         or (a == "classical-limit" and pot.kappa > 0)}
     if needs_equal_means:
         gap = abs(mu_in.mean() - mu_fin.mean())
         if gap > MEAN_MATCH_TOL:

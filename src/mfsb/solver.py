@@ -49,37 +49,40 @@ from .potentials import InteractionPotential, conv_force
 from .dynamics import _fp_step_matrix, mkv_flow
 
 
+# Fixed numerics of the solvers.
+_TOL_GRAD = 1e-6          # projected-gradient norm that counts as converged
+_ETA0 = 0.5
+_ETA_MAX = 1e4
+_MAX_BACKTRACKS = 60
+_BACKTRACK = 0.5
+_GROW = 1.3
+_ARMIJO = 1e-4
+_MOMENTUM = 0.9           # heavy-ball weight in log space, restart on failure
+_DAMPING = 0.5            # frozen-drift marginal update
+_MASS_FLOOR_REL = 1e-12
+_KINETIC_REG = 1e-7       # relative floor added to the velocity denominator
+_UPDATE_FLOOR_REL = 1e-8  # cells below this fraction of the peak stay frozen
+_IPFP_MAX_OUTER = 120
+_IPFP_TOL = 1e-9
+_SINKHORN_MAX_ITERS = 5000
+_SINKHORN_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budgets, tolerances and initialization policy for the bridge solvers."""
+    """Budget and initialization policy for the bridge solver."""
 
     max_outer: int = 4000
-    max_backtracks: int = 60
-    eta0: float = 0.5
-    backtrack: float = 0.5
-    grow: float = 1.3
-    armijo: float = 1e-4
-    momentum: float = 0.9           # heavy-ball weight in log space, restart on failure
-    damping: float = 0.5            # frozen-drift marginal update
-    tol_grad: float = 1e-6
-    mass_floor_rel: float = 1e-12
-    kinetic_reg: float = 1e-7       # relative floor added to the velocity denominator
-    update_floor_rel: float = 1e-8  # cells below this fraction of the peak stay frozen
-    init: str = "heat"              # heat | mkv | provided
-    provided_flow: MarginalFlow | None = None
+    init: str = "heat"              # heat | mkv
     multi_start: tuple = ()
-    ipfp_max_outer: int = 120
-    ipfp_tol: float = 1e-9
-    sinkhorn_max_iters: int = 5000
-    sinkhorn_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.tol_grad <= 0:
-            raise ValueError("tol_grad must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if self.init not in ("heat", "mkv", "provided"):
-            raise ValueError(f"unknown init mode {self.init!r}")
+        if not (isinstance(self.max_outer, int) and not isinstance(self.max_outer, bool)
+                and self.max_outer >= 1):
+            raise ValueError("max_outer must be an integer >= 1")
+        for name in (self.init, *self.multi_start):
+            if name not in ("heat", "mkv"):
+                raise ValueError(f"unknown init mode {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,30 +99,28 @@ def heat_kernel(grid: SpatialGrid, t: float) -> np.ndarray:
     )
 
 
-def static_sinkhorn(a: np.ndarray, b: np.ndarray, kernel: np.ndarray, *,
-                    tol: float = 1e-12, max_iters: int = 5000):
+def static_sinkhorn(a: np.ndarray, b: np.ndarray, kernel: np.ndarray):
     """Scaling vectors (u, v) with diag(v) K diag(u) matching masses (a, b)."""
     u = np.ones_like(a)
     v = np.ones_like(b)
     err = np.inf
-    for _ in range(max_iters):
+    for _ in range(_SINKHORN_MAX_ITERS):
         u = a / np.maximum(kernel.T @ v, 1e-300)
         ku = kernel @ u
         err = float(np.max(np.abs(v * ku - b)))
-        if err <= tol:
+        if err <= _SINKHORN_TOL:
             break
         v = b / np.maximum(ku, 1e-300)
     return u, v, err
 
 
 def heat_interpolation_flow(mu_in: Density, mu_fin: Density, sgrid: SpatialGrid,
-                            tgrid: TimeGrid, config: SolverConfig) -> MarginalFlow:
+                            tgrid: TimeGrid) -> MarginalFlow:
     """Marginals of the classical (interaction-free) bridge between the endpoints."""
     a = mu_in.values * sgrid.dx
     b = mu_fin.values * sgrid.dx
     kernel = heat_kernel(sgrid, tgrid.horizon)
-    u, v, _ = static_sinkhorn(a, b, kernel, tol=config.sinkhorn_tol,
-                              max_iters=config.sinkhorn_max_iters)
+    u, v, _ = static_sinkhorn(a, b, kernel)
     values = np.empty((tgrid.n_steps + 1, sgrid.n_cells))
     values[0] = mu_in.values
     values[-1] = mu_fin.values
@@ -158,11 +159,9 @@ class _Workspace:
     """Per-solve cache: quadrature weights and grid scalars."""
 
     def __init__(self, pot: InteractionPotential, sgrid: SpatialGrid,
-                 tgrid: TimeGrid, mass_floor_rel: float):
+                 tgrid: TimeGrid):
         self.pot = pot
         self.sgrid = sgrid
-        self.tgrid = tgrid
-        self.rel = mass_floor_rel
         self.dx = sgrid.dx
         self.dt = tgrid.dt
         self.tw = tgrid.trapezoid_weights
@@ -201,7 +200,7 @@ def _edge_terms(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg):
     # caller so the objective stays an exact function of (mu, m)
     peak = mu.max(axis=1, keepdims=True)
     mu_edge = 0.5 * (mu[:, :-1] + mu[:, 1:])
-    mask = mu_edge >= ws.rel * peak
+    mask = mu_edge >= _MASS_FLOOR_REL * peak
     den = mu_edge + reg
     log_mu = np.log(np.maximum(mu, LOG_FLOOR))
     score = (log_mu[:, 1:] - log_mu[:, :-1]) / ws.dx
@@ -251,7 +250,7 @@ def _as_matrix(flow, m):
 
 
 def bb_objective(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *,
-                 tol_ce: float = 1e-8, mass_floor_rel: float = 1e-12) -> float:
+                 tol_ce: float = 1e-8) -> float:
     """Staggered kinetic action of an admissible (flow, momentum) pair.
 
     This is the action the solver descends on, without its mollifier.  It
@@ -261,7 +260,7 @@ def bb_objective(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *
     continuity equation.
     """
     mu, m = _as_matrix(flow, m)
-    ws = _Workspace(pot, flow.grid, flow.time_grid, mass_floor_rel)
+    ws = _Workspace(pot, flow.grid, flow.time_grid)
     residual = time_derivative(mu, ws.dt) + divergence(m, ws.dx)
     worst = float(np.max(np.abs(residual)))
     if worst > tol_ce:
@@ -271,15 +270,14 @@ def bb_objective(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *
     return _edge_objective(ws, mu, m, 0.0)
 
 
-def bb_gradient(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *,
-                mass_floor_rel: float = 1e-12):
+def bb_gradient(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential):
     """Exact partial gradients (dJ/dmu, dJ/dm) of the staggered action.
 
     These are the gradients of bb_objective, the action the solver descends
     on; reported costs come from the corrector's cell quadrature instead.
     """
     mu, m = _as_matrix(flow, m)
-    ws = _Workspace(pot, flow.grid, flow.time_grid, mass_floor_rel)
+    ws = _Workspace(pot, flow.grid, flow.time_grid)
     return _edge_gradients(ws, mu, m, 0.0)
 
 
@@ -287,13 +285,13 @@ def bb_gradient(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *,
 # primary solver
 
 
-def _effective_support(mu: Density, rel: float) -> tuple:
-    idx = np.flatnonzero(mu.values >= rel * mu.values.max())
+def _effective_support(mu: Density) -> tuple:
+    idx = np.flatnonzero(mu.values >= _MASS_FLOOR_REL * mu.values.max())
     return idx[0], idx[-1]
 
 
 def _validate_endpoints(mu_in: Density, mu_fin: Density, sgrid: SpatialGrid, *,
-                        rel: float, boundary_tol: float = 1e-8):
+                        boundary_tol: float = 1e-8):
     if mu_in.grid != sgrid or mu_fin.grid != sgrid:
         raise InfeasibleEndpoints("endpoint densities live on a different grid")
     for name, mu in (("initial", mu_in), ("final", mu_fin)):
@@ -302,25 +300,18 @@ def _validate_endpoints(mu_in: Density, mu_fin: Density, sgrid: SpatialGrid, *,
                 f"{name} density carries {mu.boundary_mass():.2e} boundary mass; "
                 "enlarge the domain"
             )
-    lo_a, hi_a = _effective_support(mu_in, rel)
-    lo_b, hi_b = _effective_support(mu_fin, rel)
+    lo_a, hi_a = _effective_support(mu_in)
+    lo_b, hi_b = _effective_support(mu_fin)
     if hi_a < lo_b or hi_b < lo_a:
         raise InfeasibleEndpoints(
             "endpoint supports are disjoint; the discrete cost would blow up"
         )
 
 
-def _initial_flow(name: str, pot, mu_in, mu_fin, sgrid, tgrid,
-                  config: SolverConfig) -> MarginalFlow:
+def _initial_flow(name: str, pot, mu_in, mu_fin, sgrid, tgrid) -> MarginalFlow:
     if name == "heat":
-        return heat_interpolation_flow(mu_in, mu_fin, sgrid, tgrid, config)
-    if name == "mkv":
-        return mkv_pullback_flow(pot, mu_in, mu_fin, sgrid, tgrid)
-    if name == "provided":
-        if config.provided_flow is None:
-            raise ValueError("init='provided' needs config.provided_flow")
-        return config.provided_flow
-    raise ValueError(f"unknown init mode {name!r}")
+        return heat_interpolation_flow(mu_in, mu_fin, sgrid, tgrid)
+    return mkv_pullback_flow(pot, mu_in, mu_fin, sgrid, tgrid)
 
 
 def _descend(ws: _Workspace, flow0: MarginalFlow, config: SolverConfig):
@@ -334,10 +325,10 @@ def _descend(ws: _Workspace, flow0: MarginalFlow, config: SolverConfig):
     mu = flow0.values.copy()
     dx, dt = ws.dx, ws.dt
     # mollifier frozen at the initialization's slice peaks
-    reg = config.kinetic_reg * mu.max(axis=1, keepdims=True)
+    reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
     m = _momentum(mu, dx, dt)
     J = _edge_objective(ws, mu, m, reg)
-    eta = config.eta0
+    eta = _ETA0
     velocity = np.zeros_like(mu)
     pg_norm = np.inf
     iterations = 0
@@ -346,24 +337,24 @@ def _descend(ws: _Workspace, flow0: MarginalFlow, config: SolverConfig):
         g = gmu + _momentum_adjoint(gm, dx, dt)
         g[0] = 0.0
         g[-1] = 0.0
-        movable = mu >= config.update_floor_rel * mu.max(axis=1, keepdims=True)
+        movable = mu >= _UPDATE_FLOOR_REL * mu.max(axis=1, keepdims=True)
         g = np.where(movable, g, 0.0)
         centered = g - (np.sum(g * mu, axis=1, keepdims=True) * dx)
         centered = np.where(movable, centered, 0.0)
         descent = float(np.sum(mu * centered**2))
         pg_norm = float(np.sqrt(np.sum(ws.tw * np.sum(mu * centered**2, axis=1) * dx)))
-        if pg_norm <= config.tol_grad:
+        if pg_norm <= _TOL_GRAD:
             return mu, J, pg_norm, iterations, "converged"
         accepted = False
-        for attempt in range(config.max_backtracks):
-            step = np.where(movable, -eta * centered + config.momentum * velocity, 0.0)
+        for attempt in range(_MAX_BACKTRACKS):
+            step = np.where(movable, -eta * centered + _MOMENTUM * velocity, 0.0)
             cand = mu * np.exp(np.clip(step, -50.0, 50.0))
             cand[0] = mu[0]
             cand[-1] = mu[-1]
             cand /= cand.sum(axis=1, keepdims=True) * dx
             m_cand = _momentum(cand, dx, dt)
             J_cand = _edge_objective(ws, cand, m_cand, reg)
-            if J_cand <= J - config.armijo * eta * descent:
+            if J_cand <= J - _ARMIJO * eta * descent:
                 with np.errstate(divide="ignore"):
                     velocity = np.where(
                         movable,
@@ -372,10 +363,10 @@ def _descend(ws: _Workspace, flow0: MarginalFlow, config: SolverConfig):
                         0.0,
                     )
                 mu, m, J = cand, m_cand, J_cand
-                eta = min(eta * config.grow, 1e4)
+                eta = min(eta * _GROW, _ETA_MAX)
                 accepted = True
                 break
-            eta *= config.backtrack
+            eta *= _BACKTRACK
             if attempt == 15:
                 velocity[:] = 0.0  # momentum is hampering: restart the ball
         if not accepted:
@@ -393,14 +384,14 @@ def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
     InfeasibleEndpoints when the endpoint validation fails.
     """
     config = config or SolverConfig()
-    _validate_endpoints(mu_in, mu_fin, sgrid, rel=config.mass_floor_rel)
-    ws = _Workspace(pot, sgrid, tgrid, config.mass_floor_rel)
+    _validate_endpoints(mu_in, mu_fin, sgrid)
+    ws = _Workspace(pot, sgrid, tgrid)
 
     init_names = [config.init] + [n for n in config.multi_start if n != config.init]
     starts = {}
     best = None
     for name in init_names:
-        flow0 = _initial_flow(name, pot, mu_in, mu_fin, sgrid, tgrid, config)
+        flow0 = _initial_flow(name, pot, mu_in, mu_fin, sgrid, tgrid)
         mu, J, pg_norm, iters, status = _descend(ws, flow0, config)
         starts[name] = {"cost": J, "pg_norm": pg_norm, "iterations": iters,
                         "status": status}
@@ -433,8 +424,7 @@ def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
 
 
 def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
-                sgrid: SpatialGrid, tgrid: TimeGrid,
-                config: SolverConfig | None = None) -> BridgeSolution:
+                sgrid: SpatialGrid, tgrid: TimeGrid) -> BridgeSolution:
     """Frozen-drift fitting baseline.
 
     Alternates (i) freezing the marginal flow and building the induced linear
@@ -442,18 +432,17 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
     kernels, (iii) a damped marginal update.  Documented bias: the fixed point
     satisfies the frozen-drift optimality condition, not the mean-field one.
     """
-    config = config or SolverConfig()
-    _validate_endpoints(mu_in, mu_fin, sgrid, rel=config.mass_floor_rel)
+    _validate_endpoints(mu_in, mu_fin, sgrid)
     n_steps = tgrid.n_steps
     a = mu_in.values * sgrid.dx
     b_target = mu_fin.values * sgrid.dx
-    flow_vals = heat_interpolation_flow(mu_in, mu_fin, sgrid, tgrid, config).values
+    flow_vals = heat_interpolation_flow(mu_in, mu_fin, sgrid, tgrid).values
 
     delta = np.inf
     converged = False
     outer = 0
     static_kl = np.nan
-    for outer in range(1, config.ipfp_max_outer + 1):
+    for outer in range(1, _IPFP_MAX_OUTER + 1):
         forces = pot.force(flow_vals[:-1], sgrid)
         # without a force the kernels cannot depend on the frozen flow
         drift_free = not forces.any()
@@ -464,8 +453,7 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
         total = steps[0]
         for s_k in steps[1:]:
             total = s_k @ total
-        u, v, _ = static_sinkhorn(a, b_target, total, tol=config.sinkhorn_tol,
-                                  max_iters=config.sinkhorn_max_iters)
+        u, v, _ = static_sinkhorn(a, b_target, total)
         fwd = np.empty((n_steps + 1, sgrid.n_cells))
         bwd = np.empty_like(fwd)
         fwd[0] = u
@@ -481,12 +469,12 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
         ref = total * a[None, :]
         live = pi > 0
         static_kl = float(np.sum(pi[live] * np.log(pi[live] / ref[live])))
-        new_vals = (1.0 - config.damping) * flow_vals + config.damping * bridge
+        new_vals = (1.0 - _DAMPING) * flow_vals + _DAMPING * bridge
         new_vals /= new_vals.sum(axis=1, keepdims=True) * sgrid.dx
         delta = float(np.max(np.abs(new_vals - flow_vals)))
         flow_vals = new_vals
-        if delta <= config.ipfp_tol or (drift_free and outer >= 2):
-            converged = delta <= config.ipfp_tol or drift_free
+        if delta <= _IPFP_TOL or (drift_free and outer >= 2):
+            converged = delta <= _IPFP_TOL or drift_free
             break
     if not converged and delta > 1e-4:
         raise NoConvergence(f"frozen-drift iteration stalled at delta {delta:.3e}")

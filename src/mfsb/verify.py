@@ -128,7 +128,7 @@ def _pointwise_cost_coeff(kappa: float, horizon: float, t: float) -> float:
     return 2.0 * kappa / np.expm1(2.0 * kappa * (horizon - t))
 
 
-def _corrector_energy(sol: BridgeSolution) -> np.ndarray:
+def corrector_energy(sol: BridgeSolution) -> np.ndarray:
     """Slicewise (1/2) integral of |Psi|^2 dmu."""
     return 0.5 * np.sum(sol.corrector.values**2 * sol.flow.values, axis=1) \
         * sol.flow.grid.dx
@@ -192,15 +192,21 @@ def _flow_relative_energies(sol: BridgeSolution, gauge: FreeEnergyGauge) -> np.n
     ])
 
 
+def entropy_envelope(sol: BridgeSolution, pot: InteractionPotential,
+                     gauge: FreeEnergyGauge):
+    """Relative free energy at each time node, and its exponential envelope."""
+    tg = sol.flow.time_grid
+    f = _flow_relative_energies(sol, gauge)
+    c1 = np.array([_exp_coeff_start(pot.kappa, tg.horizon, t) for t in tg.nodes])
+    c3 = np.array([_exp_coeff_cost(pot.kappa, tg.horizon, t) for t in tg.nodes])
+    return f, c1 * f[0] + (1.0 - c1) * f[-1] - c3 * sol.cost
+
+
 def check_entropy_bound(sol: BridgeSolution, pot: InteractionPotential,
                         gauge: FreeEnergyGauge, *, tol: float = 1e-2) -> CheckEntry:
     """Free energy along the flow under its exponential convex envelope."""
-    tg = sol.flow.time_grid
-    ts = tg.nodes
-    f = _flow_relative_energies(sol, gauge)
-    c1 = np.array([_exp_coeff_start(pot.kappa, tg.horizon, t) for t in ts])
-    c3 = np.array([_exp_coeff_cost(pot.kappa, tg.horizon, t) for t in ts])
-    rhs = c1 * f[0] + (1.0 - c1) * f[-1] - c3 * sol.cost
+    ts = sol.flow.time_grid.nodes
+    f, rhs = entropy_envelope(sol, pot, gauge)
     slack = rhs - f
     k = int(np.argmin(slack[1:-1])) + 1
     return CheckEntry(
@@ -348,8 +354,9 @@ def check_mkv_distance(sol: BridgeSolution, pot: InteractionPotential,
 
     The stated bound controls the squared 2-Wasserstein distance; by default
     the computable 1-Wasserstein lower bound is checked (sound direction),
-    strict mode uses the quantile-based 2-Wasserstein distance.  The final
-    node is excluded: its right-hand side diverges.
+    strict mode uses the quantile-based 2-Wasserstein distance.  The first
+    node is excluded because both sides vanish there, the final one because
+    its right-hand side diverges.
     """
     _require_convex(pot, "mkv-distance")
     tg = sol.flow.time_grid
@@ -358,7 +365,7 @@ def check_mkv_distance(sol: BridgeSolution, pot: InteractionPotential,
     f_fin = gauge.relative(sol.flow.density(tg.n_steps))
     den = np.expm1(2 * kap * horizon)
     worst = None
-    for k in range(tg.n_steps):
+    for k in range(1, tg.n_steps):
         t = tg.nodes[k]
         mu_k, mkv_k = sol.flow.density(k), mkv.density(k)
         if strict_w2:
@@ -384,7 +391,7 @@ def check_corrector_bounds(sol: BridgeSolution, pot: InteractionPotential, *,
     """Partial-time and pointwise-in-time corrector energy bounds."""
     tg = sol.flow.time_grid
     kap, horizon = pot.kappa, tg.horizon
-    energy = _corrector_energy(sol)
+    energy = corrector_energy(sol)
     tw = tg.trapezoid_weights
     worst_partial = None
     worst_point = None
@@ -447,3 +454,32 @@ def check_mean_linearity(sol: BridgeSolution, *, tol_scale: float = 1e-3) -> Che
         tolerance=0.0,
         detail={"mean_start": float(means[0]), "mean_end": float(means[-1])},
     )
+
+
+# Every check `mfsb verify` runs: what it assumes beyond H1/H2 ("convexity" is
+# H3 and H4, "classical-limit" is H4 when kappa > 0), and its entries on a run,
+# which computes sol, sol_reverse, sol_double, residual, gauge, mkv and
+# ensemble on first use.  Check functions are looked up by name at call time.
+CHECKS = {
+    "conserved": ("convexity", lambda r: [check_conserved(r.sol, r.pot)]),
+    "conserved-bound": ("convexity", lambda r: [check_conserved_bound(
+        r.sol, r.pot, r.gauge, cost_reverse=r.sol_reverse.cost)]),
+    "entropy-bound": ("classical-limit", lambda r: [
+        check_entropy_bound(r.sol, r.pot, r.gauge)]),
+    "turnpike": ("convexity", lambda r: [check_turnpike(r.sol, r.pot, r.gauge)]),
+    "turnpike-rate": ("convexity", lambda r: [
+        turnpike_rate(r.sol, r.sol_double, r.pot, r.gauge)]),
+    "talagrand": ("convexity", lambda r: [check_talagrand(r.sol, r.pot, r.gauge)]),
+    "talagrand-equilibrium": ("convexity", lambda r: [
+        check_talagrand_equilibrium(r.sol, r.pot, r.gauge)]),
+    "hwi": ("convexity", lambda r: [check_hwi(r.sol, r.pot, r.gauge)]),
+    "mkv-distance": ("convexity", lambda r: [check_mkv_distance(
+        r.sol, r.pot, r.gauge, r.mkv, strict_w2=r.strict_w2)]),
+    "corrector-bounds": ("classical-limit", lambda r: check_corrector_bounds(r.sol, r.pot)),
+    "time-reversal": (None, lambda r: [check_time_reversal(r.sol, r.sol_reverse, r.pot)]),
+    "theta": (None, lambda r: [check_theta(r.pot, r.ensemble)]),
+    "mean-linearity": (None, lambda r: [check_mean_linearity(r.sol)]),
+    "optimality": (None, lambda r: [CheckEntry(
+        "optimality", r.residual.l2_weighted, r.residual.threshold, 0.0,
+        {"sup_bulk": r.residual.sup_bulk})]),
+}

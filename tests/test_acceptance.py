@@ -13,7 +13,6 @@ from mfsb import (
     FreeEnergyGauge,
     InteractionPotential,
     MarginalFlow,
-    SolverConfig,
     SpatialGrid,
     TimeGrid,
     bb_gradient,
@@ -142,7 +141,7 @@ def test_criterion_09_gradient_correctness(grid256):
     pot = InteractionPotential.quadratic(0.7)
     mu0 = density_from_spec(grid, {"kind": "gaussian", "mean": -0.5, "std": 1.0})
     mu1 = density_from_spec(grid, {"kind": "gaussian", "mean": 0.5, "std": 0.9})
-    flow = heat_interpolation_flow(mu0, mu1, grid, tg, SolverConfig())
+    flow = heat_interpolation_flow(mu0, mu1, grid, tg)
     mu, m = flow.values, _momentum(flow.values, grid.dx, tg.dt)
     gmu, gm = bb_gradient(flow, m, pot)
     rng = np.random.default_rng(19)

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,21 @@ MALFORMED = {
                            {"kind": "gaussian-well", "amplitude": INF, "width": 1.0},
                            "amplitude"),
     "dead-solver-option": (("solver", "tol_ce"), 1e-3, "unknown solver options"),
+    "removed-solver-option": (("solver", "armijo"), 1e-3, "unknown solver options"),
+    "fractional-cells": (("grid", "n_cells"), 64.7, "n_cells"),
+    "fractional-steps": (("time", "n_steps"), 16.9, "n_steps"),
+    "string-cells": (("grid", "n_cells"), "64", "n_cells"),
+    "multi_start-scalar": (("solver", "multi_start"), 5, "solver"),
+    "multi_start-unknown": (("solver", "multi_start"), ["bogus"], "bogus"),
+    "provided-init": (("solver", "init"), "provided", "provided"),
+    "max_outer-string": (("solver", "max_outer"), "10", "max_outer"),
+    "max_outer-fractional": (("solver", "max_outer"), 1.5, "max_outer"),
+    "max_outer-zero": (("solver", "max_outer"), 0, "max_outer"),
+    "removed-tol_grad": (("solver", "tol_grad"), NAN, "unknown solver options"),
+    "mu_fin-number": (("mu_fin",), 5, "mu_fin"),
+    "potential-string": (("potential",), "quadratic", "potential"),
+    "grid-number": (("grid",), 5, "grid"),
+    "checks-string": (("checks",), "mean-linearity", "list of check names"),
 }
 
 
@@ -252,7 +268,8 @@ def test_cli_validation_exit_code(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("case", ["infinite-horizon", "histogram-length"])
+@pytest.mark.parametrize("case", ["infinite-horizon", "histogram-length",
+                                  "fractional-cells", "multi_start-unknown"])
 def test_cli_malformed_scenario_exit_code(tmp_path, case, capsys):
     path, value, message = MALFORMED[case]
     scenario = _write(tmp_path, _with(path, value))
@@ -279,6 +296,57 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     assert rc == 1
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is False
+
+
+def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    from mfsb import verify as V
+
+    def broken(sol, **kwargs):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(V, "check_mean_linearity", broken)
+    rc = cli.main(["verify", "--scenario", str(_write(tmp_path, MINIMAL)),
+                   "--out", str(tmp_path / "v")])
+    assert rc == cli.EXIT_INTERNAL == 4
+    assert "RuntimeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks, solves", [
+    (["theta"], 0),
+    (["mean-linearity"], 1),
+    (["time-reversal", "conserved-bound"], 2),
+    (["turnpike-rate", "time-reversal"], 3),
+])
+def test_cli_verify_solves_each_bridge_once_on_demand(tmp_path, monkeypatch,
+                                                      checks, solves):
+    calls = []
+    solve = cli.solve_mfsb
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_mfsb", counted)
+    out = tmp_path / "v"
+    doc = {**MINIMAL, "checks": checks}
+    # turnpike-rate fails on these near-equilibrium endpoints; only the
+    # number of solves matters here
+    assert cli.main(["verify", "--scenario", str(_write(tmp_path, doc)),
+                     "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    assert len(calls) == solves
+    report = json.loads((out / "report.json").read_text())
+    assert ("solver" in report["environment"]) == (solves > 0)
+
+
+def test_readme_lists_the_check_table_and_solver_options():
+    from dataclasses import fields
+    from mfsb import SolverConfig, verify as V
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    listed = re.search(r"Available checks:(.*?)\.\s", readme, re.S).group(1)
+    assert set(re.findall(r"`([^`]+)`", listed)) == set(V.CHECKS)
+    row = next(line for line in readme.splitlines() if line.startswith("| `solver`"))
+    assert set(re.findall(r"`([^`]+)`", row)) - {"solver"} == \
+        {f.name for f in fields(SolverConfig)}
 
 
 def test_cli_optimality_check_reuses_residual(tmp_path):

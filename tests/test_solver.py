@@ -21,6 +21,7 @@ from mfsb import (
     wasserstein1,
 )
 from mfsb.solver import (
+    _KINETIC_REG,
     _Workspace,
     _edge_gradients,
     _edge_objective,
@@ -40,7 +41,7 @@ def small():
 
 
 def _admissible_pair(grid, tg, mu0, mu1):
-    flow = heat_interpolation_flow(mu0, mu1, grid, tg, SolverConfig())
+    flow = heat_interpolation_flow(mu0, mu1, grid, tg)
     return flow, _momentum(flow.values, grid.dx, tg.dt)
 
 
@@ -106,9 +107,8 @@ def test_bb_gradient_matches_finite_differences(small, kind):
     mu = flow.values
     gmu, gm = bb_gradient(flow, m, pot)
     # the same action with the mollifier the descent adds
-    config = SolverConfig()
-    ws = _Workspace(pot, grid, tg, config.mass_floor_rel)
-    reg = config.kinetic_reg * mu.max(axis=1, keepdims=True)
+    ws = _Workspace(pot, grid, tg)
+    reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
     egmu, egm = _edge_gradients(ws, mu, m, reg)
     rng = np.random.default_rng(3)
     h = 1e-6

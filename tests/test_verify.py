@@ -169,6 +169,7 @@ def test_mkv_distance_strict_w2_mode(mkv_pair, pot_quad05, gauge):
     assert loose.passed and strict.passed
     assert loose.detail["metric"] == "w1"
     assert strict.detail["metric"] == "w2"
+    assert loose.detail["worst_node"] >= 1 and strict.detail["worst_node"] >= 1
 
 
 def test_checks_require_convexity(sol_classical, pot_zero, grid256):
