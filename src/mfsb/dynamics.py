@@ -15,10 +15,13 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import CFLViolation, NoConvergence, TooLarge
-from .grids import Density, MarginalFlow, TimeGrid
+from .grids import BOUNDARY_MASS_TOL, Density, MarginalFlow, TimeGrid
 from .potentials import InteractionPotential, conv_force
 
 _DIFFUSIVITY = 0.5  # unit Brownian noise: d mu = (1/2) mu'' + ...
+THETA_TOL = 1e-10   # sup change of the theta iteration that counts as converged
+_THETA_MAX_ITERS = 200
+_DRIFT_RESOLUTION_LIMIT = 8.0  # cells the drift may move mass in one step
 
 
 @dataclass
@@ -110,13 +113,12 @@ def noise_ensemble(ensemble: PathEnsemble) -> PathEnsemble:
                         ensemble.increments.copy(), ensemble.seed)
 
 
-def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble, *,
-                 tol: float = 1e-10, max_iters: int = 200) -> PathEnsemble:
+def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsemble:
     """Map noise paths to interacting trajectories by fixed-point iteration.
 
     Iterates Y <- omega + int_0^t (ensemble-average drift of Y) ds with
     left-endpoint quadrature, matching the Euler-Maruyama stepping, until the
-    sup change over all paths and nodes falls below tol.
+    sup change over all paths and nodes falls below THETA_TOL.
     """
     if ensemble.n_particles > 10_000:
         raise TooLarge("ensemble exceeds the 10^4 particle guard")
@@ -124,7 +126,7 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble, *,
     dt = ensemble.time_grid.dt
     k_steps = ensemble.time_grid.n_steps
     y = np.repeat(omega[:, :1], k_steps + 1, axis=1)
-    for _ in range(max_iters):
+    for _ in range(_THETA_MAX_ITERS):
         drift = np.empty((ensemble.n_particles, k_steps))
         for k in range(k_steps):
             drift[:, k] = interaction_drift(pot, y[:, k])
@@ -132,7 +134,7 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble, *,
         y_next[:, 1:] += dt * np.cumsum(drift, axis=1)
         delta = float(np.max(np.abs(y_next - y)))
         y = y_next
-        if delta <= tol:
+        if delta <= THETA_TOL:
             break
     else:
         raise NoConvergence(
@@ -179,17 +181,18 @@ def _fp_step_matrix(b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
     return solve_banded((1, 1), _fp_banded(b_cells, dx, dt), np.eye(b_cells.size))
 
 
-def _check_drift_resolution(b: np.ndarray, dx: float, dt: float, limit: float):
+def _check_drift_resolution(b: np.ndarray, dx: float, dt: float):
     ratio = float(np.max(np.abs(b)) * dt / dx)
-    if ratio > limit:
+    if ratio > _DRIFT_RESOLUTION_LIMIT:
         raise CFLViolation(
-            f"drift moves {ratio:.1f} cells per step (limit {limit}); "
+            f"drift moves {ratio:.1f} cells per step "
+            f"(limit {_DRIFT_RESOLUTION_LIMIT}); "
             "the time grid under-resolves the advection"
         )
 
 
 def _march(pot: InteractionPotential, mu_start: Density, time_grid: TimeGrid,
-           drive, limit: float) -> MarginalFlow:
+           drive) -> MarginalFlow:
     """Implicit Fokker-Planck march whose step-k drift is induced by drive[k].
 
     drive=None drives the march by its own flow (the self-consistent case).
@@ -200,27 +203,24 @@ def _march(pot: InteractionPotential, mu_start: Density, time_grid: TimeGrid,
     drive = values if drive is None else drive
     for k in range(time_grid.n_steps):
         b = -conv_force(pot, Density(grid, drive[k]))
-        _check_drift_resolution(b, dx, dt, limit)
+        _check_drift_resolution(b, dx, dt)
         values[k + 1] = _fp_step(values[k], b, dx, dt)
     return MarginalFlow(time_grid, grid, values)
 
 
-def mkv_flow(pot: InteractionPotential, mu_in: Density, time_grid: TimeGrid, *,
-             drift_resolution_limit: float = 8.0,
-             boundary_mass_tol: float = 1e-8) -> MarginalFlow:
+def mkv_flow(pot: InteractionPotential, mu_in: Density,
+             time_grid: TimeGrid) -> MarginalFlow:
     """Marginal flow of the McKean-Vlasov diffusion, self-consistent drift."""
-    if mu_in.boundary_mass() > boundary_mass_tol:
+    if mu_in.boundary_mass() > BOUNDARY_MASS_TOL:
         raise ValueError(
             f"initial density carries {mu_in.boundary_mass():.2e} boundary mass; "
             "enlarge the domain"
         )
-    return _march(pot, mu_in, time_grid, None, drift_resolution_limit)
+    return _march(pot, mu_in, time_grid, None)
 
 
 def reference_flow(pot: InteractionPotential, frozen: MarginalFlow,
-                   mu_start: Density, *,
-                   drift_resolution_limit: float = 8.0,
-                   boundary_mass_tol: float = 1e-8) -> MarginalFlow:
+                   mu_start: Density) -> MarginalFlow:
     """Linear Fokker-Planck flow whose drift is induced by a frozen flow.
 
     Feeding a flow its own output with the same start reproduces mkv_flow
@@ -228,7 +228,6 @@ def reference_flow(pot: InteractionPotential, frozen: MarginalFlow,
     """
     if mu_start.grid != frozen.grid:
         raise ValueError("start density and frozen flow live on different grids")
-    if mu_start.boundary_mass() > boundary_mass_tol:
+    if mu_start.boundary_mass() > BOUNDARY_MASS_TOL:
         raise ValueError("start density carries too much boundary mass")
-    return _march(pot, mu_start, frozen.time_grid, frozen.values,
-                  drift_resolution_limit)
+    return _march(pot, mu_start, frozen.time_grid, frozen.values)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import NoConvergence, NonZeroMass, GridMismatch
 from .grids import (
+    MASS_TOL,
     Density,
     GridField,
     MarginalFlow,
@@ -24,6 +25,11 @@ from .grids import (
     time_derivative,
 )
 from .potentials import InteractionPotential, conv_force, interaction_energy
+
+_EQ_DAMPING = 0.5
+_EQ_TOL = 1e-10
+_EQ_MAX_ITERS = 2000
+_EQ_MULTIPLIER_BOUNDS = (-50.0, 50.0)  # bracket of the mean multiplier b
 
 
 @dataclass
@@ -61,9 +67,8 @@ def free_energy(pot: InteractionPotential, mu: Density) -> float:
     return mu.entropy() + interaction_energy(pot, mu)
 
 
-def equilibrium(pot: InteractionPotential, grid: SpatialGrid, mean: float, *,
-                damping: float = 0.5, tol: float = 1e-10, max_iters: int = 2000,
-                multiplier_bounds: tuple = (-50.0, 50.0)) -> EquilibriumMeasure:
+def equilibrium(pot: InteractionPotential, grid: SpatialGrid,
+                mean: float) -> EquilibriumMeasure:
     """Fixed point of mu = normalize(exp(-2 W*mu + b x)) with mean pinned.
 
     The Lagrange multiplier b for the mean constraint is found by bisection at
@@ -74,7 +79,7 @@ def equilibrium(pot: InteractionPotential, grid: SpatialGrid, mean: float, *,
     x = grid.centers
 
     def solved_candidate(phi: np.ndarray) -> np.ndarray:
-        lo, hi = multiplier_bounds
+        lo, hi = _EQ_MULTIPLIER_BOUNDS
         for _ in range(200):
             b = 0.5 * (lo + hi)
             logits = phi + b * x
@@ -92,18 +97,18 @@ def equilibrium(pot: InteractionPotential, grid: SpatialGrid, mean: float, *,
     sigma2 = 1.0 / (2.0 * pot.kappa)
     mu = Density(grid, np.exp(-0.5 * (x - mean) ** 2 / sigma2))
     residual = np.inf
-    for _ in range(max_iters):
+    for _ in range(_EQ_MAX_ITERS):
         phi = -2.0 * pot.potential(mu.values, grid)
         cand = solved_candidate(phi)
         residual = float(np.max(np.abs(cand - mu.values)))
-        if residual <= tol:
+        if residual <= _EQ_TOL:
             mu = Density(grid, cand)
             break
-        mu = Density(grid, (1.0 - damping) * mu.values + damping * cand)
+        mu = Density(grid, (1.0 - _EQ_DAMPING) * mu.values + _EQ_DAMPING * cand)
     else:
         raise NoConvergence(
             f"equilibrium fixed point stalled at residual {residual:.3e} "
-            f"(tol {tol:.1e}); increase damping or enlarge the domain"
+            f"(tol {_EQ_TOL:.1e}); enlarge grid.half_width or raise grid.n_cells"
         )
     return EquilibriumMeasure(mu, mean, residual)
 
@@ -125,7 +130,7 @@ def fisher_information(pot: InteractionPotential, mu: Density) -> float:
     return float(np.sum(integrand[mask]) * mu.grid.dx)
 
 
-def momentum_from_flow(flow: MarginalFlow, *, mass_tol: float = 1e-8) -> np.ndarray:
+def momentum_from_flow(flow: MarginalFlow) -> np.ndarray:
     """Momentum rows solving the discrete continuity equation for the flow.
 
     Time derivatives are central at interior nodes and one-sided at the two
@@ -133,10 +138,10 @@ def momentum_from_flow(flow: MarginalFlow, *, mass_tol: float = 1e-8) -> np.ndar
     vanishes at the domain boundaries.
     """
     masses = flow.slice_masses()
-    if np.max(np.abs(masses - masses[0])) > mass_tol:
+    if np.max(np.abs(masses - masses[0])) > MASS_TOL:
         raise NonZeroMass("total mass drifts across flow slices")
     ddt = time_derivative(flow.values, flow.time_grid.dt)
-    return divergence_inverse(-ddt, flow.grid.dx, tol=mass_tol)
+    return divergence_inverse(-ddt, flow.grid.dx)
 
 
 def center_momentum(m: np.ndarray) -> np.ndarray:
@@ -147,13 +152,13 @@ def center_momentum(m: np.ndarray) -> np.ndarray:
     return c
 
 
-def velocity_from_flow(flow: MarginalFlow, *, mass_tol: float = 1e-8) -> GridField:
+def velocity_from_flow(flow: MarginalFlow) -> GridField:
     """Tangent velocity w = m / mu, zero on cells below the mass floor.
 
     The momentum is edge-indexed by construction; it is averaged back onto
     cell centers before dividing so velocity and density are colocated.
     """
-    m = center_momentum(momentum_from_flow(flow, mass_tol=mass_tol))
+    m = center_momentum(momentum_from_flow(flow))
     mask = retained_mask(flow.values)
     w = np.where(mask, m / np.where(mask, flow.values, 1.0), 0.0)
     return GridField(flow.time_grid, flow.grid, w)

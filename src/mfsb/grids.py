@@ -8,6 +8,7 @@ the discrete divergence below is its exact inverse.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +22,9 @@ LOG_FLOOR = 1e-300
 # Cells with less than this fraction of the peak density are excluded from
 # Fisher-type integrals and carry zero velocity.
 MASS_FLOOR_REL = 1e-12
+MASS_TOL = 1e-8           # tolerated mass drift of a flow, net mass of a source
+BOUNDARY_MASS_TOL = 1e-8  # mass a start or end density may put in the outer cells
+_ASSIGNMENT_MAX_PATHS = 128  # largest ensembles path_distance pairs exactly
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,13 @@ class Density:
         )
 
 
+def real_number(name: str, value) -> float:
+    """value as a float; strings, booleans and other non-numbers raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def density_from_spec(grid: SpatialGrid, spec: dict) -> Density:
     """Build a density from a declarative spec.
 
@@ -149,7 +160,7 @@ def density_from_spec(grid: SpatialGrid, spec: dict) -> Density:
     kind = spec.get("kind")
     x = grid.centers
     if kind == "gaussian":
-        mean, std = float(spec["mean"]), float(spec["std"])
+        mean, std = (real_number(key, spec[key]) for key in ("mean", "std"))
         if std <= 0:
             raise ValueError("gaussian std must be positive")
         vals = np.exp(-0.5 * ((x - mean) / std) ** 2)
@@ -159,12 +170,13 @@ def density_from_spec(grid: SpatialGrid, spec: dict) -> Density:
             raise ValueError("mixture needs at least one component")
         vals = np.zeros_like(x)
         for comp in comps:
-            w, mean, std = float(comp["weight"]), float(comp["mean"]), float(comp["std"])
+            w, mean, std = (real_number(key, comp[key])
+                            for key in ("weight", "mean", "std"))
             if w < 0 or std <= 0:
                 raise ValueError("mixture weights must be >= 0 and stds > 0")
             vals += w * np.exp(-0.5 * ((x - mean) / std) ** 2) / std
     elif kind == "histogram":
-        vals = np.asarray(spec["values"], dtype=float)
+        vals = np.array([real_number("histogram value", v) for v in spec["values"]])
     else:
         raise ValueError(f"unknown density kind: {kind!r}")
     return Density(grid, vals)
@@ -183,12 +195,6 @@ class MarginalFlow:
         expect = (self.time_grid.n_steps + 1, self.grid.n_cells)
         if self.values.shape != expect:
             raise GridMismatch(f"flow shape {self.values.shape} != {expect}")
-
-    @classmethod
-    def from_densities(cls, time_grid: TimeGrid, densities) -> "MarginalFlow":
-        grid = densities[0].grid
-        vals = np.stack([d.values for d in densities])
-        return cls(time_grid, grid, vals)
 
     def density(self, k: int) -> Density:
         return Density(self.grid, self.values[k])
@@ -240,7 +246,7 @@ def divergence(momentum: np.ndarray, dx: float) -> np.ndarray:
     return d
 
 
-def divergence_inverse(source: np.ndarray, dx: float, *, tol: float = 1e-8) -> np.ndarray:
+def divergence_inverse(source: np.ndarray, dx: float) -> np.ndarray:
     """Momentum m with div m = source and zero flux at both domain boundaries.
 
     Raises NonZeroMass when the source does not integrate to zero, which
@@ -248,9 +254,10 @@ def divergence_inverse(source: np.ndarray, dx: float, *, tol: float = 1e-8) -> n
     """
     s = np.asarray(source, dtype=float)
     total = s.sum(axis=-1) * dx
-    if np.any(np.abs(total) > tol):
+    if np.any(np.abs(total) > MASS_TOL):
         raise NonZeroMass(
-            f"source integrates to {np.max(np.abs(total)):.3e}, tolerance {tol:.1e}"
+            f"source integrates to {np.max(np.abs(total)):.3e}, "
+            f"tolerance {MASS_TOL:.1e}"
         )
     return np.cumsum(s, axis=-1) * dx
 
@@ -270,11 +277,11 @@ def time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return ddt
 
 
-def retained_mask(values: np.ndarray, rel: float = MASS_FLOOR_REL) -> np.ndarray:
-    """Cells carrying at least ``rel`` times the peak of their slice."""
+def retained_mask(values: np.ndarray) -> np.ndarray:
+    """Cells carrying at least MASS_FLOOR_REL times the peak of their slice."""
     v = np.asarray(values, dtype=float)
     peak = v.max(axis=-1, keepdims=True)
-    return v >= rel * peak
+    return v >= MASS_FLOOR_REL * peak
 
 
 def wasserstein1(a: Density, b: Density) -> float:
@@ -291,7 +298,7 @@ def _positions(ensemble) -> np.ndarray:
     return np.asarray(pos, dtype=float)
 
 
-def path_distance(e1, e2, *, max_size: int = 128) -> float:
+def path_distance(e1, e2) -> float:
     """Empirical Wasserstein-1 distance between path ensembles.
 
     The ground cost between two paths is the sup over time nodes of their
@@ -306,8 +313,8 @@ def path_distance(e1, e2, *, max_size: int = 128) -> float:
     if tg1 is not None and tg2 is not None and tg1 != tg2:
         raise SizeMismatch("ensembles live on different time grids")
     n = a.shape[0]
-    if n > max_size:
-        raise TooLarge(f"assignment guard: {n} paths exceeds {max_size}")
+    if n > _ASSIGNMENT_MAX_PATHS:
+        raise TooLarge(f"assignment guard: {n} paths exceeds {_ASSIGNMENT_MAX_PATHS}")
     cost = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())

@@ -24,11 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import Density, SpatialGrid
+from .grids import Density, SpatialGrid, real_number
 
 
 def _positive(kind: str, name: str, value) -> float:
-    value = float(value)
+    value = real_number(name, value)
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{kind} potential needs finite {name} > 0, got {value}")
     return value
@@ -70,9 +70,9 @@ class InteractionPotential:
         if kind == "zero":
             return cls.zero()
         if kind == "quadratic":
-            return cls.quadratic(float(spec["kappa"]))
+            return cls.quadratic(spec["kappa"])
         if kind == "gaussian-well":
-            return cls.gaussian_well(float(spec["amplitude"]), float(spec["width"]))
+            return cls.gaussian_well(spec["amplitude"], spec["width"])
         raise ValueError(f"unknown potential kind: {kind!r}")
 
     def to_spec(self) -> dict:

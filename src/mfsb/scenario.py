@@ -7,14 +7,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import mkv_flow
 from .errors import GridMismatch, HypothesisViolation, ParseError
-from .functionals import equilibrium
-from .grids import Density, SpatialGrid, TimeGrid, density_from_spec
+from .functionals import EquilibriumMeasure, equilibrium
+from .grids import Density, SpatialGrid, TimeGrid, density_from_spec, real_number
 from .potentials import InteractionPotential
 from .solver import SolverConfig
 from .verify import CHECKS
@@ -25,7 +26,11 @@ MEAN_MATCH_TOL = 1e-6
 
 @dataclass
 class Scenario:
-    """A fully validated experiment description."""
+    """A fully validated experiment description.
+
+    The endpoint densities and the equilibrium at the initial mean are
+    resolved once per instance, on first use.
+    """
 
     name: str
     potential: InteractionPotential
@@ -40,12 +45,25 @@ class Scenario:
     raw: dict = field(repr=False, default_factory=dict)
 
     def mu_in(self) -> Density:
-        return density_from_spec(self.grid, self.mu_in_spec)
+        return self._mu_in
 
     def mu_fin(self) -> Density:
-        """Resolve the final density, including the two symbolic endpoints."""
+        """The final density, including the two symbolic endpoints."""
+        return self._mu_fin
+
+    @cached_property
+    def equilibrium(self) -> EquilibriumMeasure:
+        """The equilibrium at the initial density's mean; needs kappa > 0."""
+        return equilibrium(self.potential, self.grid, self.mu_in().mean())
+
+    @cached_property
+    def _mu_in(self) -> Density:
+        return density_from_spec(self.grid, self.mu_in_spec)
+
+    @cached_property
+    def _mu_fin(self) -> Density:
         if self.mu_fin_spec == "equilibrium":
-            return equilibrium(self.potential, self.grid, self.mu_in().mean()).density
+            return self.equilibrium.density
         if self.mu_fin_spec == "mkv-endpoint":
             flow = mkv_flow(self.potential, self.mu_in(), self.time_grid)
             return flow.density(self.time_grid.n_steps)
@@ -93,8 +111,10 @@ def _parse_structure(doc: dict) -> Scenario:
     _require(_is_integer(grid_spec["n_cells"]), "grid.n_cells must be an integer")
     _require(_is_integer(time_spec["n_steps"]), "time.n_steps must be an integer")
     try:
-        grid = SpatialGrid(float(grid_spec["half_width"]), grid_spec["n_cells"])
-        time_grid = TimeGrid(float(time_spec["horizon"]), time_spec["n_steps"])
+        grid = SpatialGrid(real_number("half_width", grid_spec["half_width"]),
+                           grid_spec["n_cells"])
+        time_grid = TimeGrid(real_number("horizon", time_spec["horizon"]),
+                             time_spec["n_steps"])
     except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid grid specification: {exc}") from exc
     try:
@@ -173,13 +193,12 @@ def _validate_hypotheses(sc: Scenario):
                 "H4", f"checks {sorted(needs_equal_means)} require equal means; "
                 f"gap is {gap:.2e}"
             )
-    if pot.kappa > 0:
-        eq = equilibrium(pot, grid, mu_in.mean())
-        if eq.density.boundary_mass() > BOUNDARY_MASS_GATE:
-            raise HypothesisViolation(
-                "H2", "equilibrium density has boundary mass above the gate; "
-                "enlarge half_width"
-            )
+    # the same measure a symbolic "equilibrium" final density resolves to
+    if pot.kappa > 0 and sc.equilibrium.density.boundary_mass() > BOUNDARY_MASS_GATE:
+        raise HypothesisViolation(
+            "H2", "equilibrium density has boundary mass above the gate; "
+            "enlarge half_width"
+        )
 
 
 def load_scenario(path) -> Scenario:

@@ -36,6 +36,7 @@ from .functionals import (
     velocity_from_flow,
 )
 from .grids import (
+    BOUNDARY_MASS_TOL,
     LOG_FLOOR,
     Density,
     MarginalFlow,
@@ -66,6 +67,8 @@ _IPFP_MAX_OUTER = 120
 _IPFP_TOL = 1e-9
 _SINKHORN_MAX_ITERS = 5000
 _SINKHORN_TOL = 1e-12
+_RESIDUAL_THRESHOLD_SCALE = 5e-2  # optimality threshold per unit of dx + dt
+_BULK_REL = 1e-3          # bulk cells carry this fraction of their slice peak
 
 
 @dataclass(frozen=True)
@@ -290,12 +293,11 @@ def _effective_support(mu: Density) -> tuple:
     return idx[0], idx[-1]
 
 
-def _validate_endpoints(mu_in: Density, mu_fin: Density, sgrid: SpatialGrid, *,
-                        boundary_tol: float = 1e-8):
+def _validate_endpoints(mu_in: Density, mu_fin: Density, sgrid: SpatialGrid):
     if mu_in.grid != sgrid or mu_fin.grid != sgrid:
         raise InfeasibleEndpoints("endpoint densities live on a different grid")
     for name, mu in (("initial", mu_in), ("final", mu_fin)):
-        if mu.boundary_mass() > boundary_tol:
+        if mu.boundary_mass() > BOUNDARY_MASS_TOL:
             raise InfeasibleEndpoints(
                 f"{name} density carries {mu.boundary_mass():.2e} boundary mass; "
                 "enlarge the domain"
@@ -507,15 +509,14 @@ class OptimalityResidual:
     threshold: float
 
 
-def optimality_residual(sol: BridgeSolution, pot: InteractionPotential, *,
-                        threshold_scale: float = 5e-2,
-                        bulk_rel: float = 1e-3) -> OptimalityResidual:
+def optimality_residual(sol: BridgeSolution,
+                        pot: InteractionPotential) -> OptimalityResidual:
     """Residual of the corrector optimality system on interior nodes.
 
     The time derivative is a forward difference of interior corrector slices,
     so the first-order endpoint reconstruction of the corrector never enters;
     the residual decays at first order under joint grid refinement.  The sup
-    is taken over the bulk set (cells above bulk_rel of the slice peak).
+    is taken over the bulk set (cells above _BULK_REL of the slice peak).
     """
     flow, psi = sol.flow, sol.corrector.values
     mu = flow.values
@@ -535,8 +536,8 @@ def optimality_residual(sol: BridgeSolution, pot: InteractionPotential, *,
 
     live = np.zeros_like(mu, dtype=bool)
     live[1:-2, 1:-1] = True
-    bulk = live & (mu >= bulk_rel * mu.max(axis=1, keepdims=True))
+    bulk = live & (mu >= _BULK_REL * mu.max(axis=1, keepdims=True))
     sup_bulk = float(np.max(np.abs(residual[bulk]))) if bulk.any() else 0.0
     tw = flow.time_grid.trapezoid_weights
     l2 = float(np.sqrt(np.sum(tw[:, None] * (residual * bulk) ** 2 * mu * dx)))
-    return OptimalityResidual(sup_bulk, l2, threshold_scale * (dx + dt))
+    return OptimalityResidual(sup_bulk, l2, _RESIDUAL_THRESHOLD_SCALE * (dx + dt))

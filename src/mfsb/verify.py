@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PathEnsemble, noise_ensemble, tanaka_theta
+from .dynamics import THETA_TOL, PathEnsemble, noise_ensemble, tanaka_theta
 from .functionals import (
     BridgeSolution,
     backward_corrector,
@@ -24,6 +24,13 @@ from .functionals import (
 )
 from .grids import Density, MarginalFlow, wasserstein1
 from .potentials import InteractionPotential
+
+CHECK_TOL = 1e-2  # additive tolerance of the inequalities; time-reversal gap
+_CONSERVED_SPREAD = 0.05       # interior spread of E(t), relative to 1 + |mean|
+_TURNPIKE_THETA = 0.5          # fraction of the horizon where the rate is fitted
+_TURNPIKE_RATE_FRACTION = 0.8  # share of the rate 2 kappa min(theta, 1 - theta)
+_MEAN_LINEARITY_SCALE = 1e-3   # deviation from the chord, relative to 1 + span
+_N_QUANTILES = 2048            # quadrature nodes of the quantile W2 distance
 
 
 @dataclass
@@ -144,14 +151,13 @@ def conserved_profile(sol: BridgeSolution, pot: InteractionPotential):
     return conserved_quantity_profile(sol.corrector, psi_hat, sol.flow)
 
 
-def check_conserved(sol: BridgeSolution, pot: InteractionPotential, *,
-                    tol_conserve: float = 0.05) -> CheckEntry:
+def check_conserved(sol: BridgeSolution, pot: InteractionPotential) -> CheckEntry:
     """Interior spread of the forward-backward corrector pairing."""
     prof = conserved_profile(sol, pot)
     return CheckEntry(
         "conserved",
         lhs=prof.spread,
-        rhs=tol_conserve * (1.0 + abs(prof.mean)),
+        rhs=_CONSERVED_SPREAD * (1.0 + abs(prof.mean)),
         tolerance=0.0,
         detail={"mean": prof.mean, "n_nodes": int(prof.values.size)},
     )
@@ -159,8 +165,7 @@ def check_conserved(sol: BridgeSolution, pot: InteractionPotential, *,
 
 def check_conserved_bound(sol: BridgeSolution, pot: InteractionPotential,
                           gauge: FreeEnergyGauge, *,
-                          cost_reverse: float | None = None,
-                          tol: float = 1e-2) -> CheckEntry:
+                          cost_reverse: float | None = None) -> CheckEntry:
     """|E| against the two-directional cost geometric mean, decayed in T."""
     _require_convex(pot, "conserved-bound")
     prof = conserved_profile(sol, pot)
@@ -179,7 +184,7 @@ def check_conserved_bound(sol: BridgeSolution, pot: InteractionPotential,
         "conserved-bound",
         lhs=abs(prof.mean),
         rhs=bound,
-        tolerance=tol,
+        tolerance=CHECK_TOL,
         detail={"cost_forward": sol.cost, "cost_reverse": cost_reverse,
                 "reverse_cost_derived": derived},
     )
@@ -203,7 +208,7 @@ def entropy_envelope(sol: BridgeSolution, pot: InteractionPotential,
 
 
 def check_entropy_bound(sol: BridgeSolution, pot: InteractionPotential,
-                        gauge: FreeEnergyGauge, *, tol: float = 1e-2) -> CheckEntry:
+                        gauge: FreeEnergyGauge) -> CheckEntry:
     """Free energy along the flow under its exponential convex envelope."""
     ts = sol.flow.time_grid.nodes
     f, rhs = entropy_envelope(sol, pot, gauge)
@@ -213,14 +218,14 @@ def check_entropy_bound(sol: BridgeSolution, pot: InteractionPotential,
         "entropy-bound",
         lhs=f[k],
         rhs=rhs[k],
-        tolerance=tol,
+        tolerance=CHECK_TOL,
         detail={"worst_node": k, "time": float(ts[k]),
                 "f_start": f[0], "f_end": f[-1], "cost": sol.cost},
     )
 
 
 def check_turnpike(sol: BridgeSolution, pot: InteractionPotential,
-                   gauge: FreeEnergyGauge, *, tol: float = 1e-2) -> CheckEntry:
+                   gauge: FreeEnergyGauge) -> CheckEntry:
     """Hyperbolic-sine envelope built from the conserved quantity."""
     _require_convex(pot, "turnpike")
     tg = sol.flow.time_grid
@@ -237,16 +242,16 @@ def check_turnpike(sol: BridgeSolution, pot: InteractionPotential,
         "turnpike",
         lhs=f[k],
         rhs=rhs[k],
-        tolerance=tol,
+        tolerance=CHECK_TOL,
         detail={"worst_node": k, "time": float(ts[k]), "conserved": e_const},
     )
 
 
 def turnpike_rate(sol: BridgeSolution, sol_double: BridgeSolution,
-                  pot: InteractionPotential, gauge: FreeEnergyGauge, *,
-                  theta: float = 0.5, rate_fraction: float = 0.8) -> CheckEntry:
+                  pot: InteractionPotential, gauge: FreeEnergyGauge) -> CheckEntry:
     """Fitted mid-horizon decay rate across two horizons T and 2T."""
     _require_convex(pot, "turnpike-rate")
+    theta = _TURNPIKE_THETA
     t1 = sol.flow.time_grid
     t2 = sol_double.flow.time_grid
     k1 = int(round(theta * t1.n_steps))
@@ -256,7 +261,7 @@ def turnpike_rate(sol: BridgeSolution, sol_double: BridgeSolution,
     d_theta = theta * (t2.horizon - t1.horizon)
     fitted = float(np.log(max(f1, 1e-300) / max(f2, 1e-300)) / d_theta) \
         if f1 > 0 and f2 > 0 else np.inf
-    target = rate_fraction * 2.0 * pot.kappa * min(theta, 1.0 - theta)
+    target = _TURNPIKE_RATE_FRACTION * 2.0 * pot.kappa * min(theta, 1.0 - theta)
     return CheckEntry(
         "turnpike-rate",
         lhs=target,
@@ -268,7 +273,7 @@ def turnpike_rate(sol: BridgeSolution, sol_double: BridgeSolution,
 
 
 def check_talagrand(sol: BridgeSolution, pot: InteractionPotential,
-                    gauge: FreeEnergyGauge, *, tol: float = 1e-2) -> CheckEntry:
+                    gauge: FreeEnergyGauge) -> CheckEntry:
     """Cost bounded linearly by the endpoint free energies, at three times."""
     _require_convex(pot, "talagrand")
     tg = sol.flow.time_grid
@@ -286,14 +291,13 @@ def check_talagrand(sol: BridgeSolution, pot: InteractionPotential,
         "talagrand",
         lhs=sol.cost,
         rhs=worst[1],
-        tolerance=tol,
+        tolerance=CHECK_TOL,
         detail={"tightest_time": worst[0], "f_in": f_in, "f_fin": f_fin},
     )
 
 
 def check_talagrand_equilibrium(sol: BridgeSolution, pot: InteractionPotential,
-                                gauge: FreeEnergyGauge, *,
-                                tol: float = 1e-2) -> CheckEntry:
+                                gauge: FreeEnergyGauge) -> CheckEntry:
     """Sharper cost bound when the final density is the equilibrium."""
     _require_convex(pot, "talagrand-equilibrium")
     tg = sol.flow.time_grid
@@ -304,13 +308,13 @@ def check_talagrand_equilibrium(sol: BridgeSolution, pot: InteractionPotential,
         "talagrand-equilibrium",
         lhs=sol.cost,
         rhs=rhs,
-        tolerance=tol,
+        tolerance=CHECK_TOL,
         detail={"f_in": f_in, "endpoint_equilibrium_w1": w1_gap},
     )
 
 
 def check_hwi(sol: BridgeSolution, pot: InteractionPotential,
-              gauge: FreeEnergyGauge, *, tol: float = 1e-2) -> CheckEntry:
+              gauge: FreeEnergyGauge) -> CheckEntry:
     """Free energy against Fisher information, conserved quantity and cost.
 
     Requires the final density to be the equilibrium.  The Fisher information
@@ -332,16 +336,16 @@ def check_hwi(sol: BridgeSolution, pot: InteractionPotential,
         "hwi",
         lhs=f_in,
         rhs=rhs,
-        tolerance=tol,
+        tolerance=CHECK_TOL,
         detail={"fisher_in": fisher, "conserved": e_const, "cost": sol.cost,
                 "early_fisher_bounded": bool(np.all(np.isfinite(early))),
                 "early_fisher": early},
     )
 
 
-def _quantile_w2_sq(a: Density, b: Density, n_quantiles: int = 2048) -> float:
+def _quantile_w2_sq(a: Density, b: Density) -> float:
     """Exact-in-quadrature squared 2-Wasserstein distance via quantiles."""
-    us = (np.arange(n_quantiles) + 0.5) / n_quantiles
+    us = (np.arange(_N_QUANTILES) + 0.5) / _N_QUANTILES
     qa = np.interp(us, a.cdf_at_edges(), a.grid.edges)
     qb = np.interp(us, b.cdf_at_edges(), b.grid.edges)
     return float(np.mean((qa - qb) ** 2))
@@ -349,7 +353,7 @@ def _quantile_w2_sq(a: Density, b: Density, n_quantiles: int = 2048) -> float:
 
 def check_mkv_distance(sol: BridgeSolution, pot: InteractionPotential,
                        gauge: FreeEnergyGauge, mkv: MarginalFlow, *,
-                       tol: float = 1e-2, strict_w2: bool = False) -> CheckEntry:
+                       strict_w2: bool = False) -> CheckEntry:
     """Squared distance of the bridge to the self-interacting flow, per node.
 
     The stated bound controls the squared 2-Wasserstein distance; by default
@@ -381,13 +385,12 @@ def check_mkv_distance(sol: BridgeSolution, pot: InteractionPotential,
         "mkv-distance",
         lhs=worst[0],
         rhs=worst[1],
-        tolerance=tol,
+        tolerance=CHECK_TOL,
         detail={"worst_node": worst[2], "metric": "w2" if strict_w2 else "w1"},
     )
 
 
-def check_corrector_bounds(sol: BridgeSolution, pot: InteractionPotential, *,
-                           tol: float = 1e-2):
+def check_corrector_bounds(sol: BridgeSolution, pot: InteractionPotential):
     """Partial-time and pointwise-in-time corrector energy bounds."""
     tg = sol.flow.time_grid
     kap, horizon = pot.kappa, tg.horizon
@@ -402,15 +405,15 @@ def check_corrector_bounds(sol: BridgeSolution, pot: InteractionPotential, *,
         b_point = _pointwise_cost_coeff(kap, horizon, t) * sol.cost
         if worst_partial is None or (b_partial - partial) < worst_partial.slack:
             worst_partial = CheckEntry("corrector-bound-partial", partial,
-                                       b_partial, tol, {"time": t})
+                                       b_partial, CHECK_TOL, {"time": t})
         if worst_point is None or (b_point - energy[k]) < worst_point.slack:
             worst_point = CheckEntry("corrector-bound-pointwise", float(energy[k]),
-                                     b_point, tol, {"time": t})
+                                     b_point, CHECK_TOL, {"time": t})
     return worst_partial, worst_point
 
 
 def check_time_reversal(sol_forward: BridgeSolution, sol_reverse: BridgeSolution,
-                        pot: InteractionPotential, *, tol_trev: float = 1e-2) -> CheckEntry:
+                        pot: InteractionPotential) -> CheckEntry:
     """Cost difference of the two directions equals the free-energy drop."""
     tg = sol_forward.flow.time_grid
     f_in = free_energy(pot, sol_forward.flow.density(0))
@@ -419,28 +422,27 @@ def check_time_reversal(sol_forward: BridgeSolution, sol_reverse: BridgeSolution
     return CheckEntry(
         "time-reversal",
         lhs=gap,
-        rhs=tol_trev,
+        rhs=CHECK_TOL,
         tolerance=0.0,
         detail={"cost_forward": sol_forward.cost, "cost_reverse": sol_reverse.cost,
                 "free_energy_drop": f_in - f_fin},
     )
 
 
-def check_theta(pot: InteractionPotential, ensemble: PathEnsemble, *,
-                tol_theta: float = 1e-10) -> CheckEntry:
+def check_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> CheckEntry:
     """Noise-to-trajectory map reproduces the simulated particle paths."""
-    mapped = tanaka_theta(pot, noise_ensemble(ensemble), tol=tol_theta)
+    mapped = tanaka_theta(pot, noise_ensemble(ensemble))
     dev = float(np.max(np.abs(mapped.positions - ensemble.positions)))
     return CheckEntry(
         "theta",
         lhs=dev,
-        rhs=5.0 * tol_theta,
+        rhs=5.0 * THETA_TOL,
         tolerance=0.0,
-        detail={"n_particles": ensemble.n_particles, "tol_theta": tol_theta},
+        detail={"n_particles": ensemble.n_particles, "tol_theta": THETA_TOL},
     )
 
 
-def check_mean_linearity(sol: BridgeSolution, *, tol_scale: float = 1e-3) -> CheckEntry:
+def check_mean_linearity(sol: BridgeSolution) -> CheckEntry:
     """The flow's mean interpolates its endpoints linearly in time."""
     tg = sol.flow.time_grid
     means = sol.flow.mean_trajectory()
@@ -450,7 +452,7 @@ def check_mean_linearity(sol: BridgeSolution, *, tol_scale: float = 1e-3) -> Che
     return CheckEntry(
         "mean-linearity",
         lhs=dev,
-        rhs=tol_scale * (1.0 + span),
+        rhs=_MEAN_LINEARITY_SCALE * (1.0 + span),
         tolerance=0.0,
         detail={"mean_start": float(means[0]), "mean_end": float(means[-1])},
     )

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfsb import (
     ChecksumMismatch,
     FormatVersionMismatch,
     HypothesisViolation,
     MarginalFlow,
+    MFSBError,
     ParseError,
     SpatialGrid,
     TimeGrid,
@@ -116,6 +118,24 @@ MALFORMED = {
     "potential-string": (("potential",), "quadratic", "potential"),
     "grid-number": (("grid",), 5, "grid"),
     "checks-string": (("checks",), "mean-linearity", "list of check names"),
+    "half_width-string": (("grid", "half_width"), "8", "half_width"),
+    "horizon-boolean": (("time", "horizon"), True, "horizon"),
+    "kappa-boolean": (("potential", "kappa"), True, "kappa"),
+    "kappa-string": (("potential", "kappa"), "0.5", "kappa"),
+    "amplitude-string": (("potential",),
+                         {"kind": "gaussian-well", "amplitude": "1", "width": 1.0},
+                         "amplitude"),
+    "width-boolean": (("potential",),
+                      {"kind": "gaussian-well", "amplitude": 1.0, "width": True},
+                      "width"),
+    "mean-string": (("mu_in", "mean"), "0.0", "mean"),
+    "std-boolean": (("mu_in", "std"), True, "std"),
+    "weight-string": (("mu_in",), {"kind": "mixture", "components": [
+        {"weight": "1", "mean": 0.0, "std": 1.0}]}, "weight"),
+    # narrow enough to pass H2 when its values are numbers
+    "histogram-strings": (("mu_fin",), {"kind": "histogram",
+                                        "values": ["0"] * 30 + ["1"] * 4 + ["0"] * 30},
+                          "histogram value"),
 }
 
 
@@ -124,6 +144,43 @@ def test_malformed_scenario_is_parse_error(tmp_path, case):
     path, value, message = MALFORMED[case]
     with pytest.raises(ParseError, match=message):
         load_scenario(_write(tmp_path, _with(path, value)))
+
+
+def _leaves(node, path=()):
+    """Key paths of every scalar leaf of a JSON document."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _leaves(child, path + (index,))
+    else:
+        yield path
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=8),
+    st.lists(st.integers(-4, 64), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(-4, 64), max_size=2),
+    st.sampled_from([NAN, INF, -INF]),
+    # small sizes only: nothing guards the cost of a large n_cells
+    st.integers(-4, 64), st.floats(-4, 64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_leaves(MINIMAL), key=str)), JSON_VALUES)
+def test_loader_returns_or_raises_a_package_error(path, value):
+    doc = copy.deepcopy(MINIMAL)
+    *parents, key = path
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    try:
+        scenario_from_dict(doc)
+    except MFSBError:  # main maps every one of these to exit 2
+        pass
 
 
 def test_unknown_check_is_parse_error(tmp_path):
@@ -336,6 +393,36 @@ def test_cli_verify_solves_each_bridge_once_on_demand(tmp_path, monkeypatch,
     assert len(calls) == solves
     report = json.loads((out / "report.json").read_text())
     assert ("solver" in report["environment"]) == (solves > 0)
+
+
+@pytest.mark.parametrize("mu_fin, mkv_flows", [("mkv-endpoint", 2),
+                                               ("equilibrium", 1)])
+def test_scenario_inputs_are_resolved_once(tmp_path, monkeypatch, mu_fin, mkv_flows):
+    from mfsb import scenario, verify
+    calls = {"mkv_flow": 0, "equilibrium": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((scenario, "mkv_flow"), (cli, "mkv_flow"),
+                         (scenario, "equilibrium"), (verify, "equilibrium")):
+        counted(module, name)
+    doc = {**MINIMAL, "mu_fin": mu_fin,
+           "checks": ["time-reversal", "turnpike-rate", "mkv-distance"]}
+    sc = load_scenario(_write(tmp_path, doc))
+    # turnpike-rate may fail on these near-equilibrium endpoints; only the
+    # number of evaluations matters here
+    assert cli.run(sc, "verify", tmp_path / "v") in (cli.EXIT_OK,
+                                                      cli.EXIT_CHECK_FAILED)
+    # the loader resolves mu_fin and the equilibrium gate once, mkv-distance
+    # evolves the MKV flow once, and the free-energy gauge solves its own
+    # equilibrium at the bridge's initial mean
+    assert calls == {"mkv_flow": mkv_flows, "equilibrium": 2}
 
 
 def test_readme_lists_the_check_table_and_solver_options():

@@ -82,7 +82,7 @@ def test_theta_push_forward_identity(grid256, std_gaussian, tg, pot_name):
         "gaussian-well": InteractionPotential.gaussian_well(1.0, 1.0),
     }[pot_name]
     ens = simulate_particles(pot, std_gaussian, tg, 64, seed=17)
-    mapped = tanaka_theta(pot, noise_ensemble(ens), tol=1e-10)
+    mapped = tanaka_theta(pot, noise_ensemble(ens))
     assert np.max(np.abs(mapped.positions - ens.positions)) <= 5e-10
 
 

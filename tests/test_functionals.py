@@ -3,6 +3,7 @@ import pytest
 
 from mfsb import (
     InteractionPotential,
+    NoConvergence,
     MarginalFlow,
     SpatialGrid,
     TimeGrid,
@@ -94,6 +95,16 @@ def test_equilibrium_is_fixed_point(grid256, pot_quad05, eq05):
 def test_equilibrium_requires_convexity(grid256):
     with pytest.raises(ValueError):
         equilibrium(InteractionPotential.zero(), grid256, 0.0)
+
+
+def test_equilibrium_stall_names_what_a_scenario_can_change(grid256, pot_quad05,
+                                                             monkeypatch):
+    from mfsb import functionals
+    monkeypatch.setattr(functionals, "_EQ_TOL", 0.0)  # unreachable
+    monkeypatch.setattr(functionals, "_EQ_MAX_ITERS", 3)
+    with pytest.raises(NoConvergence, match="grid.half_width") as err:
+        equilibrium(pot_quad05, grid256, 0.0)
+    assert "damping" not in str(err.value)
 
 
 # ------------------------------------------------------- relative free energy
