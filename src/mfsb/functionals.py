@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import NoConvergence, NonZeroMass, GridMismatch
 from .grids import (
+    BULK_REL,
     MASS_TOL,
     Density,
     GridField,
@@ -268,7 +269,7 @@ def schrodinger_potentials(sol: BridgeSolution, pot: InteractionPotential):
             res[k] = r
         # sup over the bulk: tail cells amplify finite-difference noise by
         # high-order derivative factors without carrying mass
-        bulk = flow.values >= 1e-3 * flow.values.max(axis=1, keepdims=True)
+        bulk = flow.values >= BULK_REL * flow.values.max(axis=1, keepdims=True)
         bulk[0] = bulk[-1] = bulk[-2] = False
         return float(np.max(np.abs(res[bulk]))) if bulk.any() else 0.0
 

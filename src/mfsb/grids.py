@@ -22,6 +22,9 @@ LOG_FLOOR = 1e-300
 # Cells with less than this fraction of the peak density are excluded from
 # Fisher-type integrals and carry zero velocity.
 MASS_FLOOR_REL = 1e-12
+# Bulk cells carry at least this fraction of the peak of their slice; the
+# optimality residuals take their sup norms over them.
+BULK_REL = 1e-3
 MASS_TOL = 1e-8           # tolerated mass drift of a flow, net mass of a source
 BOUNDARY_MASS_TOL = 1e-8  # mass a start or end density may put in the outer cells
 _ASSIGNMENT_MAX_PATHS = 128  # largest ensembles path_distance pairs exactly

@@ -15,7 +15,8 @@ import numpy as np
 from .dynamics import mkv_flow
 from .errors import GridMismatch, HypothesisViolation, ParseError
 from .functionals import EquilibriumMeasure, equilibrium
-from .grids import Density, SpatialGrid, TimeGrid, density_from_spec, real_number
+from .grids import (Density, MarginalFlow, SpatialGrid, TimeGrid, density_from_spec,
+                    real_number)
 from .potentials import InteractionPotential
 from .solver import SolverConfig
 from .verify import CHECKS
@@ -28,8 +29,8 @@ MEAN_MATCH_TOL = 1e-6
 class Scenario:
     """A fully validated experiment description.
 
-    The endpoint densities and the equilibrium at the initial mean are
-    resolved once per instance, on first use.
+    The endpoint densities, the equilibrium at the initial mean and the MKV
+    flow are resolved once per instance, on first use.
     """
 
     name: str
@@ -57,6 +58,11 @@ class Scenario:
         return equilibrium(self.potential, self.grid, self.mu_in().mean())
 
     @cached_property
+    def mkv(self) -> MarginalFlow:
+        """The self-interacting (MKV) flow from the initial density."""
+        return mkv_flow(self.potential, self.mu_in(), self.time_grid)
+
+    @cached_property
     def _mu_in(self) -> Density:
         return density_from_spec(self.grid, self.mu_in_spec)
 
@@ -65,8 +71,7 @@ class Scenario:
         if self.mu_fin_spec == "equilibrium":
             return self.equilibrium.density
         if self.mu_fin_spec == "mkv-endpoint":
-            flow = mkv_flow(self.potential, self.mu_in(), self.time_grid)
-            return flow.density(self.time_grid.n_steps)
+            return self.mkv.density(self.time_grid.n_steps)
         return density_from_spec(self.grid, self.mu_fin_spec)
 
     def canonical_json(self) -> str:
@@ -139,8 +144,9 @@ def _parse_structure(doc: dict) -> Scenario:
     n_particles = doc.get("particles", 64)
     _require(isinstance(n_particles, int) and n_particles >= 2,
              "particles must be an integer >= 2")
+    _require(isinstance(doc["name"], str), "name must be a string")
     return Scenario(
-        name=str(doc["name"]),
+        name=doc["name"],
         potential=potential,
         mu_in_spec=doc["mu_in"],
         mu_fin_spec=mu_fin_spec,

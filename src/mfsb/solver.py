@@ -10,7 +10,10 @@ endpoints.  The momentum m is slaved to the flow through the divergence
 inversion of its discrete time derivative (the 1-D tangent-space choice).
 Updates are multiplicative (mirror) gradient steps with backtracking, which
 keeps every slice a probability density and tames the 1/mu stiffness of the
-score term.  bb_objective and bb_gradient expose this same action.
+score term.  The edge terms of each point are computed once: the line search
+evaluates a candidate's action from them, and an accepted candidate carries
+them into the next gradient.  bb_objective and bb_gradient expose this same
+action.
 
 Reported costs come from the corrector's cell quadrature (entropic_cost),
 not from J; the two differ by O(dx^2), which
@@ -25,6 +28,7 @@ of the optimality system), which is exactly why it is kept as a diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +41,9 @@ from .functionals import (
 )
 from .grids import (
     BOUNDARY_MASS_TOL,
+    BULK_REL,
     LOG_FLOOR,
+    MASS_FLOOR_REL,
     Density,
     MarginalFlow,
     SpatialGrid,
@@ -60,7 +66,6 @@ _GROW = 1.3
 _ARMIJO = 1e-4
 _MOMENTUM = 0.9           # heavy-ball weight in log space, restart on failure
 _DAMPING = 0.5            # frozen-drift marginal update
-_MASS_FLOOR_REL = 1e-12
 _KINETIC_REG = 1e-7       # relative floor added to the velocity denominator
 _UPDATE_FLOOR_REL = 1e-8  # cells below this fraction of the peak stay frozen
 _IPFP_MAX_OUTER = 120
@@ -68,7 +73,6 @@ _IPFP_TOL = 1e-9
 _SINKHORN_MAX_ITERS = 5000
 _SINKHORN_TOL = 1e-12
 _RESIDUAL_THRESHOLD_SCALE = 5e-2  # optimality threshold per unit of dx + dt
-_BULK_REL = 1e-3          # bulk cells carry this fraction of their slice peak
 
 
 @dataclass(frozen=True)
@@ -196,52 +200,78 @@ def _momentum_adjoint(gm: np.ndarray, dx: float, dt: float) -> np.ndarray:
 # Reported costs come from the corrector's cell quadrature (entropic_cost);
 # the two values differ by O(dx^2), which
 # test_bb_objective_second_order_in_cell_quadrature checks.
+#
+# The descent computes the edge terms of each point once, with _edge_terms:
+# _action turns a line-search candidate's terms into J, and an accepted
+# candidate carries its terms into _action_gradients and its logs into the
+# next velocity.  Each shared subexpression keeps the operations and their
+# order of the formula it came from, so the iterates do not move by roundoff.
 
 
-def _edge_terms(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg):
+class _EdgeTerms(NamedTuple):
+    """One point (mu, m) and the edge quantities its action is made of."""
+
+    mu: np.ndarray
+    m: np.ndarray
+    peak: np.ndarray     # slice maxima of mu, one column
+    log_mu: np.ndarray   # log mu, floored at LOG_FLOOR
+    mask: np.ndarray     # edges that carry mass
+    den: np.ndarray      # mollified edge density on the mask, 1 off it
+    mu_edge: np.ndarray
+    u: np.ndarray        # edge velocity, 0 off the mask
+
+
+def _edge_terms(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg) -> _EdgeTerms:
     # reg is an absolute mollifier, scalar or per-slice column, fixed by the
     # caller so the objective stays an exact function of (mu, m)
     peak = mu.max(axis=1, keepdims=True)
     mu_edge = 0.5 * (mu[:, :-1] + mu[:, 1:])
-    mask = mu_edge >= _MASS_FLOOR_REL * peak
-    den = mu_edge + reg
+    mask = mu_edge >= MASS_FLOOR_REL * peak
+    den = np.where(mask, mu_edge + reg, 1.0)
     log_mu = np.log(np.maximum(mu, LOG_FLOOR))
     score = (log_mu[:, 1:] - log_mu[:, :-1]) / ws.dx
     force = ws.pot.force(mu, ws.sgrid)
     force_edge = 0.5 * (force[:, :-1] + force[:, 1:])
-    u = np.where(mask, m[:, :-1] / np.where(mask, den, 1.0)
-                 + 0.5 * score + force_edge, 0.0)
-    return mask, den, mu_edge, u
+    u = np.where(mask, m[:, :-1] / den + 0.5 * score + force_edge, 0.0)
+    return _EdgeTerms(mu, m, peak, log_mu, mask, den, mu_edge, u)
+
+
+def _action(ws: _Workspace, t: _EdgeTerms) -> float:
+    slicewise = 0.5 * np.sum(t.u**2 * t.mu_edge, axis=1) * ws.dx
+    return float(np.sum(ws.tw * slicewise))
+
+
+def _action_gradients(ws: _Workspace, t: _EdgeTerms):
+    """Partial gradients (dJ/dmu, dJ/dm) at the point the terms were taken at."""
+    twdx = ws.tw[:, None] * ws.dx
+    rho = twdx * t.u * t.mu_edge
+    gm = np.zeros_like(t.m)
+    gm[:, :-1] = np.where(t.mask, rho / t.den, 0.0)
+    edge = 0.5 * (twdx * 0.5 * t.u**2
+                  - np.where(t.mask, rho * t.m[:, :-1] / t.den**2, 0.0))
+    gmu = np.zeros_like(t.mu)
+    gmu[:, :-1] += edge
+    gmu[:, 1:] += edge
+    half_rho = 0.5 * rho
+    score_flow = half_rho / ws.dx
+    safe = t.mu > 1e-100
+    inv_mu = np.where(safe, 1.0 / np.where(safe, t.mu, 1.0), 0.0)
+    gmu[:, :-1] -= score_flow * inv_mu[:, :-1]
+    gmu[:, 1:] += score_flow * inv_mu[:, 1:]
+    rho_cells = np.zeros_like(t.mu)
+    rho_cells[:, :-1] += half_rho
+    rho_cells[:, 1:] += half_rho
+    gmu += ws.pot.force_adjoint(rho_cells, ws.sgrid)
+    return gmu, gm
 
 
 def _edge_objective(ws: _Workspace, mu: np.ndarray, m: np.ndarray,
                     reg) -> float:
-    _, _, mu_edge, u = _edge_terms(ws, mu, m, reg)
-    slicewise = 0.5 * np.sum(u**2 * mu_edge, axis=1) * ws.dx
-    return float(np.sum(ws.tw * slicewise))
+    return _action(ws, _edge_terms(ws, mu, m, reg))
 
 
 def _edge_gradients(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg):
-    mask, den, mu_edge, u = _edge_terms(ws, mu, m, reg)
-    twdx = ws.tw[:, None] * ws.dx
-    rho = twdx * u * mu_edge
-    gm = np.zeros_like(m)
-    gm[:, :-1] = np.where(mask, rho / np.where(mask, den, 1.0), 0.0)
-    half_sq = twdx * 0.5 * u**2
-    mflux = np.where(mask, rho * m[:, :-1] / np.where(mask, den**2, 1.0), 0.0)
-    gmu = np.zeros_like(mu)
-    gmu[:, :-1] += 0.5 * (half_sq - mflux)
-    gmu[:, 1:] += 0.5 * (half_sq - mflux)
-    score_flow = 0.5 * rho / ws.dx
-    safe = mu > 1e-100
-    inv_mu = np.where(safe, 1.0 / np.where(safe, mu, 1.0), 0.0)
-    gmu[:, :-1] -= score_flow * inv_mu[:, :-1]
-    gmu[:, 1:] += score_flow * inv_mu[:, 1:]
-    rho_cells = np.zeros_like(mu)
-    rho_cells[:, :-1] += 0.5 * rho
-    rho_cells[:, 1:] += 0.5 * rho
-    gmu += ws.pot.force_adjoint(rho_cells, ws.sgrid)
-    return gmu, gm
+    return _action_gradients(ws, _edge_terms(ws, mu, m, reg))
 
 
 def _as_matrix(flow, m):
@@ -289,7 +319,7 @@ def bb_gradient(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential):
 
 
 def _effective_support(mu: Density) -> tuple:
-    idx = np.flatnonzero(mu.values >= _MASS_FLOOR_REL * mu.values.max())
+    idx = np.flatnonzero(mu.values >= MASS_FLOOR_REL * mu.values.max())
     return idx[0], idx[-1]
 
 
@@ -316,37 +346,51 @@ def _initial_flow(name: str, pot, mu_in, mu_fin, sgrid, tgrid) -> MarginalFlow:
     return mkv_pullback_flow(pot, mu_in, mu_fin, sgrid, tgrid)
 
 
+def _projected_gradient(ws: _Workspace, t: _EdgeTerms):
+    """Cells free to move, and the mirror gradient on them.
+
+    The gradient is zero on the pinned endpoints and on frozen cells, and
+    centred per slice so that a step keeps each slice's mass.
+    """
+    gmu, gm = _action_gradients(ws, t)
+    g = gmu + _momentum_adjoint(gm, ws.dx, ws.dt)
+    g[0] = 0.0
+    g[-1] = 0.0
+    movable = t.mu >= _UPDATE_FLOOR_REL * t.peak
+    g = np.where(movable, g, 0.0)
+    centered = g - (np.sum(g * t.mu, axis=1, keepdims=True) * ws.dx)
+    return movable, np.where(movable, centered, 0.0)
+
+
 def _descend(ws: _Workspace, flow0: MarginalFlow, config: SolverConfig):
     """Mirror (multiplicative) descent with heavy-ball momentum and restart.
 
     Cells below the update floor keep their initialization (their action
     contribution is below solver accuracy but their 1/mu stiffness would
     otherwise dominate the line search); every slice stays a probability
-    density by construction and the endpoints are pinned.
+    density by construction and the endpoints are pinned.  The edge terms
+    of each point are computed once, when the point is evaluated; those of
+    an accepted candidate give the next gradient.
     """
     mu = flow0.values.copy()
     dx, dt = ws.dx, ws.dt
     # mollifier frozen at the initialization's slice peaks
     reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
-    m = _momentum(mu, dx, dt)
-    J = _edge_objective(ws, mu, m, reg)
+    point = _edge_terms(ws, mu, _momentum(mu, dx, dt), reg)
+    J = _action(ws, point)
+    log_mu = point.log_mu
     eta = _ETA0
     velocity = np.zeros_like(mu)
     pg_norm = np.inf
     iterations = 0
     for iterations in range(1, config.max_outer + 1):
-        gmu, gm = _edge_gradients(ws, mu, m, reg)
-        g = gmu + _momentum_adjoint(gm, dx, dt)
-        g[0] = 0.0
-        g[-1] = 0.0
-        movable = mu >= _UPDATE_FLOOR_REL * mu.max(axis=1, keepdims=True)
-        g = np.where(movable, g, 0.0)
-        centered = g - (np.sum(g * mu, axis=1, keepdims=True) * dx)
-        centered = np.where(movable, centered, 0.0)
-        descent = float(np.sum(mu * centered**2))
-        pg_norm = float(np.sqrt(np.sum(ws.tw * np.sum(mu * centered**2, axis=1) * dx)))
+        movable, centered = _projected_gradient(ws, point)
+        weighted = mu * centered**2
+        descent = float(np.sum(weighted))
+        pg_norm = float(np.sqrt(np.sum(ws.tw * np.sum(weighted, axis=1) * dx)))
         if pg_norm <= _TOL_GRAD:
             return mu, J, pg_norm, iterations, "converged"
+        del point  # the line search reads only mu and log_mu
         accepted = False
         for attempt in range(_MAX_BACKTRACKS):
             step = np.where(movable, -eta * centered + _MOMENTUM * velocity, 0.0)
@@ -354,20 +398,15 @@ def _descend(ws: _Workspace, flow0: MarginalFlow, config: SolverConfig):
             cand[0] = mu[0]
             cand[-1] = mu[-1]
             cand /= cand.sum(axis=1, keepdims=True) * dx
-            m_cand = _momentum(cand, dx, dt)
-            J_cand = _edge_objective(ws, cand, m_cand, reg)
+            cand_point = _edge_terms(ws, cand, _momentum(cand, dx, dt), reg)
+            J_cand = _action(ws, cand_point)
             if J_cand <= J - _ARMIJO * eta * descent:
-                with np.errstate(divide="ignore"):
-                    velocity = np.where(
-                        movable,
-                        np.log(np.maximum(cand, LOG_FLOOR))
-                        - np.log(np.maximum(mu, LOG_FLOOR)),
-                        0.0,
-                    )
-                mu, m, J = cand, m_cand, J_cand
+                velocity = np.where(movable, cand_point.log_mu - log_mu, 0.0)
+                mu, log_mu, point, J = cand, cand_point.log_mu, cand_point, J_cand
                 eta = min(eta * _GROW, _ETA_MAX)
                 accepted = True
                 break
+            del cand_point  # rejected: free its terms before the next candidate
             eta *= _BACKTRACK
             if attempt == 15:
                 velocity[:] = 0.0  # momentum is hampering: restart the ball
@@ -516,7 +555,7 @@ def optimality_residual(sol: BridgeSolution,
     The time derivative is a forward difference of interior corrector slices,
     so the first-order endpoint reconstruction of the corrector never enters;
     the residual decays at first order under joint grid refinement.  The sup
-    is taken over the bulk set (cells above _BULK_REL of the slice peak).
+    is taken over the bulk set (cells above BULK_REL of the slice peak).
     """
     flow, psi = sol.flow, sol.corrector.values
     mu = flow.values
@@ -536,7 +575,7 @@ def optimality_residual(sol: BridgeSolution,
 
     live = np.zeros_like(mu, dtype=bool)
     live[1:-2, 1:-1] = True
-    bulk = live & (mu >= _BULK_REL * mu.max(axis=1, keepdims=True))
+    bulk = live & (mu >= BULK_REL * mu.max(axis=1, keepdims=True))
     sup_bulk = float(np.max(np.abs(residual[bulk]))) if bulk.any() else 0.0
     tw = flow.time_grid.trapezoid_weights
     l2 = float(np.sqrt(np.sum(tw[:, None] * (residual * bulk) ** 2 * mu * dx)))

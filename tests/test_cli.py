@@ -133,6 +133,8 @@ MALFORMED = {
     "weight-string": (("mu_in",), {"kind": "mixture", "components": [
         {"weight": "1", "mean": 0.0, "std": 1.0}]}, "weight"),
     # narrow enough to pass H2 when its values are numbers
+    "name-null": (("name",), None, "name"),
+    "name-list": (("name",), [1], "name"),
     "histogram-strings": (("mu_fin",), {"kind": "histogram",
                                         "values": ["0"] * 30 + ["1"] * 4 + ["0"] * 30},
                           "histogram value"),
@@ -395,7 +397,7 @@ def test_cli_verify_solves_each_bridge_once_on_demand(tmp_path, monkeypatch,
     assert ("solver" in report["environment"]) == (solves > 0)
 
 
-@pytest.mark.parametrize("mu_fin, mkv_flows", [("mkv-endpoint", 2),
+@pytest.mark.parametrize("mu_fin, mkv_flows", [("mkv-endpoint", 1),
                                                ("equilibrium", 1)])
 def test_scenario_inputs_are_resolved_once(tmp_path, monkeypatch, mu_fin, mkv_flows):
     from mfsb import scenario, verify
@@ -419,9 +421,9 @@ def test_scenario_inputs_are_resolved_once(tmp_path, monkeypatch, mu_fin, mkv_fl
     # number of evaluations matters here
     assert cli.run(sc, "verify", tmp_path / "v") in (cli.EXIT_OK,
                                                       cli.EXIT_CHECK_FAILED)
-    # the loader resolves mu_fin and the equilibrium gate once, mkv-distance
-    # evolves the MKV flow once, and the free-energy gauge solves its own
-    # equilibrium at the bridge's initial mean
+    # the loader resolves mu_fin and the equilibrium gate once, the MKV flow
+    # is evolved once (an mkv-endpoint and mkv-distance share it), and the
+    # free-energy gauge solves its own equilibrium at the bridge's initial mean
     assert calls == {"mkv_flow": mkv_flows, "equilibrium": 2}
 
 

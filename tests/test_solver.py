@@ -20,12 +20,18 @@ from mfsb import (
     velocity_from_flow,
     wasserstein1,
 )
+from mfsb import solver
+from mfsb.grids import LOG_FLOOR, MASS_FLOOR_REL
 from mfsb.solver import (
     _KINETIC_REG,
     _Workspace,
+    _action,
+    _action_gradients,
+    _descend,
     _edge_gradients,
-    _edge_objective,
+    _edge_terms,
     _momentum,
+    _projected_gradient,
     heat_interpolation_flow,
 )
 from oracles import ipfp_cost
@@ -95,21 +101,26 @@ def test_bb_objective_continuity_guard(small, pot_zero):
 # --------------------------------------------------------------- gradient
 
 
-@pytest.mark.parametrize("kind", ["zero", "quadratic", "gaussian-well"])
+KERNELS = {
+    "zero": InteractionPotential.zero(),
+    "quadratic": InteractionPotential.quadratic(0.7),
+    "gaussian-well": InteractionPotential.gaussian_well(1.0, 1.2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
 def test_bb_gradient_matches_finite_differences(small, kind):
-    pot = {
-        "zero": InteractionPotential.zero(),
-        "quadratic": InteractionPotential.quadratic(0.7),
-        "gaussian-well": InteractionPotential.gaussian_well(1.0, 1.2),
-    }[kind]
+    pot = KERNELS[kind]
     grid, tg, mu0, mu1 = small
     flow, m = _admissible_pair(grid, tg, mu0, mu1)
     mu = flow.values
     gmu, gm = bb_gradient(flow, m, pot)
-    # the same action with the mollifier the descent adds
+    # the same action with the mollifier the descent adds, through the
+    # entry points the descent calls: _edge_terms once per point, then
+    # _action for J and _action_gradients for its gradient
     ws = _Workspace(pot, grid, tg)
     reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
-    egmu, egm = _edge_gradients(ws, mu, m, reg)
+    egmu, egm = _action_gradients(ws, _edge_terms(ws, mu, m, reg))
     rng = np.random.default_rng(3)
     h = 1e-6
     for _ in range(20):
@@ -128,11 +139,87 @@ def test_bb_gradient_matches_finite_differences(small, kind):
         fd = (plus - minus) / (2 * h)
         analytic = float(np.sum(gmu * dmu) + np.sum(gm * dm))
         assert abs(fd - analytic) <= 1e-5 * max(abs(fd), 1e-12)
-        plus = _edge_objective(ws, mu + h * dmu, m + h * dm, reg)
-        minus = _edge_objective(ws, mu - h * dmu, m - h * dm, reg)
+        plus = _action(ws, _edge_terms(ws, mu + h * dmu, m + h * dm, reg))
+        minus = _action(ws, _edge_terms(ws, mu - h * dmu, m - h * dm, reg))
         fd = (plus - minus) / (2 * h)
         analytic = float(np.sum(egmu * dmu) + np.sum(egm * dm))
         assert abs(fd - analytic) <= 1e-5 * max(abs(fd), 1e-12)
+
+
+def _unfused_edge_gradients(ws, mu, m, reg):
+    """The edge gradient with every subexpression computed where it is used."""
+    peak = mu.max(axis=1, keepdims=True)
+    mu_edge = 0.5 * (mu[:, :-1] + mu[:, 1:])
+    mask = mu_edge >= MASS_FLOOR_REL * peak
+    den = mu_edge + reg
+    log_mu = np.log(np.maximum(mu, LOG_FLOOR))
+    score = (log_mu[:, 1:] - log_mu[:, :-1]) / ws.dx
+    force = ws.pot.force(mu, ws.sgrid)
+    force_edge = 0.5 * (force[:, :-1] + force[:, 1:])
+    u = np.where(mask, m[:, :-1] / np.where(mask, den, 1.0)
+                 + 0.5 * score + force_edge, 0.0)
+    twdx = ws.tw[:, None] * ws.dx
+    rho = twdx * u * mu_edge
+    gm = np.zeros_like(m)
+    gm[:, :-1] = np.where(mask, rho / np.where(mask, den, 1.0), 0.0)
+    half_sq = twdx * 0.5 * u**2
+    mflux = np.where(mask, rho * m[:, :-1] / np.where(mask, den**2, 1.0), 0.0)
+    gmu = np.zeros_like(mu)
+    gmu[:, :-1] += 0.5 * (half_sq - mflux)
+    gmu[:, 1:] += 0.5 * (half_sq - mflux)
+    score_flow = 0.5 * rho / ws.dx
+    safe = mu > 1e-100
+    inv_mu = np.where(safe, 1.0 / np.where(safe, mu, 1.0), 0.0)
+    gmu[:, :-1] -= score_flow * inv_mu[:, :-1]
+    gmu[:, 1:] += score_flow * inv_mu[:, 1:]
+    rho_cells = np.zeros_like(mu)
+    rho_cells[:, :-1] += 0.5 * rho
+    rho_cells[:, 1:] += 0.5 * rho
+    gmu += ws.pot.force_adjoint(rho_cells, ws.sgrid)
+    return gmu, gm
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_gradient_from_carried_terms_is_bitwise_the_recomputed_one(small, kind):
+    pot = KERNELS[kind]
+    grid, tg, mu0, mu1 = small
+    ws = _Workspace(pot, grid, tg)
+    mu = heat_interpolation_flow(mu0, mu1, grid, tg).values
+    reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
+    # one line-search candidate, formed and evaluated as the descent does
+    movable, centered = _projected_gradient(
+        ws, _edge_terms(ws, mu, _momentum(mu, grid.dx, tg.dt), reg))
+    cand = mu * np.exp(np.clip(np.where(movable, -0.5 * centered, 0.0), -50.0, 50.0))
+    cand[0], cand[-1] = mu[0], mu[-1]
+    cand /= cand.sum(axis=1, keepdims=True) * grid.dx
+    carried = _edge_terms(ws, cand, _momentum(cand, grid.dx, tg.dt), reg)
+    assert np.isfinite(_action(ws, carried))
+    gmu, gm = _action_gradients(ws, carried)
+    fresh = cand.copy()
+    m_fresh = _momentum(fresh, grid.dx, tg.dt)
+    for reference in (_edge_gradients(ws, fresh, m_fresh, reg),
+                      _unfused_edge_gradients(ws, fresh, m_fresh, reg)):
+        assert np.array_equal(gmu, reference[0])
+        assert np.array_equal(gm, reference[1])
+
+
+def test_descent_evaluates_each_point_once(small, monkeypatch):
+    grid, tg, mu0, mu1 = small
+    counts = {"_edge_terms": 0, "_momentum": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(solver, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(solver, name, counted)
+    flow0 = heat_interpolation_flow(mu0, mu1, grid, tg)
+    ws = _Workspace(InteractionPotential.quadratic(0.7), grid, tg)
+    *_, iterations, status = _descend(ws, flow0, SolverConfig())
+    assert status == "converged" and iterations > 1
+    # _momentum runs for the start and for each line-search candidate, so
+    # every objective evaluation makes one _edge_terms call and no gradient
+    # makes another
+    assert counts["_momentum"] >= iterations
+    assert counts["_edge_terms"] == counts["_momentum"]
 
 
 def test_bb_gradient_vanishes_at_equilibrium(grid256, pot_quad05, eq05):
