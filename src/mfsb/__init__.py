@@ -61,7 +61,6 @@ from .dynamics import (
     PathEnsemble,
     mkv_flow,
     noise_ensemble,
-    reference_flow,
     simulate_particles,
     tanaka_theta,
 )

@@ -9,7 +9,9 @@ a*(1 - exp(-z^2/2s^2)) (bounded Hessian, not convex).
 density or a stack of density rows and are direct double sums over pairwise
 tables of w, dw and d2w; at the grid sizes used here that is cheap and
 avoids periodic wrap-around artifacts on the truncated domain.  ``drift``
-is the empirical particle counterpart of ``force``.
+is the empirical particle counterpart of ``force``: the self-interaction of
+one particle cloud, with each pair's W' evaluated once in cache-sized row
+blocks, since W' is odd.
 
 To add a potential, write one subclass that supplies ``w``, ``dw``, ``d2w``
 and ``to_spec``, plus a constructor and its ``from_spec`` entry.  Closed
@@ -111,9 +113,21 @@ class InteractionPotential:
         weights = mu * grid.dx
         return psi * (weights @ k.T) - (psi * weights) @ k.T
 
-    def drift(self, x: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-        """Empirical drift -(1/N) sum_j W'(x_i - cloud_j) at each x_i."""
-        return -self.dw(x[:, None] - cloud[None, :]).mean(axis=1)
+    def drift(self, x: np.ndarray, block: int) -> np.ndarray:
+        """Empirical drift -(1/N) sum_j W'(x_i - x_j) of the cloud x on itself.
+
+        Row block [lo, hi) evaluates W' once on x[lo:hi] - x[lo:]: its row
+        sums go to rows lo:hi and, W' being odd, its column sums past hi are
+        subtracted from rows hi:.
+        """
+        total = np.zeros_like(x)
+        for lo in range(0, x.size, block):
+            hi = min(lo + block, x.size)
+            pairs = self.dw(x[lo:hi, None] - x[None, lo:])
+            total[lo:hi] += pairs.sum(axis=1)
+            total[hi:] -= pairs[:, hi - lo:].sum(axis=0)
+        total *= -1.0 / x.size
+        return total
 
 
 class _Quadratic(InteractionPotential):
@@ -153,8 +167,8 @@ class _Quadratic(InteractionPotential):
         return self.kappa * (psi - np.sum(psi * (mu * grid.dx), axis=-1,
                                                 keepdims=True))
 
-    def drift(self, x, cloud):
-        return -self.kappa * (x - cloud.mean())
+    def drift(self, x, block):
+        return -self.kappa * (x - x.mean())
 
 
 class _GaussianWell(InteractionPotential):
@@ -170,9 +184,15 @@ class _GaussianWell(InteractionPotential):
         return a * (1.0 - np.exp(-(z**2) / (2.0 * s**2)))
 
     def dw(self, z):
+        # in place in one buffer: the particle drift calls this on every block
         z = np.asarray(z, dtype=float)
         a, s = self.params
-        return (a / s**2) * z * np.exp(-(z**2) / (2.0 * s**2))
+        t = np.multiply(z, z, out=np.empty_like(z))  # an array even for 0-d z
+        t *= -0.5 / s**2
+        np.exp(t, out=t)
+        t *= z
+        t *= a / s**2
+        return t
 
     def d2w(self, z):
         z = np.asarray(z, dtype=float)

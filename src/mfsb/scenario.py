@@ -23,6 +23,11 @@ from .verify import CHECKS
 
 BOUNDARY_MASS_GATE = 1e-10
 MEAN_MATCH_TOL = 1e-6
+# Largest hess_sup*dt a particle check accepts.  Up to 1, the linearized Euler
+# step does not expand along the drift's pair Laplacian, whose eigenvalues are
+# at most 2*hess_sup.  On the shipped gaussian-well particle setup, theta
+# passed up to hess_sup*dt = 2.5 and first failed at 4.
+PARTICLE_STEP_LIMIT = 1.0
 
 
 @dataclass
@@ -168,6 +173,14 @@ def _validate_hypotheses(sc: Scenario):
         raise HypothesisViolation("H1", "potential is not symmetric")
     if np.any(pot.d2w(z) > pot.hess_sup + 1e-9):
         raise HypothesisViolation("H1", "Hessian exceeds its declared upper bound")
+    assumed = {name: CHECKS[name][0] for name in sc.checks}
+    stepped = sorted(name for name, a in assumed.items() if a == "particle-step")
+    step = pot.hess_sup * sc.time_grid.dt
+    if stepped and step > PARTICLE_STEP_LIMIT:
+        raise HypothesisViolation(
+            "H1", f"checks {stepped} need hess_sup·dt <= {PARTICLE_STEP_LIMIT:g} "
+            f"for a stable particle step, got {step:.3g}; raise time.n_steps"
+        )
 
     # H2: admissible endpoints with controlled domain truncation.
     try:
@@ -184,7 +197,6 @@ def _validate_hypotheses(sc: Scenario):
         if not np.isfinite(mu.entropy()):
             raise HypothesisViolation("H2", f"{name} density has infinite entropy")
 
-    assumed = {name: CHECKS[name][0] for name in sc.checks}
     needs_convexity = {name for name, a in assumed.items() if a == "convexity"}
     if needs_convexity and pot.kappa <= 0:
         raise HypothesisViolation(

@@ -459,7 +459,8 @@ def check_mean_linearity(sol: BridgeSolution) -> CheckEntry:
 
 
 # Every check `mfsb verify` runs: what it assumes beyond H1/H2 ("convexity" is
-# H3 and H4, "classical-limit" is H4 when kappa > 0), and its entries on a run,
+# H3 and H4, "classical-limit" is H4 when kappa > 0, "particle-step" bounds
+# hess_sup*dt), and its entries on a run,
 # which computes sol, sol_reverse, sol_double, residual, gauge, mkv and
 # ensemble on first use.  Check functions are looked up by name at call time.
 CHECKS = {
@@ -479,7 +480,7 @@ CHECKS = {
         r.sol, r.pot, r.gauge, r.mkv, strict_w2=r.strict_w2)]),
     "corrector-bounds": ("classical-limit", lambda r: check_corrector_bounds(r.sol, r.pot)),
     "time-reversal": (None, lambda r: [check_time_reversal(r.sol, r.sol_reverse, r.pot)]),
-    "theta": (None, lambda r: [check_theta(r.pot, r.ensemble)]),
+    "theta": ("particle-step", lambda r: [check_theta(r.pot, r.ensemble)]),
     "mean-linearity": (None, lambda r: [check_mean_linearity(r.sol)]),
     "optimality": (None, lambda r: [CheckEntry(
         "optimality", r.residual.l2_weighted, r.residual.threshold, 0.0,

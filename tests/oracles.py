@@ -101,3 +101,19 @@ def mkv_gaussian_variance(kappa: float, v0: float, t: float) -> float:
     """Variance flow of the self-interacting diffusion from a Gaussian start."""
     v_inf = 1.0 / (2.0 * kappa)
     return v_inf + (v0 - v_inf) * np.exp(-2.0 * kappa * t)
+
+
+def kernel_derivative(spec: dict):
+    """W' of a potential spec, written out from its closed form."""
+    if spec["kind"] == "zero":
+        return lambda z: 0.0 * z
+    if spec["kind"] == "quadratic":
+        return lambda z: spec["kappa"] * z
+    a, s = spec["amplitude"], spec["width"]  # W(z) = a (1 - exp(-z^2 / 2 s^2))
+    return lambda z: a * z / s**2 * np.exp(-z**2 / (2.0 * s**2))
+
+
+def dense_drift(spec: dict, x: np.ndarray) -> np.ndarray:
+    """-(1/N) sum_j W'(x_i - x_j), summed over every ordered pair (i, j)."""
+    dw = kernel_derivative(spec)
+    return np.array([-sum(dw(xi - xj) for xj in x) for xi in x]) / x.size

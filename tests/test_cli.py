@@ -25,6 +25,7 @@ from mfsb import (
 )
 from mfsb import cli
 from mfsb.flowio import FLOW_MAGIC
+from mfsb.scenario import PARTICLE_STEP_LIMIT
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -216,6 +217,34 @@ def test_h2_violation_on_boundary_mass(tmp_path):
     with pytest.raises(HypothesisViolation) as err:
         load_scenario(_write(tmp_path, doc))
     assert err.value.hypothesis == "H2"
+
+
+def _stiff_particles(amplitude, width):
+    doc = json.loads((SCENARIOS / "gaussian_well_particles.json").read_text())
+    doc["potential"] = {"kind": "gaussian-well", "amplitude": amplitude, "width": width}
+    return doc
+
+
+def test_stiff_well_rejected_before_particles(tmp_path, capsys, monkeypatch):
+    # hess_sup*dt = 1e10/128: unguarded, theta would miss 5e-10 (exit 1), not exit 2
+    monkeypatch.setattr(cli, "simulate_particles", None)  # must not be reached
+    scenario = _write(tmp_path, _stiff_particles(1e6, 0.01))
+    rc = cli.main(["verify", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "H1" in err and "hess_sup·dt <= 1" in err and "['theta']" in err
+
+
+def test_particle_step_guard_edge():
+    dt = 1.0 / 128  # the shipped particle scenario's step
+    at_limit = _stiff_particles(PARTICLE_STEP_LIMIT / dt, 1.0)
+    assert scenario_from_dict(at_limit).potential.hess_sup * dt == PARTICLE_STEP_LIMIT
+    with pytest.raises(HypothesisViolation) as err:
+        scenario_from_dict(_stiff_particles(1.01 * PARTICLE_STEP_LIMIT / dt, 1.0))
+    assert err.value.hypothesis == "H1"
+    # a bridge check does not step particles, so the same well is admitted
+    bridge_only = dict(_stiff_particles(1e6, 0.01), checks=["mean-linearity"])
+    assert scenario_from_dict(bridge_only).checks == ("mean-linearity",)
 
 
 def test_mean_shift_without_kappa_checks_is_fine():

@@ -1,5 +1,8 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfsb import (
     CFLViolation,
@@ -11,13 +14,14 @@ from mfsb import (
     mkv_flow,
     noise_ensemble,
     path_distance,
-    reference_flow,
     relative_free_energy,
     simulate_particles,
     tanaka_theta,
     wasserstein1,
 )
-from oracles import empirical_density_w1, mkv_gaussian_variance
+from mfsb.dynamics import interaction_drift
+from oracles import (dense_drift, empirical_density_w1, kernel_derivative,
+                     mkv_gaussian_variance)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +30,34 @@ def tg():
 
 
 # ------------------------------------------------------------- particle system
+
+
+KERNELS = [{"kind": "zero"}, {"kind": "quadratic", "kappa": 0.7},
+           {"kind": "gaussian-well", "amplitude": 1.3, "width": 0.4}]
+BLOCK = inspect.signature(interaction_drift).parameters["chunk"].default
+
+
+@pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s["kind"])
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 600])
+def test_interaction_drift_matches_dense_pair_sum(spec, n):
+    pot = InteractionPotential.from_spec(spec)
+    x = np.random.default_rng(n).normal(0.0, 1.5, n)
+    expected = dense_drift(spec, x)
+    for chunk in (1, 7, BLOCK - 1, BLOCK, n + 5):
+        assert np.allclose(interaction_drift(pot, x, chunk=chunk), expected,
+                           rtol=0, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNELS),
+       st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=150),
+       st.integers(1, 200))
+def test_interaction_drift_pairs_cancel(spec, x, chunk):
+    # W' is odd, so each pair adds opposite amounts to its two particles
+    x = np.array(x)
+    drift = interaction_drift(InteractionPotential.from_spec(spec), x, chunk=chunk)
+    scale = np.max(np.abs(kernel_derivative(spec)(x[:, None] - x[None, :])))
+    assert abs(drift.sum()) <= 8 * x.size * np.finfo(float).eps * max(scale, 1.0)
 
 
 def test_free_particles_diffuse(grid256, pot_zero, std_gaussian, tg):
@@ -160,28 +192,6 @@ def test_mkv_dissipates_free_energy(grid256, pot_quad05):
 def test_mkv_drift_resolution_guard(grid256, pot_quad05, std_gaussian):
     with pytest.raises(CFLViolation):
         mkv_flow(pot_quad05, std_gaussian, TimeGrid(8.0, 4))
-
-
-def test_reference_flow_fixed_point(grid256, pot_quad05):
-    mu0 = density_from_spec(grid256, {"kind": "gaussian", "mean": 0.3, "std": 0.9})
-    tg8 = TimeGrid(2.0, 64)
-    flow = mkv_flow(pot_quad05, mu0, tg8)
-    replay = reference_flow(pot_quad05, flow, mu0)
-    assert np.max(np.abs(replay.values - flow.values)) <= 1e-8
-
-
-def test_reference_flow_stationary_frozen(grid256, pot_quad05, eq05):
-    tg8 = TimeGrid(2.0, 64)
-    frozen = mkv_flow(pot_quad05, eq05.density, tg8)
-    replay = reference_flow(pot_quad05, frozen, eq05.density)
-    assert wasserstein1(replay.density(64), eq05.density) <= 1e-6
-
-
-def test_reference_flow_heat_regardless_of_frozen(grid256, pot_zero, std_gaussian, eq05):
-    tg8 = TimeGrid(1.0, 64)
-    frozen = mkv_flow(pot_zero, eq05.density, tg8)
-    replay = reference_flow(pot_zero, frozen, std_gaussian)
-    assert replay.density(64).variance() == pytest.approx(2.0, abs=1e-2)
 
 
 def test_propagation_of_chaos_rate(grid256, pot_quad05, std_gaussian):

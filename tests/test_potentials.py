@@ -23,6 +23,7 @@ def test_symmetry_and_hessian_bounds():
                 InteractionPotential.gaussian_well(1.3, 0.9)):
         assert np.allclose(pot.w(z), pot.w(-z))
         assert np.all(pot.d2w(z) <= pot.hess_sup + 1e-12)
+        assert pot.dw(0.5) == -pot.dw(-0.5)  # W' is odd, also at a scalar
     quad = InteractionPotential.quadratic(0.7)
     assert quad.kappa == quad.hess_sup == 0.7
     assert np.allclose(quad.d2w(z), 0.7)
