@@ -12,8 +12,11 @@ Updates are multiplicative (mirror) gradient steps with backtracking, which
 keeps every slice a probability density and tames the 1/mu stiffness of the
 score term.  The edge terms of each point are computed once: the line search
 evaluates a candidate's action from them, and an accepted candidate carries
-them into the next gradient.  bb_objective and bb_gradient expose this same
-action.
+them into the next gradient.  Each solve's descent runs in one set of
+buffers, allocated when it starts, with ufunc passes that write into them,
+and its iterates are bitwise those of the same formulas on fresh
+temporaries.  bb_objective and
+bb_gradient expose this same action, through the same kernels.
 
 Reported costs come from the corrector's cell quadrature (entropic_cost),
 not from J; the two differ by O(dx^2), which
@@ -28,7 +31,6 @@ of the optimality system), which is exactly why it is kept as a diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -162,33 +164,59 @@ def mkv_pullback_flow(pot: InteractionPotential, mu_in: Density, mu_fin: Density
 # discrete action and exact gradient
 
 
-class _Workspace:
-    """Per-solve cache: quadrature weights and grid scalars."""
+class _Buffers:
+    """Every array one descent writes into, allocated once per descent.
+
+    An edge array has the shape of a stack of slices: column j < n-1 holds
+    the edge between cells j and j+1, so each edge pass is one contiguous
+    pass over the flattened arrays, pairing element k with element k+1.
+    Column n-1 pairs the last cell of a slice with the first of the next; it
+    is held off the mask, where u, and with it every edge term that enters a
+    sum over cells, is exactly zero.  Row sums over edges read columns
+    0..n-2 only, so each adds the same numbers in the same order as a sum
+    over a separate edge array.
+    """
 
     def __init__(self, pot: InteractionPotential, sgrid: SpatialGrid,
                  tgrid: TimeGrid):
+        shape = (tgrid.n_steps + 1, sgrid.n_cells)
         self.pot = pot
         self.sgrid = sgrid
         self.dx = sgrid.dx
         self.dt = tgrid.dt
         self.tw = tgrid.trapezoid_weights
+        self.twdx = self.tw[:, None] * self.dx
+        self.twdx_half = self.twdx * 0.5
+        # edge terms of the last point evaluated
+        self.peak = np.zeros((shape[0], 1))
+        self.light = np.zeros(shape, dtype=bool)  # edges without mass
+        self.mu_edge = np.zeros(shape)
+        self.den = np.zeros(shape)       # mollified edge density, 1 off the mask
+        self.u = np.zeros(shape)         # edge velocity, 0 off the mask
+        # the descent direction and its domain
+        self.immovable = np.zeros(shape, dtype=bool)
+        self.centered = np.zeros(shape)
+        self.safe = np.zeros(shape, dtype=bool)
+        self.scratch = tuple(np.zeros(shape) for _ in range(6))
 
 
-def _momentum(mu: np.ndarray, dx: float, dt: float) -> np.ndarray:
-    return np.cumsum(-time_derivative(mu, dt), axis=1) * dx
+def _shifted(a: np.ndarray):
+    """(a[k], a[k+1]) over the flattened array: the pairs of an edge pass."""
+    flat = a.reshape(-1)
+    return flat[:-1], flat[1:]
 
 
-def _momentum_adjoint(gm: np.ndarray, dx: float, dt: float) -> np.ndarray:
-    """Adjoint of mu -> momentum(mu), mapping dJ/dm into a dJ/dmu contribution."""
-    q = np.cumsum(gm[:, ::-1], axis=1)[:, ::-1] * dx
-    r = -q
-    out = np.zeros_like(gm)
-    out[2:] += r[1:-1] / (2.0 * dt)
-    out[:-2] -= r[1:-1] / (2.0 * dt)
-    out[1] += r[0] / dt
-    out[0] -= r[0] / dt
-    out[-1] += r[-1] / dt
-    out[-2] -= r[-1] / dt
+def _momentum(ws: _Buffers, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Momentum slaved to mu, the divergence inversion of -d(mu)/dt, into out."""
+    ddt = ws.scratch[0]  # -d(mu)/dt, each difference taken in reverse order
+    np.subtract(mu[:-2], mu[2:], out=ddt[1:-1])
+    ddt[1:-1] /= 2.0 * ws.dt
+    np.subtract(mu[0], mu[1], out=ddt[0])
+    np.subtract(mu[-2], mu[-1], out=ddt[-1])
+    ddt[0] /= ws.dt
+    ddt[-1] /= ws.dt
+    np.cumsum(ddt, axis=1, out=out)
+    out *= ws.dx
     return out
 
 
@@ -201,77 +229,93 @@ def _momentum_adjoint(gm: np.ndarray, dx: float, dt: float) -> np.ndarray:
 # the two values differ by O(dx^2), which
 # test_bb_objective_second_order_in_cell_quadrature checks.
 #
-# The descent computes the edge terms of each point once, with _edge_terms:
-# _action turns a line-search candidate's terms into J, and an accepted
-# candidate carries its terms into _action_gradients and its logs into the
-# next velocity.  Each shared subexpression keeps the operations and their
-# order of the formula it came from, so the iterates do not move by roundoff.
+# _edge_terms evaluates one point into the buffers: _action turns the terms
+# into J, and _action_gradients into the partial gradients at that point.
+# Each pass keeps the operations, their operands' order and the numbers
+# each row sum sees of the formula it implements, so the iterates are
+# bitwise those of the same formulas on fresh temporaries
+# (tests/oracles.py, reference_descend).
 
 
-class _EdgeTerms(NamedTuple):
-    """One point (mu, m) and the edge quantities its action is made of."""
+def _edge_terms(ws: _Buffers, mu: np.ndarray, m: np.ndarray, reg,
+                log_mu: np.ndarray) -> None:
+    """Edge terms of the point (mu, m) into ws, and log mu into log_mu.
 
-    mu: np.ndarray
-    m: np.ndarray
-    peak: np.ndarray     # slice maxima of mu, one column
-    log_mu: np.ndarray   # log mu, floored at LOG_FLOOR
-    mask: np.ndarray     # edges that carry mass
-    den: np.ndarray      # mollified edge density on the mask, 1 off it
-    mu_edge: np.ndarray
-    u: np.ndarray        # edge velocity, 0 off the mask
+    reg is an absolute mollifier, scalar or per-slice column, fixed by the
+    caller so the objective stays an exact function of (mu, m).
+    """
+    left, right = _shifted(mu)
+    mu_edge = ws.mu_edge
+    np.add(left, right, out=_shifted(mu_edge)[0])
+    mu_edge *= 0.5
+    np.max(mu, axis=1, keepdims=True, out=ws.peak)
+    np.less(mu_edge, MASS_FLOOR_REL * ws.peak, out=ws.light)
+    ws.light[:, -1] = True
+    np.add(mu_edge, reg, out=ws.den)
+    np.copyto(ws.den, 1.0, where=ws.light)
+    np.maximum(mu, LOG_FLOOR, out=log_mu)
+    np.log(log_mu, out=log_mu)
+    # u = m / den + 0.5 * score + force_edge on the mask, 0 off it
+    u, half = ws.u, ws.scratch[1]
+    half_flat = _shifted(half)[0]
+    log_left, log_right = _shifted(log_mu)
+    np.subtract(log_right, log_left, out=half_flat)
+    half_flat /= ws.dx
+    half_flat *= 0.5
+    np.divide(m, ws.den, out=u)
+    u += half
+    np.add(*_shifted(ws.pot.force(mu, ws.sgrid)), out=half_flat)
+    half_flat *= 0.5
+    u += half
+    np.copyto(u, 0.0, where=ws.light)
 
 
-def _edge_terms(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg) -> _EdgeTerms:
-    # reg is an absolute mollifier, scalar or per-slice column, fixed by the
-    # caller so the objective stays an exact function of (mu, m)
-    peak = mu.max(axis=1, keepdims=True)
-    mu_edge = 0.5 * (mu[:, :-1] + mu[:, 1:])
-    mask = mu_edge >= MASS_FLOOR_REL * peak
-    den = np.where(mask, mu_edge + reg, 1.0)
-    log_mu = np.log(np.maximum(mu, LOG_FLOOR))
-    score = (log_mu[:, 1:] - log_mu[:, :-1]) / ws.dx
-    force = ws.pot.force(mu, ws.sgrid)
-    force_edge = 0.5 * (force[:, :-1] + force[:, 1:])
-    u = np.where(mask, m[:, :-1] / den + 0.5 * score + force_edge, 0.0)
-    return _EdgeTerms(mu, m, peak, log_mu, mask, den, mu_edge, u)
-
-
-def _action(ws: _Workspace, t: _EdgeTerms) -> float:
-    slicewise = 0.5 * np.sum(t.u**2 * t.mu_edge, axis=1) * ws.dx
+def _action(ws: _Buffers) -> float:
+    """J of the point last evaluated by _edge_terms."""
+    w = ws.scratch[1]
+    np.multiply(ws.u, ws.u, out=w)
+    w *= ws.mu_edge
+    slicewise = 0.5 * np.sum(w[:, :-1], axis=1) * ws.dx
     return float(np.sum(ws.tw * slicewise))
 
 
-def _action_gradients(ws: _Workspace, t: _EdgeTerms):
-    """Partial gradients (dJ/dmu, dJ/dm) at the point the terms were taken at."""
-    twdx = ws.tw[:, None] * ws.dx
-    rho = twdx * t.u * t.mu_edge
-    gm = np.zeros_like(t.m)
-    gm[:, :-1] = np.where(t.mask, rho / t.den, 0.0)
-    edge = 0.5 * (twdx * 0.5 * t.u**2
-                  - np.where(t.mask, rho * t.m[:, :-1] / t.den**2, 0.0))
-    gmu = np.zeros_like(t.mu)
-    gmu[:, :-1] += edge
-    gmu[:, 1:] += edge
-    half_rho = 0.5 * rho
-    score_flow = half_rho / ws.dx
-    safe = t.mu > 1e-100
-    inv_mu = np.where(safe, 1.0 / np.where(safe, t.mu, 1.0), 0.0)
-    gmu[:, :-1] -= score_flow * inv_mu[:, :-1]
-    gmu[:, 1:] += score_flow * inv_mu[:, 1:]
-    rho_cells = np.zeros_like(t.mu)
-    rho_cells[:, :-1] += half_rho
-    rho_cells[:, 1:] += half_rho
-    gmu += ws.pot.force_adjoint(rho_cells, ws.sgrid)
+def _to_cells(edge: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each edge's value added into its two cells: edge[j] + edge[j-1]."""
+    left, right = _shifted(edge)
+    np.add(right, left, out=_shifted(out)[1])
+    out[0, 0] = edge[0, 0]
+    return out
+
+
+def _action_gradients(ws: _Buffers, mu: np.ndarray, m: np.ndarray):
+    """Partial gradients (dJ/dmu, dJ/dm) at the point (mu, m) that the terms
+    in ws were taken at, as two of ws's scratch arrays."""
+    rho, gm, edge, flux, prod, gmu = ws.scratch
+    np.multiply(ws.u, ws.twdx, out=rho)
+    rho *= ws.mu_edge
+    np.divide(rho, ws.den, out=gm)
+    np.multiply(ws.u, ws.u, out=edge)
+    edge *= ws.twdx_half
+    np.multiply(rho, m, out=flux)
+    np.multiply(ws.den, ws.den, out=prod)
+    flux /= prod
+    edge -= flux
+    edge *= 0.5
+    _to_cells(edge, gmu)
+    # the score's flow through each edge, against 1/mu of its two cells
+    half_rho, score_flow, inv_mu = rho, edge, flux
+    half_rho *= 0.5
+    np.divide(half_rho, ws.dx, out=score_flow)
+    np.greater(mu, 1e-100, out=ws.safe)
+    inv_mu.fill(0.0)
+    np.divide(1.0, mu, out=inv_mu, where=ws.safe)
+    np.multiply(score_flow, inv_mu, out=prod)
+    gmu -= prod
+    gmu_right, prod_right = _shifted(gmu)[1], _shifted(prod)[1]
+    np.multiply(_shifted(score_flow)[0], _shifted(inv_mu)[1], out=prod_right)
+    gmu_right += prod_right
+    gmu += ws.pot.force_adjoint(_to_cells(half_rho, prod), ws.sgrid)
     return gmu, gm
-
-
-def _edge_objective(ws: _Workspace, mu: np.ndarray, m: np.ndarray,
-                    reg) -> float:
-    return _action(ws, _edge_terms(ws, mu, m, reg))
-
-
-def _edge_gradients(ws: _Workspace, mu: np.ndarray, m: np.ndarray, reg):
-    return _action_gradients(ws, _edge_terms(ws, mu, m, reg))
 
 
 def _as_matrix(flow, m):
@@ -280,6 +324,13 @@ def _as_matrix(flow, m):
     if m.shape != mu.shape:
         raise ValueError("flow and momentum shapes differ")
     return mu, m
+
+
+def _evaluated(pot: InteractionPotential, flow: MarginalFlow, mu, m) -> _Buffers:
+    """Fresh buffers holding the unmollified edge terms of (mu, m)."""
+    ws = _Buffers(pot, flow.grid, flow.time_grid)
+    _edge_terms(ws, mu, m, 0.0, np.empty_like(mu))
+    return ws
 
 
 def bb_objective(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *,
@@ -293,14 +344,13 @@ def bb_objective(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *
     continuity equation.
     """
     mu, m = _as_matrix(flow, m)
-    ws = _Workspace(pot, flow.grid, flow.time_grid)
-    residual = time_derivative(mu, ws.dt) + divergence(m, ws.dx)
+    residual = time_derivative(mu, flow.time_grid.dt) + divergence(m, flow.grid.dx)
     worst = float(np.max(np.abs(residual)))
     if worst > tol_ce:
         raise ContinuityViolation(
             f"continuity residual {worst:.3e} exceeds {tol_ce:.1e}"
         )
-    return _edge_objective(ws, mu, m, 0.0)
+    return _action(_evaluated(pot, flow, mu, m))
 
 
 def bb_gradient(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential):
@@ -310,8 +360,7 @@ def bb_gradient(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential):
     on; reported costs come from the corrector's cell quadrature instead.
     """
     mu, m = _as_matrix(flow, m)
-    ws = _Workspace(pot, flow.grid, flow.time_grid)
-    return _edge_gradients(ws, mu, m, 0.0)
+    return _action_gradients(_evaluated(pot, flow, mu, m), mu, m)
 
 
 # ---------------------------------------------------------------------------
@@ -346,67 +395,87 @@ def _initial_flow(name: str, pot, mu_in, mu_fin, sgrid, tgrid) -> MarginalFlow:
     return mkv_pullback_flow(pot, mu_in, mu_fin, sgrid, tgrid)
 
 
-def _projected_gradient(ws: _Workspace, t: _EdgeTerms):
-    """Cells free to move, and the mirror gradient on them.
+def _projected_gradient(ws: _Buffers, mu: np.ndarray, m: np.ndarray):
+    """Cells that may not move, and the mirror gradient on the others.
 
-    The gradient is zero on the pinned endpoints and on frozen cells, and
-    centred per slice so that a step keeps each slice's mass.
+    The gradient of J in mu, the momentum slaved to mu through _momentum, is
+    zero on the pinned endpoints and on frozen cells, and centred per slice
+    so that a step keeps each slice's mass.
     """
-    gmu, gm = _action_gradients(ws, t)
-    g = gmu + _momentum_adjoint(gm, ws.dx, ws.dt)
+    gmu, gm = _action_gradients(ws, mu, m)
+    # dJ/dm through the adjoint of _momentum: a running sum over cells from
+    # the right, then the adjoint of the time difference, added to gmu
+    q, adj, prod = ws.scratch[0], ws.scratch[2], ws.scratch[4]
+    np.cumsum(gm[:, ::-1], axis=1, out=q[:, ::-1])
+    q *= ws.dx
+    q[1:-1] /= 2.0 * ws.dt
+    q[0] /= ws.dt
+    q[-1] /= ws.dt
+    np.subtract(q[2:], q[:-2], out=adj[1:-1])
+    g = gmu
+    g[1:-1] += adj[1:-1]
     g[0] = 0.0
     g[-1] = 0.0
-    movable = t.mu >= _UPDATE_FLOOR_REL * t.peak
-    g = np.where(movable, g, 0.0)
-    centered = g - (np.sum(g * t.mu, axis=1, keepdims=True) * ws.dx)
-    return movable, np.where(movable, centered, 0.0)
+    np.less(mu, _UPDATE_FLOOR_REL * ws.peak, out=ws.immovable)
+    np.copyto(g, 0.0, where=ws.immovable)
+    np.multiply(g, mu, out=prod)
+    np.subtract(g, np.sum(prod, axis=1, keepdims=True) * ws.dx, out=ws.centered)
+    np.copyto(ws.centered, 0.0, where=ws.immovable)
+    return ws.immovable, ws.centered
 
 
-def _descend(ws: _Workspace, flow0: MarginalFlow, config: SolverConfig):
+def _descend(pot: InteractionPotential, flow0: MarginalFlow, config: SolverConfig):
     """Mirror (multiplicative) descent with heavy-ball momentum and restart.
 
     Cells below the update floor keep their initialization (their action
     contribution is below solver accuracy but their 1/mu stiffness would
     otherwise dominate the line search); every slice stays a probability
-    density by construction and the endpoints are pinned.  The edge terms
-    of each point are computed once, when the point is evaluated; those of
-    an accepted candidate give the next gradient.
+    density by construction and the endpoints are pinned.  Each point is
+    evaluated once, into one set of buffers: the current point and the
+    line-search candidate are swapped on acceptance, and the terms of an
+    accepted candidate give the next gradient.
     """
+    ws = _Buffers(pot, flow0.grid, flow0.time_grid)
+    dx = ws.dx
     mu = flow0.values.copy()
-    dx, dt = ws.dx, ws.dt
+    cand, log_mu, cand_log, m, velocity = (np.zeros_like(mu) for _ in range(5))
     # mollifier frozen at the initialization's slice peaks
     reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
-    point = _edge_terms(ws, mu, _momentum(mu, dx, dt), reg)
-    J = _action(ws, point)
-    log_mu = point.log_mu
+    _edge_terms(ws, mu, _momentum(ws, mu, m), reg, log_mu)
+    J = _action(ws)
     eta = _ETA0
-    velocity = np.zeros_like(mu)
     pg_norm = np.inf
     iterations = 0
+    weighted, pull = ws.scratch[1], ws.scratch[2]
     for iterations in range(1, config.max_outer + 1):
-        movable, centered = _projected_gradient(ws, point)
-        weighted = mu * centered**2
+        immovable, centered = _projected_gradient(ws, mu, m)
+        np.multiply(centered, centered, out=weighted)
+        weighted *= mu
         descent = float(np.sum(weighted))
         pg_norm = float(np.sqrt(np.sum(ws.tw * np.sum(weighted, axis=1) * dx)))
         if pg_norm <= _TOL_GRAD:
             return mu, J, pg_norm, iterations, "converged"
-        del point  # the line search reads only mu and log_mu
         accepted = False
         for attempt in range(_MAX_BACKTRACKS):
-            step = np.where(movable, -eta * centered + _MOMENTUM * velocity, 0.0)
-            cand = mu * np.exp(np.clip(step, -50.0, 50.0))
+            np.multiply(centered, -eta, out=cand)
+            np.multiply(velocity, _MOMENTUM, out=pull)
+            cand += pull
+            np.copyto(cand, 0.0, where=immovable)
+            np.clip(cand, -50.0, 50.0, out=cand)
+            np.exp(cand, out=cand)
+            cand *= mu
             cand[0] = mu[0]
             cand[-1] = mu[-1]
             cand /= cand.sum(axis=1, keepdims=True) * dx
-            cand_point = _edge_terms(ws, cand, _momentum(cand, dx, dt), reg)
-            J_cand = _action(ws, cand_point)
+            _edge_terms(ws, cand, _momentum(ws, cand, m), reg, cand_log)
+            J_cand = _action(ws)
             if J_cand <= J - _ARMIJO * eta * descent:
-                velocity = np.where(movable, cand_point.log_mu - log_mu, 0.0)
-                mu, log_mu, point, J = cand, cand_point.log_mu, cand_point, J_cand
+                np.subtract(cand_log, log_mu, out=velocity)
+                np.copyto(velocity, 0.0, where=immovable)
+                mu, cand, log_mu, cand_log, J = cand, mu, cand_log, log_mu, J_cand
                 eta = min(eta * _GROW, _ETA_MAX)
                 accepted = True
                 break
-            del cand_point  # rejected: free its terms before the next candidate
             eta *= _BACKTRACK
             if attempt == 15:
                 velocity[:] = 0.0  # momentum is hampering: restart the ball
@@ -426,14 +495,13 @@ def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
     """
     config = config or SolverConfig()
     _validate_endpoints(mu_in, mu_fin, sgrid)
-    ws = _Workspace(pot, sgrid, tgrid)
 
     init_names = [config.init] + [n for n in config.multi_start if n != config.init]
     starts = {}
     best = None
     for name in init_names:
         flow0 = _initial_flow(name, pot, mu_in, mu_fin, sgrid, tgrid)
-        mu, J, pg_norm, iters, status = _descend(ws, flow0, config)
+        mu, J, pg_norm, iters, status = _descend(pot, flow0, config)
         starts[name] = {"cost": J, "pg_norm": pg_norm, "iterations": iters,
                         "status": status}
         if best is None or J < best[1]:
@@ -482,7 +550,6 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
     delta = np.inf
     converged = False
     outer = 0
-    static_kl = np.nan
     for outer in range(1, _IPFP_MAX_OUTER + 1):
         forces = pot.force(flow_vals[:-1], sgrid)
         # without a force the kernels cannot depend on the frozen flow
@@ -506,10 +573,6 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
         bridge = np.empty_like(flow_vals)
         for k in range(n_steps + 1):
             bridge[k] = Density(sgrid, fwd[k] * bwd[k]).values
-        pi = v[:, None] * total * u[None, :]
-        ref = total * a[None, :]
-        live = pi > 0
-        static_kl = float(np.sum(pi[live] * np.log(pi[live] / ref[live])))
         new_vals = (1.0 - _DAMPING) * flow_vals + _DAMPING * bridge
         new_vals /= new_vals.sum(axis=1, keepdims=True) * sgrid.dx
         delta = float(np.max(np.abs(new_vals - flow_vals)))
@@ -528,7 +591,6 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
         "converged": converged,
         "outer_iterations": outer,
         "marginal_update_delta": delta,
-        "static_kl": static_kl,
         "bias_note": "frozen-drift fixed point; not the mean-field optimizer in general",
     }
     return BridgeSolution(flow, velocity, psi, cost, diagnostics)

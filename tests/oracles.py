@@ -3,12 +3,30 @@
 Everything here is deliberately written against first principles (kernel
 matrices, brute-force enumeration, closed-form Gaussians) rather than through
 the package's solver machinery, so the tests compare two genuinely different
-routes to the same quantity.
+routes to the same quantity.  The one exception is reference_descend: the
+solver's descent as it was before it wrote into preallocated buffers, kept
+so that the buffered descent can be required to reproduce it bit for bit.
 """
 
 import itertools
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
+
+from mfsb.grids import LOG_FLOOR, MASS_FLOOR_REL, time_derivative
+from mfsb.solver import (
+    _ARMIJO,
+    _BACKTRACK,
+    _ETA0,
+    _ETA_MAX,
+    _GROW,
+    _KINETIC_REG,
+    _MAX_BACKTRACKS,
+    _MOMENTUM,
+    _TOL_GRAD,
+    _UPDATE_FLOOR_REL,
+)
 
 
 def exact_heat_kernel(grid, t: float) -> np.ndarray:
@@ -117,3 +135,162 @@ def dense_drift(spec: dict, x: np.ndarray) -> np.ndarray:
     """-(1/N) sum_j W'(x_i - x_j), summed over every ordered pair (i, j)."""
     dw = kernel_derivative(spec)
     return np.array([-sum(dw(xi - xj) for xj in x) for xi in x]) / x.size
+
+
+# ---------------------------------------------------------------------------
+# the allocating descent: every array a fresh temporary, each formula spelled
+# out on strided [:, :-1] / [:, 1:] views
+
+
+def momentum(mu: np.ndarray, dx: float, dt: float) -> np.ndarray:
+    """Momentum slaved to the flow: the divergence inversion of -d(mu)/dt."""
+    return np.cumsum(-time_derivative(mu, dt), axis=1) * dx
+
+
+def _momentum_adjoint(gm: np.ndarray, dx: float, dt: float) -> np.ndarray:
+    """Adjoint of mu -> momentum(mu), mapping dJ/dm into a dJ/dmu contribution."""
+    q = np.cumsum(gm[:, ::-1], axis=1)[:, ::-1] * dx
+    r = -q
+    out = np.zeros_like(gm)
+    out[2:] += r[1:-1] / (2.0 * dt)
+    out[:-2] -= r[1:-1] / (2.0 * dt)
+    out[1] += r[0] / dt
+    out[0] -= r[0] / dt
+    out[-1] += r[-1] / dt
+    out[-2] -= r[-1] / dt
+    return out
+
+
+class _EdgeTerms(NamedTuple):
+    """One point (mu, m) and the edge quantities its action is made of."""
+
+    mu: np.ndarray
+    m: np.ndarray
+    peak: np.ndarray     # slice maxima of mu, one column
+    log_mu: np.ndarray   # log mu, floored at LOG_FLOOR
+    mask: np.ndarray     # edges that carry mass
+    den: np.ndarray      # mollified edge density on the mask, 1 off it
+    mu_edge: np.ndarray
+    u: np.ndarray        # edge velocity, 0 off the mask
+
+
+def _edge_terms(ws, mu: np.ndarray, m: np.ndarray, reg) -> _EdgeTerms:
+    # reg is an absolute mollifier, scalar or per-slice column, fixed by the
+    # caller so the objective stays an exact function of (mu, m)
+    peak = mu.max(axis=1, keepdims=True)
+    mu_edge = 0.5 * (mu[:, :-1] + mu[:, 1:])
+    mask = mu_edge >= MASS_FLOOR_REL * peak
+    den = np.where(mask, mu_edge + reg, 1.0)
+    log_mu = np.log(np.maximum(mu, LOG_FLOOR))
+    score = (log_mu[:, 1:] - log_mu[:, :-1]) / ws.dx
+    force = ws.pot.force(mu, ws.sgrid)
+    force_edge = 0.5 * (force[:, :-1] + force[:, 1:])
+    u = np.where(mask, m[:, :-1] / den + 0.5 * score + force_edge, 0.0)
+    return _EdgeTerms(mu, m, peak, log_mu, mask, den, mu_edge, u)
+
+
+def _action(ws, t: _EdgeTerms) -> float:
+    slicewise = 0.5 * np.sum(t.u**2 * t.mu_edge, axis=1) * ws.dx
+    return float(np.sum(ws.tw * slicewise))
+
+
+def _action_gradients(ws, t: _EdgeTerms):
+    """Partial gradients (dJ/dmu, dJ/dm) at the point the terms were taken at."""
+    twdx = ws.tw[:, None] * ws.dx
+    rho = twdx * t.u * t.mu_edge
+    gm = np.zeros_like(t.m)
+    gm[:, :-1] = np.where(t.mask, rho / t.den, 0.0)
+    edge = 0.5 * (twdx * 0.5 * t.u**2
+                  - np.where(t.mask, rho * t.m[:, :-1] / t.den**2, 0.0))
+    gmu = np.zeros_like(t.mu)
+    gmu[:, :-1] += edge
+    gmu[:, 1:] += edge
+    half_rho = 0.5 * rho
+    score_flow = half_rho / ws.dx
+    safe = t.mu > 1e-100
+    inv_mu = np.where(safe, 1.0 / np.where(safe, t.mu, 1.0), 0.0)
+    gmu[:, :-1] -= score_flow * inv_mu[:, :-1]
+    gmu[:, 1:] += score_flow * inv_mu[:, 1:]
+    rho_cells = np.zeros_like(t.mu)
+    rho_cells[:, :-1] += half_rho
+    rho_cells[:, 1:] += half_rho
+    gmu += ws.pot.force_adjoint(rho_cells, ws.sgrid)
+    return gmu, gm
+
+
+def _projected_gradient(ws, t: _EdgeTerms):
+    """Cells free to move, and the mirror gradient on them.
+
+    The gradient is zero on the pinned endpoints and on frozen cells, and
+    centred per slice so that a step keeps each slice's mass.
+    """
+    gmu, gm = _action_gradients(ws, t)
+    g = gmu + _momentum_adjoint(gm, ws.dx, ws.dt)
+    g[0] = 0.0
+    g[-1] = 0.0
+    movable = t.mu >= _UPDATE_FLOOR_REL * t.peak
+    g = np.where(movable, g, 0.0)
+    centered = g - (np.sum(g * t.mu, axis=1, keepdims=True) * ws.dx)
+    return movable, np.where(movable, centered, 0.0)
+
+
+def _namespace(pot, flow):
+    tgrid = flow.time_grid
+    return SimpleNamespace(pot=pot, sgrid=flow.grid, dx=flow.grid.dx,
+                           dt=tgrid.dt, tw=tgrid.trapezoid_weights)
+
+
+def reference_action(pot, flow, m):
+    """The unmollified action J of (flow, m) and its partial gradients
+    (dJ/dmu, dJ/dm), computed with fresh temporaries."""
+    ws = _namespace(pot, flow)
+    t = _edge_terms(ws, flow.values, m, 0.0)
+    return (_action(ws, t), *_action_gradients(ws, t))
+
+
+def reference_descend(pot, flow0, config):
+    """The solver's mirror descent with heavy-ball momentum and restart,
+    computed with fresh temporaries; returns (mu, J, pg_norm, iterations,
+    status) as the solver's _descend does."""
+    ws = _namespace(pot, flow0)
+    mu = flow0.values.copy()
+    dx, dt = ws.dx, ws.dt
+    # mollifier frozen at the initialization's slice peaks
+    reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
+    point = _edge_terms(ws, mu, momentum(mu, dx, dt), reg)
+    J = _action(ws, point)
+    log_mu = point.log_mu
+    eta = _ETA0
+    velocity = np.zeros_like(mu)
+    pg_norm = np.inf
+    iterations = 0
+    for iterations in range(1, config.max_outer + 1):
+        movable, centered = _projected_gradient(ws, point)
+        weighted = mu * centered**2
+        descent = float(np.sum(weighted))
+        pg_norm = float(np.sqrt(np.sum(ws.tw * np.sum(weighted, axis=1) * dx)))
+        if pg_norm <= _TOL_GRAD:
+            return mu, J, pg_norm, iterations, "converged"
+        del point  # the line search reads only mu and log_mu
+        accepted = False
+        for attempt in range(_MAX_BACKTRACKS):
+            step = np.where(movable, -eta * centered + _MOMENTUM * velocity, 0.0)
+            cand = mu * np.exp(np.clip(step, -50.0, 50.0))
+            cand[0] = mu[0]
+            cand[-1] = mu[-1]
+            cand /= cand.sum(axis=1, keepdims=True) * dx
+            cand_point = _edge_terms(ws, cand, momentum(cand, dx, dt), reg)
+            J_cand = _action(ws, cand_point)
+            if J_cand <= J - _ARMIJO * eta * descent:
+                velocity = np.where(movable, cand_point.log_mu - log_mu, 0.0)
+                mu, log_mu, point, J = cand, cand_point.log_mu, cand_point, J_cand
+                eta = min(eta * _GROW, _ETA_MAX)
+                accepted = True
+                break
+            del cand_point  # rejected: free its terms before the next candidate
+            eta *= _BACKTRACK
+            if attempt == 15:
+                velocity[:] = 0.0  # momentum is hampering: restart the ball
+        if not accepted:
+            return mu, J, pg_norm, iterations, "stalled"
+    return mu, J, pg_norm, iterations, "budget"

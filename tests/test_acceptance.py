@@ -27,8 +27,8 @@ from mfsb import (
     wasserstein1,
 )
 from mfsb import cli, verify as V
-from mfsb.solver import _momentum, heat_interpolation_flow
-from oracles import ipfp_cost
+from mfsb.solver import heat_interpolation_flow
+from oracles import ipfp_cost, momentum
 
 
 def _report(criterion: str, passed: bool, detail: str):
@@ -142,7 +142,7 @@ def test_criterion_09_gradient_correctness(grid256):
     mu0 = density_from_spec(grid, {"kind": "gaussian", "mean": -0.5, "std": 1.0})
     mu1 = density_from_spec(grid, {"kind": "gaussian", "mean": 0.5, "std": 0.9})
     flow = heat_interpolation_flow(mu0, mu1, grid, tg)
-    mu, m = flow.values, _momentum(flow.values, grid.dx, tg.dt)
+    mu, m = flow.values, momentum(flow.values, grid.dx, tg.dt)
     gmu, gm = bb_gradient(flow, m, pot)
     rng = np.random.default_rng(19)
     h, worst = 1e-6, 0.0
@@ -152,7 +152,7 @@ def test_criterion_09_gradient_correctness(grid256):
         dmu = np.where(mask, mu * eta, 0.0)
         dmu[0] = dmu[-1] = 0.0
         dmu -= mu * (dmu.sum(axis=1, keepdims=True) * grid.dx)
-        dm = _momentum(dmu, grid.dx, tg.dt)
+        dm = momentum(dmu, grid.dx, tg.dt)
         plus = bb_objective(MarginalFlow(tg, grid, mu + h * dmu), m + h * dm,
                             pot, tol_ce=1.0)
         minus = bb_objective(MarginalFlow(tg, grid, mu - h * dmu), m - h * dm,

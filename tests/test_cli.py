@@ -386,6 +386,24 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     assert report["passed"] is False
 
 
+def test_cli_verify_exits_1_on_a_failing_check_end_to_end(tmp_path):
+    # the asymmetric pair on 64 cells x 32 steps: the optimality residual's
+    # l2 norm (about 0.118) is well above its threshold 5e-2 (dx + dt)
+    doc = json.loads((SCENARIOS / "asymmetric.json").read_text())
+    doc["grid"]["n_cells"] = 64
+    doc["time"]["n_steps"] = 32
+    doc["checks"] = ["optimality"]
+    out = tmp_path / "v"
+    rc = cli.main(["verify", "--scenario", str(_write(tmp_path, doc)),
+                   "--out", str(out)])
+    assert rc == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    entry = report["checks"]["optimality"]
+    assert entry["pass"] is False
+    assert entry["lhs"] > entry["rhs"] == pytest.approx(5e-2 * (0.25 + 0.125))
+
+
 def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     from mfsb import verify as V
 

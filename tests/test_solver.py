@@ -24,17 +24,17 @@ from mfsb import solver
 from mfsb.grids import LOG_FLOOR, MASS_FLOOR_REL
 from mfsb.solver import (
     _KINETIC_REG,
-    _Workspace,
+    _Buffers,
     _action,
     _action_gradients,
     _descend,
-    _edge_gradients,
     _edge_terms,
+    _initial_flow,
     _momentum,
     _projected_gradient,
     heat_interpolation_flow,
 )
-from oracles import ipfp_cost
+from oracles import ipfp_cost, momentum, reference_action, reference_descend
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ def small():
 
 def _admissible_pair(grid, tg, mu0, mu1):
     flow = heat_interpolation_flow(mu0, mu1, grid, tg)
-    return flow, _momentum(flow.values, grid.dx, tg.dt)
+    return flow, momentum(flow.values, grid.dx, tg.dt)
 
 
 # -------------------------------------------------------------- objective
@@ -76,7 +76,7 @@ def test_bb_objective_stationary_equilibrium(grid256, pot_quad05, eq05):
     tg = TimeGrid(1.0, 16)
     vals = np.repeat(eq05.density.values[None, :], tg.n_steps + 1, axis=0)
     flow = MarginalFlow(tg, grid256, vals)
-    m = _momentum(vals, grid256.dx, tg.dt)
+    m = momentum(vals, grid256.dx, tg.dt)
     assert bb_objective(flow, m, pot_quad05) <= 1e-6
 
 
@@ -87,7 +87,7 @@ def test_bb_objective_heat_flow_near_zero(grid256, pot_zero):
         for t in tg.nodes])
     vals /= vals.sum(axis=1, keepdims=True) * grid256.dx
     flow = MarginalFlow(tg, grid256, vals)
-    m = _momentum(vals, grid256.dx, tg.dt)
+    m = momentum(vals, grid256.dx, tg.dt)
     assert bb_objective(flow, m, pot_zero) <= 1e-4
 
 
@@ -118,9 +118,16 @@ def test_bb_gradient_matches_finite_differences(small, kind):
     # the same action with the mollifier the descent adds, through the
     # entry points the descent calls: _edge_terms once per point, then
     # _action for J and _action_gradients for its gradient
-    ws = _Workspace(pot, grid, tg)
+    ws = _Buffers(pot, grid, tg)
+    log_mu = np.empty_like(mu)
     reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
-    egmu, egm = _action_gradients(ws, _edge_terms(ws, mu, m, reg))
+
+    def mollified(mu_p, m_p):
+        _edge_terms(ws, mu_p, m_p, reg, log_mu)
+        return _action(ws)
+
+    mollified(mu, m)
+    egmu, egm = (g.copy() for g in _action_gradients(ws, mu, m))
     rng = np.random.default_rng(3)
     h = 1e-6
     for _ in range(20):
@@ -131,7 +138,7 @@ def test_bb_gradient_matches_finite_differences(small, kind):
         dmu = np.where(mask, mu * eta, 0.0)
         dmu[0] = dmu[-1] = 0.0
         dmu -= mu * (dmu.sum(axis=1, keepdims=True) * grid.dx)
-        dm = _momentum(dmu, grid.dx, tg.dt)
+        dm = momentum(dmu, grid.dx, tg.dt)
         plus = bb_objective(MarginalFlow(tg, grid, mu + h * dmu), m + h * dm,
                             pot, tol_ce=1.0)
         minus = bb_objective(MarginalFlow(tg, grid, mu - h * dmu), m - h * dm,
@@ -139,8 +146,8 @@ def test_bb_gradient_matches_finite_differences(small, kind):
         fd = (plus - minus) / (2 * h)
         analytic = float(np.sum(gmu * dmu) + np.sum(gm * dm))
         assert abs(fd - analytic) <= 1e-5 * max(abs(fd), 1e-12)
-        plus = _action(ws, _edge_terms(ws, mu + h * dmu, m + h * dm, reg))
-        minus = _action(ws, _edge_terms(ws, mu - h * dmu, m - h * dm, reg))
+        plus = mollified(mu + h * dmu, m + h * dm)
+        minus = mollified(mu - h * dmu, m - h * dm)
         fd = (plus - minus) / (2 * h)
         analytic = float(np.sum(egmu * dmu) + np.sum(egm * dm))
         assert abs(fd - analytic) <= 1e-5 * max(abs(fd), 1e-12)
@@ -183,24 +190,51 @@ def _unfused_edge_gradients(ws, mu, m, reg):
 def test_gradient_from_carried_terms_is_bitwise_the_recomputed_one(small, kind):
     pot = KERNELS[kind]
     grid, tg, mu0, mu1 = small
-    ws = _Workspace(pot, grid, tg)
+    ws = _Buffers(pot, grid, tg)
     mu = heat_interpolation_flow(mu0, mu1, grid, tg).values
+    m, log_mu, cand_log = (np.zeros_like(mu) for _ in range(3))
     reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
-    # one line-search candidate, formed and evaluated as the descent does
-    movable, centered = _projected_gradient(
-        ws, _edge_terms(ws, mu, _momentum(mu, grid.dx, tg.dt), reg))
-    cand = mu * np.exp(np.clip(np.where(movable, -0.5 * centered, 0.0), -50.0, 50.0))
+    # one line-search candidate, formed and evaluated in the buffers the
+    # start was evaluated in, as the descent does
+    _edge_terms(ws, mu, _momentum(ws, mu, m), reg, log_mu)
+    immovable, centered = _projected_gradient(ws, mu, m)
+    cand = mu * np.exp(np.clip(np.where(immovable, 0.0, -0.5 * centered),
+                               -50.0, 50.0))
     cand[0], cand[-1] = mu[0], mu[-1]
     cand /= cand.sum(axis=1, keepdims=True) * grid.dx
-    carried = _edge_terms(ws, cand, _momentum(cand, grid.dx, tg.dt), reg)
-    assert np.isfinite(_action(ws, carried))
-    gmu, gm = _action_gradients(ws, carried)
+    _edge_terms(ws, cand, _momentum(ws, cand, m), reg, cand_log)
+    assert np.isfinite(_action(ws))
+    gmu, gm = _action_gradients(ws, cand, m)
     fresh = cand.copy()
-    m_fresh = _momentum(fresh, grid.dx, tg.dt)
-    for reference in (_edge_gradients(ws, fresh, m_fresh, reg),
-                      _unfused_edge_gradients(ws, fresh, m_fresh, reg)):
+    m_fresh = momentum(fresh, grid.dx, tg.dt)
+    assert np.array_equal(m, m_fresh)
+    recomputed = _Buffers(pot, grid, tg)
+    _edge_terms(recomputed, fresh, m_fresh, reg, np.empty_like(fresh))
+    for reference in (_action_gradients(recomputed, fresh, m_fresh),
+                      _unfused_edge_gradients(recomputed, fresh, m_fresh, reg)):
         assert np.array_equal(gmu, reference[0])
         assert np.array_equal(gm, reference[1])
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_action_is_bitwise_the_allocating_reference_with_mass_on_every_edge(
+        small, kind):
+    # every edge carries mass, so a row sum over edges that also read the
+    # pair straddling two slices, or summed in another order, would show
+    # (a last-bit change of one row sum shows in J for some draws only)
+    pot = KERNELS[kind]
+    grid, tg, _, _ = small
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        vals = rng.uniform(0.5, 1.5, size=(tg.n_steps + 1, grid.n_cells))
+        vals /= vals.sum(axis=1, keepdims=True) * grid.dx
+        flow = MarginalFlow(tg, grid, vals)
+        m = rng.normal(size=vals.shape)
+        J, gmu, gm = reference_action(pot, flow, m)
+        assert bb_objective(flow, m, pot, tol_ce=np.inf) == J
+        new_gmu, new_gm = bb_gradient(flow, m, pot)
+        assert np.array_equal(new_gmu, gmu)
+        assert np.array_equal(new_gm, gm)
 
 
 def test_descent_evaluates_each_point_once(small, monkeypatch):
@@ -212,8 +246,8 @@ def test_descent_evaluates_each_point_once(small, monkeypatch):
             return _original(*args)
         monkeypatch.setattr(solver, name, counted)
     flow0 = heat_interpolation_flow(mu0, mu1, grid, tg)
-    ws = _Workspace(InteractionPotential.quadratic(0.7), grid, tg)
-    *_, iterations, status = _descend(ws, flow0, SolverConfig())
+    pot = InteractionPotential.quadratic(0.7)
+    *_, iterations, status = _descend(pot, flow0, SolverConfig())
     assert status == "converged" and iterations > 1
     # _momentum runs for the start and for each line-search candidate, so
     # every objective evaluation makes one _edge_terms call and no gradient
@@ -222,11 +256,36 @@ def test_descent_evaluates_each_point_once(small, monkeypatch):
     assert counts["_edge_terms"] == counts["_momentum"]
 
 
+@pytest.mark.parametrize("init", ["heat", "mkv"])
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_descent_is_bitwise_the_allocating_reference(small, kind, init):
+    pot = KERNELS[kind]
+    grid, tg, mu0, mu1 = small
+    flow0 = _initial_flow(init, pot, mu0, mu1, grid, tg)
+    mu, *rest = _descend(pot, flow0, SolverConfig())
+    ref_mu, *ref_rest = reference_descend(pot, flow0, SolverConfig())
+    assert rest[-1] == "converged"
+    assert np.array_equal(mu, ref_mu)
+    assert rest == ref_rest
+
+
+def test_descent_budget_is_bitwise_the_allocating_reference(small):
+    pot = KERNELS["quadratic"]
+    grid, tg, mu0, mu1 = small
+    flow0 = heat_interpolation_flow(mu0, mu1, grid, tg)
+    config = SolverConfig(max_outer=5)
+    mu, *rest = _descend(pot, flow0, config)
+    ref_mu, *ref_rest = reference_descend(pot, flow0, config)
+    assert rest[2:] == [5, "budget"]
+    assert np.array_equal(mu, ref_mu)
+    assert rest == ref_rest
+
+
 def test_bb_gradient_vanishes_at_equilibrium(grid256, pot_quad05, eq05):
     tg = TimeGrid(1.0, 16)
     vals = np.repeat(eq05.density.values[None, :], tg.n_steps + 1, axis=0)
     flow = MarginalFlow(tg, grid256, vals)
-    m = _momentum(vals, grid256.dx, tg.dt)
+    m = momentum(vals, grid256.dx, tg.dt)
     gmu, gm = bb_gradient(flow, m, pot_quad05)
     centered = gmu - np.sum(gmu * vals, axis=1, keepdims=True) * grid256.dx
     pg = np.sqrt(np.sum(vals * centered**2) * grid256.dx * tg.dt)
