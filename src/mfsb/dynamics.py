@@ -20,7 +20,8 @@ from .potentials import InteractionPotential, conv_force
 
 _DIFFUSIVITY = 0.5  # unit Brownian noise: d mu = (1/2) mu'' + ...
 THETA_TOL = 1e-10   # sup change of the theta iteration that counts as converged
-_THETA_MAX_ITERS = 200
+_THETA_MAX_ITERS = 200  # Picard sweeps per window, and for the certificate
+_THETA_WINDOW = 8       # time steps per Picard window
 _DRIFT_RESOLUTION_LIMIT = 8.0  # cells the drift may move mass in one step
 
 
@@ -115,31 +116,52 @@ def noise_ensemble(ensemble: PathEnsemble) -> PathEnsemble:
 def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsemble:
     """Map noise paths to interacting trajectories by fixed-point iteration.
 
-    Iterates Y <- omega + int_0^t (ensemble-average drift of Y) ds with
-    left-endpoint quadrature, matching the Euler-Maruyama stepping, until the
-    sup change over all paths and nodes falls below THETA_TOL.
+    The trajectories are the fixed point of
+    Y <- omega + int_0^t (ensemble-average drift of Y) ds, with left-endpoint
+    quadrature matching the Euler-Maruyama stepping.  Picard sweeps run on
+    consecutive windows of _THETA_WINDOW time steps, where they contract much
+    faster than on the whole horizon.  A sweep evaluates the drift on the
+    window's nodes and applies the update to the whole path, so the later
+    nodes carry the newest prediction; the window is done once a sweep moves
+    its nodes by at most THETA_TOL.  Global sweeps then certify the whole
+    path: the result is returned once one sweep over all nodes moves it by at
+    most THETA_TOL, so it is a global fixed point to the same test as plain
+    Picard iteration.  A node's drift is evaluated again only when its
+    positions differ bitwise from the ones it was last evaluated at, which
+    is exact because the drift is a pure function of the positions.
     """
     if ensemble.n_particles > 10_000:
         raise TooLarge("ensemble exceeds the 10^4 particle guard")
     omega = ensemble.positions
     dt = ensemble.time_grid.dt
     k_steps = ensemble.time_grid.n_steps
-    y = np.repeat(omega[:, :1], k_steps + 1, axis=1)
-    for _ in range(_THETA_MAX_ITERS):
-        drift = np.empty((ensemble.n_particles, k_steps))
-        for k in range(k_steps):
-            drift[:, k] = interaction_drift(pot, y[:, k])
-        y_next = omega.copy()
-        y_next[:, 1:] += dt * np.cumsum(drift, axis=1)
-        delta = float(np.max(np.abs(y_next - y)))
-        y = y_next
-        if delta <= THETA_TOL:
-            break
-    else:
-        raise NoConvergence(
-            f"theta iteration stalled at {delta:.3e}; "
-            "the drift may violate its Lipschitz bound"
-        )
+    drift = np.zeros((ensemble.n_particles, k_steps))
+    drift_at = np.full_like(drift, np.nan)  # positions each drift column saw
+    y = omega.copy()  # the update with zero drift
+    update = omega.copy()
+    windows = [(lo, min(lo + _THETA_WINDOW, k_steps))
+               for lo in range(0, k_steps, _THETA_WINDOW)]
+    for lo, hi in windows + [(0, k_steps)]:  # the last one certifies the path
+        for _ in range(_THETA_MAX_ITERS):
+            for k in range(lo, hi):
+                if not np.array_equal(y[:, k], drift_at[:, k]):
+                    drift[:, k] = interaction_drift(pot, y[:, k])
+                    drift_at[:, k] = y[:, k]
+            np.cumsum(drift, axis=1, out=update[:, 1:])
+            update[:, 1:] *= dt
+            update[:, 1:] += omega[:, 1:]
+            delta = float(np.max(np.abs(update[:, lo + 1:hi + 1]
+                                        - y[:, lo + 1:hi + 1])))
+            y, update = update, y
+            if delta <= THETA_TOL:
+                break
+        else:
+            raise NoConvergence(
+                f"theta iteration stalled on the time window "
+                f"[{lo * dt:.6g}, {hi * dt:.6g}] (steps {lo}..{hi}) after "
+                f"{_THETA_MAX_ITERS} sweeps, last sweep change {delta:.3e}; "
+                "the drift may violate its Lipschitz bound"
+            )
     return PathEnsemble(ensemble.time_grid, y, ensemble.increments.copy(),
                         ensemble.seed)
 

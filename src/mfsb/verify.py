@@ -432,13 +432,15 @@ def check_time_reversal(sol_forward: BridgeSolution, sol_reverse: BridgeSolution
 def check_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> CheckEntry:
     """Noise-to-trajectory map reproduces the simulated particle paths."""
     mapped = tanaka_theta(pot, noise_ensemble(ensemble))
-    dev = float(np.max(np.abs(mapped.positions - ensemble.positions)))
+    gap = np.abs(mapped.positions - ensemble.positions)
+    k = int(np.unravel_index(np.argmax(gap), gap.shape)[1])
     return CheckEntry(
         "theta",
-        lhs=dev,
+        lhs=float(gap.max()),
         rhs=5.0 * THETA_TOL,
         tolerance=0.0,
-        detail={"n_particles": ensemble.n_particles, "tol_theta": THETA_TOL},
+        detail={"worst_node": k, "time": float(ensemble.time_grid.nodes[k]),
+                "n_particles": ensemble.n_particles, "tol_theta": THETA_TOL},
     )
 
 

@@ -3,9 +3,12 @@
 Everything here is deliberately written against first principles (kernel
 matrices, brute-force enumeration, closed-form Gaussians) rather than through
 the package's solver machinery, so the tests compare two genuinely different
-routes to the same quantity.  The one exception is reference_descend: the
-solver's descent as it was before it wrote into preallocated buffers, kept
-so that the buffered descent can be required to reproduce it bit for bit.
+routes to the same quantity.  Two exceptions keep earlier versions of
+package routines: reference_descend, the solver's descent as it was before
+it wrote into preallocated buffers, kept so that the buffered descent can be
+required to reproduce it bit for bit; and reference_theta, the noise-to-path
+map by Picard sweeps over the whole horizon, kept so that the windowed map
+can be required to reach the same fixed point.
 """
 
 import itertools
@@ -14,6 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from mfsb.dynamics import (_THETA_MAX_ITERS, THETA_TOL, PathEnsemble,
+                           interaction_drift)
+from mfsb.errors import NoConvergence, TooLarge
 from mfsb.grids import LOG_FLOOR, MASS_FLOOR_REL, time_derivative
 from mfsb.solver import (
     _ARMIJO,
@@ -294,3 +300,44 @@ def reference_descend(pot, flow0, config):
         if not accepted:
             return mu, J, pg_norm, iterations, "stalled"
     return mu, J, pg_norm, iterations, "budget"
+
+
+def theta_sweep(pot, noise, y: np.ndarray) -> np.ndarray:
+    """One Picard sweep of the theta map over the whole horizon, from paths y."""
+    drift = np.stack([interaction_drift(pot, y[:, k])
+                      for k in range(noise.time_grid.n_steps)], axis=1)
+    out = noise.positions.copy()
+    out[:, 1:] += noise.time_grid.dt * np.cumsum(drift, axis=1)
+    return out
+
+
+def reference_theta(pot, ensemble):
+    """Map noise paths to interacting trajectories by fixed-point iteration.
+
+    Iterates Y <- omega + int_0^t (ensemble-average drift of Y) ds with
+    left-endpoint quadrature, matching the Euler-Maruyama stepping, until the
+    sup change over all paths and nodes falls below THETA_TOL.
+    """
+    if ensemble.n_particles > 10_000:
+        raise TooLarge("ensemble exceeds the 10^4 particle guard")
+    omega = ensemble.positions
+    dt = ensemble.time_grid.dt
+    k_steps = ensemble.time_grid.n_steps
+    y = np.repeat(omega[:, :1], k_steps + 1, axis=1)
+    for _ in range(_THETA_MAX_ITERS):
+        drift = np.empty((ensemble.n_particles, k_steps))
+        for k in range(k_steps):
+            drift[:, k] = interaction_drift(pot, y[:, k])
+        y_next = omega.copy()
+        y_next[:, 1:] += dt * np.cumsum(drift, axis=1)
+        delta = float(np.max(np.abs(y_next - y)))
+        y = y_next
+        if delta <= THETA_TOL:
+            break
+    else:
+        raise NoConvergence(
+            f"theta iteration stalled at {delta:.3e}; "
+            "the drift may violate its Lipschitz bound"
+        )
+    return PathEnsemble(ensemble.time_grid, y, ensemble.increments.copy(),
+                        ensemble.seed)

@@ -1,4 +1,5 @@
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +20,15 @@ from mfsb import (
     tanaka_theta,
     wasserstein1,
 )
-from mfsb.dynamics import interaction_drift
+from mfsb import dynamics
+from mfsb.dynamics import (_THETA_MAX_ITERS, _THETA_WINDOW, THETA_TOL,
+                           interaction_drift)
+from mfsb.errors import NoConvergence
+from mfsb.scenario import load_scenario
 from oracles import (dense_drift, empirical_density_w1, kernel_derivative,
-                     mkv_gaussian_variance)
+                     mkv_gaussian_variance, reference_theta, theta_sweep)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +123,48 @@ def test_theta_push_forward_identity(grid256, std_gaussian, tg, pot_name):
     ens = simulate_particles(pot, std_gaussian, tg, 64, seed=17)
     mapped = tanaka_theta(pot, noise_ensemble(ens))
     assert np.max(np.abs(mapped.positions - ens.positions)) <= 5e-10
+
+
+@pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s["kind"])
+def test_windowed_theta_is_the_global_picard_fixed_point(std_gaussian, tg, spec):
+    pot = InteractionPotential.from_spec(spec)
+    noise = noise_ensemble(simulate_particles(pot, std_gaussian, tg, 64, seed=17))
+    mapped = tanaka_theta(pot, noise).positions
+    reference = reference_theta(pot, noise).positions
+    assert np.max(np.abs(mapped - reference)) <= 2 * THETA_TOL
+    # the global stopping test of plain Picard iteration holds at the result
+    assert np.max(np.abs(theta_sweep(pot, noise, mapped) - mapped)) <= THETA_TOL
+
+
+def test_theta_drift_calls_on_the_shipped_particle_scenario(monkeypatch):
+    sc = load_scenario(SCENARIOS / "gaussian_well_particles.json")
+    noise = noise_ensemble(simulate_particles(
+        sc.potential, sc.mu_in(), sc.time_grid, sc.n_particles, sc.seed))
+    calls = []
+
+    def counted(pot, x):
+        calls.append(1)
+        return interaction_drift(pot, x)
+
+    monkeypatch.setattr(dynamics, "interaction_drift", counted)
+    tanaka_theta(sc.potential, noise)
+    # plain Picard over the whole horizon makes 10 sweeps of 128 calls here
+    assert len(calls) <= 600
+
+
+def test_theta_stall_names_its_window(monkeypatch, std_gaussian, tg, pot_zero):
+    noise = noise_ensemble(simulate_particles(pot_zero, std_gaussian, tg, 4, seed=5))
+    calls = []
+
+    def nan_drift(pot, x):
+        calls.append(1)
+        return np.full_like(x, np.nan)
+
+    monkeypatch.setattr(dynamics, "interaction_drift", nan_drift)
+    with pytest.raises(NoConvergence,
+                       match=r"window \[0, 0\.0625\].*last sweep change nan"):
+        tanaka_theta(pot_zero, noise)
+    assert len(calls) <= _THETA_MAX_ITERS * _THETA_WINDOW
 
 
 def test_theta_lipschitz_on_path_space(grid256, std_gaussian):

@@ -8,8 +8,10 @@ from mfsb import (
     SolverConfig,
     TimeGrid,
     mkv_flow,
+    noise_ensemble,
     simulate_particles,
     solve_mfsb,
+    tanaka_theta,
 )
 from mfsb.verify import (
     VerificationReport,
@@ -194,3 +196,8 @@ def test_theta_check_passes(grid256, std_gaussian, pot_kind):
     entry = check_theta(pot, ens)
     assert entry.passed
     assert entry.lhs <= 5e-10
+    # the entry names the node and time of its largest deviation
+    k = entry.detail["worst_node"]
+    assert entry.detail["time"] == ens.time_grid.nodes[k]
+    mapped = tanaka_theta(pot, noise_ensemble(ens)).positions
+    assert np.max(np.abs(mapped[:, k] - ens.positions[:, k])) == entry.lhs
