@@ -158,6 +158,8 @@ def _cmd_verify(run: _Run, out: Path, fmt: str, args) -> int:
         environment["optimality_residual"] = dataclasses.asdict(run.residual)
     report = V.VerificationReport(scenario.name, entries, environment)
     flowio.write_json(out / "report.json", report.to_dict())
+    for line in report.summary_lines():
+        print(line, file=sys.stderr)
     _write_manifest(out, scenario, "verify", fmt)
     if run.solved and not run.sol.diagnostics["converged"]:
         return EXIT_NO_CONVERGENCE

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import CFLViolation, NoConvergence, TooLarge
 from .grids import BOUNDARY_MASS_TOL, Density, MarginalFlow, TimeGrid
@@ -128,7 +127,8 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
     most THETA_TOL, so it is a global fixed point to the same test as plain
     Picard iteration.  A node's drift is evaluated again only when its
     positions differ bitwise from the ones it was last evaluated at, which
-    is exact because the drift is a pure function of the positions.
+    is exact because the drift is a pure function of the positions.  The
+    first sweep whose change is not finite raises NoConvergence at once.
     """
     if ensemble.n_particles > 10_000:
         raise TooLarge("ensemble exceeds the 10^4 particle guard")
@@ -142,7 +142,7 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
     windows = [(lo, min(lo + _THETA_WINDOW, k_steps))
                for lo in range(0, k_steps, _THETA_WINDOW)]
     for lo, hi in windows + [(0, k_steps)]:  # the last one certifies the path
-        for _ in range(_THETA_MAX_ITERS):
+        for sweep in range(1, _THETA_MAX_ITERS + 1):
             for k in range(lo, hi):
                 if not np.array_equal(y[:, k], drift_at[:, k]):
                     drift[:, k] = interaction_drift(pot, y[:, k])
@@ -153,14 +153,15 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
             delta = float(np.max(np.abs(update[:, lo + 1:hi + 1]
                                         - y[:, lo + 1:hi + 1])))
             y, update = update, y
-            if delta <= THETA_TOL:
+            if delta <= THETA_TOL or not np.isfinite(delta):
                 break
-        else:
+        if not delta <= THETA_TOL:
+            cause = ("the drift may violate its Lipschitz bound" if np.isfinite(delta)
+                     else "the drift or the path is not finite")
             raise NoConvergence(
-                f"theta iteration stalled on the time window "
-                f"[{lo * dt:.6g}, {hi * dt:.6g}] (steps {lo}..{hi}) after "
-                f"{_THETA_MAX_ITERS} sweeps, last sweep change {delta:.3e}; "
-                "the drift may violate its Lipschitz bound"
+                f"theta iteration stopped on the time window "
+                f"[{lo * dt:.6g}, {hi * dt:.6g}] (steps {lo}..{hi}) at sweep "
+                f"{sweep} of {_THETA_MAX_ITERS}, last sweep change {delta:.3e}; {cause}"
             )
     return PathEnsemble(ensemble.time_grid, y, ensemble.increments.copy(),
                         ensemble.seed)
@@ -192,14 +193,23 @@ def _fp_banded(b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
     return ab
 
 
+def _fp_solve(b_cells: np.ndarray, dx: float, dt: float,
+              rhs: np.ndarray) -> np.ndarray:
+    """Solve one implicit Fokker-Planck step against rhs (a vector or matrix)."""
+    # imported here, not at module level: importing scipy.linalg more than
+    # doubles the start-up of a command, and most runs take no such step
+    from scipy.linalg import solve_banded
+    return solve_banded((1, 1), _fp_banded(b_cells, dx, dt), rhs)
+
+
 def _fp_step(p: np.ndarray, b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
     """One implicit Fokker-Planck step applied to the density p."""
-    return np.maximum(solve_banded((1, 1), _fp_banded(b_cells, dx, dt), p), 0.0)
+    return np.maximum(_fp_solve(b_cells, dx, dt, p), 0.0)
 
 
 def _fp_step_matrix(b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
     """One-step transition matrix of the implicit Fokker-Planck scheme."""
-    return solve_banded((1, 1), _fp_banded(b_cells, dx, dt), np.eye(b_cells.size))
+    return _fp_solve(b_cells, dx, dt, np.eye(b_cells.size))
 
 
 def _check_drift_resolution(b: np.ndarray, dx: float, dt: float):

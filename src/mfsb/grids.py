@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import GridMismatch, NonZeroMass, SizeMismatch, TooLarge
 
@@ -318,6 +317,10 @@ def path_distance(e1, e2) -> float:
     n = a.shape[0]
     if n > _ASSIGNMENT_MAX_PATHS:
         raise TooLarge(f"assignment guard: {n} paths exceeds {_ASSIGNMENT_MAX_PATHS}")
+    # imported here, not at module level: importing scipy.optimize more than
+    # triples the start-up of a command, and no command calls path_distance
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())

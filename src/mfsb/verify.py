@@ -53,6 +53,14 @@ class CheckEntry:
             return False
         return self.slack >= -self.tolerance
 
+    def summary(self) -> str:
+        """One line: [PASS] or [FAIL], the name, both sides, the slack, and
+        the worst node and its time when the detail names them."""
+        where = "".join(f" {key}={self.detail[key]:.6g}"
+                        for key in ("worst_node", "time") if key in self.detail)
+        return (f"[{'PASS' if self.passed else 'FAIL'}] {self.name} "
+                f"lhs={self.lhs:.6g} rhs={self.rhs:.6g} slack={self.slack:.6g}{where}")
+
     def to_dict(self) -> dict:
         return {
             "lhs": self.lhs,
@@ -75,6 +83,10 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries.values())
+
+    def summary_lines(self) -> list[str]:
+        """Each entry's summary line, in the order of to_dict()."""
+        return [self.entries[name].summary() for name in sorted(self.entries)]
 
     def to_dict(self) -> dict:
         return {

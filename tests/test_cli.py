@@ -386,7 +386,7 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     assert report["passed"] is False
 
 
-def test_cli_verify_exits_1_on_a_failing_check_end_to_end(tmp_path):
+def test_cli_verify_exits_1_on_a_failing_check_end_to_end(tmp_path, capsys):
     # the asymmetric pair on 64 cells x 32 steps: the optimality residual's
     # l2 norm (about 0.118) is well above its threshold 5e-2 (dx + dt)
     doc = json.loads((SCENARIOS / "asymmetric.json").read_text())
@@ -402,6 +402,21 @@ def test_cli_verify_exits_1_on_a_failing_check_end_to_end(tmp_path):
     entry = report["checks"]["optimality"]
     assert entry["pass"] is False
     assert entry["lhs"] > entry["rhs"] == pytest.approx(5e-2 * (0.25 + 0.125))
+    assert capsys.readouterr().err.splitlines() == [
+        f"[FAIL] optimality lhs={entry['lhs']:.6g} rhs={entry['rhs']:.6g} "
+        f"slack={entry['slack']:.6g}"]
+
+
+def test_cli_verify_prints_one_summary_line_per_check(tmp_path, capsys):
+    out = tmp_path / "v"
+    rc = cli.run(load_scenario(SCENARIOS / "gaussian_well_particles.json"),
+                 "verify", out)
+    assert rc == 0
+    entry = json.loads((out / "report.json").read_text())["checks"]["theta"]
+    node, time = entry["detail"]["worst_node"], entry["detail"]["time"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"[PASS] theta lhs={entry['lhs']:.6g} rhs={entry['rhs']:.6g} "
+        f"slack={entry['slack']:.6g} worst_node={node} time={time:.6g}"]
 
 
 def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):

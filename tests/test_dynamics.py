@@ -21,8 +21,7 @@ from mfsb import (
     wasserstein1,
 )
 from mfsb import dynamics
-from mfsb.dynamics import (_THETA_MAX_ITERS, _THETA_WINDOW, THETA_TOL,
-                           interaction_drift)
+from mfsb.dynamics import _THETA_WINDOW, THETA_TOL, interaction_drift
 from mfsb.errors import NoConvergence
 from mfsb.scenario import load_scenario
 from oracles import (dense_drift, empirical_density_w1, kernel_derivative,
@@ -164,7 +163,7 @@ def test_theta_stall_names_its_window(monkeypatch, std_gaussian, tg, pot_zero):
     with pytest.raises(NoConvergence,
                        match=r"window \[0, 0\.0625\].*last sweep change nan"):
         tanaka_theta(pot_zero, noise)
-    assert len(calls) <= _THETA_MAX_ITERS * _THETA_WINDOW
+    assert len(calls) <= _THETA_WINDOW
 
 
 def test_theta_lipschitz_on_path_space(grid256, std_gaussian):

@@ -1,9 +1,15 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import mfsb
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Every keyword default of the public API, by "module.function" or
 # "module.Class.method"; a dataclass lists its defaulted fields.  Fixed
@@ -56,3 +62,40 @@ def test_public_defaults_are_the_listed_ones():
             if defaults:
                 found[qualified] = defaults
     assert found == DEFAULTS
+
+
+# Runs in a fresh interpreter: loads the scenarios given after the first two
+# arguments, runs `verify` on the first argument into the second (unless they
+# are empty), and prints which scipy subpackages got imported on the way.
+_STARTUP = """
+import sys
+import mfsb.cli
+verify, out, *paths = sys.argv[1:]
+for path in paths:
+    mfsb.cli.load_scenario(path)
+if verify:
+    assert mfsb.cli.run(mfsb.cli.load_scenario(verify), "verify", out) == 0
+print(" ".join(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def _scipy_loaded(verify, out, *paths) -> list:
+    done = subprocess.run([sys.executable, "-c", _STARTUP, str(verify), str(out),
+                           *map(str, paths)],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=300, check=True)
+    return done.stdout.split()
+
+
+def test_startup_and_a_particle_verify_import_no_scipy_solver(tmp_path):
+    scenarios = ROOT / "scenarios"
+    paths = sorted(p for p in scenarios.glob("*.json") if p.stem != "mkv_endpoint")
+    assert len(paths) == 5
+    assert _scipy_loaded(scenarios / "gaussian_well_particles.json", tmp_path,
+                         *paths) == []
+
+
+def test_an_mkv_load_imports_the_banded_solver_only():
+    # loading mkv_endpoint evolves an MKV flow, which takes Fokker-Planck steps
+    assert _scipy_loaded("", "", ROOT / "scenarios" / "mkv_endpoint.json") == [
+        "scipy.linalg"]
