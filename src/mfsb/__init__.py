@@ -20,7 +20,6 @@ from .errors import (
     NonZeroMass,
     ParseError,
     ScenarioError,
-    SizeMismatch,
     TooLarge,
 )
 from .grids import (
@@ -33,14 +32,12 @@ from .grids import (
     divergence,
     divergence_inverse,
     grad,
-    path_distance,
     time_reverse,
     wasserstein1,
 )
 from .potentials import (
     InteractionPotential,
     conv_force,
-    hessian_kernel_term,
     interaction_energy,
 )
 from .functionals import (
@@ -53,8 +50,6 @@ from .functionals import (
     equilibrium,
     fisher_information,
     free_energy,
-    relative_free_energy,
-    schrodinger_potentials,
     velocity_from_flow,
 )
 from .dynamics import (

@@ -41,29 +41,29 @@ class _Run:
         self.scenario = scenario
         self.pot = scenario.potential
         self.strict_w2 = strict_w2
-        self.solved = False  # whether the forward bridge `sol` was computed
+        self.status = {}  # solver status of each bridge computed, by name
 
-    def _solve(self, mu_in, mu_fin, time_grid):
-        return solve_mfsb(self.pot, mu_in, mu_fin, self.scenario.grid, time_grid,
-                          self.scenario.solver)
+    def _solve(self, name, mu_in, mu_fin, time_grid):
+        sol = solve_mfsb(self.pot, mu_in, mu_fin, self.scenario.grid, time_grid,
+                         self.scenario.solver)
+        self.status[name] = sol.diagnostics["status"]
+        return sol
 
     @cached_property
     def sol(self):
         sc = self.scenario
-        sol = self._solve(sc.mu_in(), sc.mu_fin(), sc.time_grid)
-        self.solved = True
-        return sol
+        return self._solve("forward", sc.mu_in(), sc.mu_fin(), sc.time_grid)
 
     @cached_property
     def sol_reverse(self):
         sc = self.scenario
-        return self._solve(sc.mu_fin(), sc.mu_in(), sc.time_grid)
+        return self._solve("reverse", sc.mu_fin(), sc.mu_in(), sc.time_grid)
 
     @cached_property
     def sol_double(self):
         sc = self.scenario
         doubled = TimeGrid(2.0 * sc.time_grid.horizon, sc.time_grid.n_steps)
-        return self._solve(sc.mu_in(), sc.mu_fin(), doubled)
+        return self._solve("doubled-horizon", sc.mu_in(), sc.mu_fin(), doubled)
 
     @cached_property
     def residual(self):
@@ -153,7 +153,7 @@ def _cmd_verify(run: _Run, out: Path, fmt: str, args) -> int:
         "seed": scenario.seed,
         "package_version": __version__,
     }
-    if run.solved:
+    if "forward" in run.status:
         environment["solver"] = run.sol.diagnostics
         environment["optimality_residual"] = dataclasses.asdict(run.residual)
     report = V.VerificationReport(scenario.name, entries, environment)
@@ -161,7 +161,10 @@ def _cmd_verify(run: _Run, out: Path, fmt: str, args) -> int:
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     _write_manifest(out, scenario, "verify", fmt)
-    if run.solved and not run.sol.diagnostics["converged"]:
+    unconverged = [f"{name} bridge {status}" for name, status in run.status.items()
+                   if status != "converged"]
+    if unconverged:
+        print(f"solver did not converge: {', '.join(unconverged)}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -21,6 +21,7 @@ _DIFFUSIVITY = 0.5  # unit Brownian noise: d mu = (1/2) mu'' + ...
 THETA_TOL = 1e-10   # sup change of the theta iteration that counts as converged
 _THETA_MAX_ITERS = 200  # Picard sweeps per window, and for the certificate
 _THETA_WINDOW = 8       # time steps per Picard window
+THETA_MAX_PARTICLES = 10_000  # largest ensemble the theta map accepts
 _DRIFT_RESOLUTION_LIMIT = 8.0  # cells the drift may move mass in one step
 
 
@@ -130,8 +131,8 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
     is exact because the drift is a pure function of the positions.  The
     first sweep whose change is not finite raises NoConvergence at once.
     """
-    if ensemble.n_particles > 10_000:
-        raise TooLarge("ensemble exceeds the 10^4 particle guard")
+    if ensemble.n_particles > THETA_MAX_PARTICLES:
+        raise TooLarge(f"ensemble exceeds the {THETA_MAX_PARTICLES} particle guard")
     omega = ensemble.positions
     dt = ensemble.time_grid.dt
     k_steps = ensemble.time_grid.n_steps

@@ -13,12 +13,8 @@ class NonZeroMass(MFSBError):
     """A continuity-equation source does not integrate to zero."""
 
 
-class SizeMismatch(MFSBError):
-    """Path ensembles have incompatible particle counts or time grids."""
-
-
 class TooLarge(MFSBError):
-    """Input exceeds a hard size guard (e.g. assignment problems)."""
+    """Input exceeds a hard size guard (e.g. the particle count of the theta map)."""
 
 
 class NoConvergence(MFSBError):

@@ -13,14 +13,12 @@ import numpy as np
 
 from .errors import NoConvergence, NonZeroMass, GridMismatch
 from .grids import (
-    BULK_REL,
     MASS_TOL,
     Density,
     GridField,
     MarginalFlow,
     SpatialGrid,
     divergence_inverse,
-    grad,
     log_density_gradient,
     retained_mask,
     time_derivative,
@@ -112,14 +110,6 @@ def equilibrium(pot: InteractionPotential, grid: SpatialGrid,
             f"(tol {_EQ_TOL:.1e}); enlarge grid.half_width or raise grid.n_cells"
         )
     return EquilibriumMeasure(mu, mean, residual)
-
-
-def relative_free_energy(pot: InteractionPotential, mu: Density,
-                         equilibrium_measure: EquilibriumMeasure | None = None) -> float:
-    """Free energy gap to the equilibrium measure with the same mean."""
-    if equilibrium_measure is None:
-        equilibrium_measure = equilibrium(pot, mu.grid, mu.mean())
-    return free_energy(pot, mu) - free_energy(pot, equilibrium_measure.density)
 
 
 def fisher_information(pot: InteractionPotential, mu: Density) -> float:
@@ -216,71 +206,3 @@ def conserved_quantity_profile(psi: GridField, psi_hat: GridField,
         spread=float(vals.max() - vals.min()),
     )
 
-
-def schrodinger_potentials(sol: BridgeSolution, pot: InteractionPotential):
-    """Potentials (psi, phi) with mu = exp(-2 W*mu + phi + psi) and HJB residuals.
-
-    psi integrates the corrector in space, anchored per slice at the leftmost
-    retained cell; phi closes the product form.  The two residuals are the
-    coupled forward/backward HJB equations evaluated by finite differences on
-    interior nodes, de-gauged by their mu-weighted spatial mean (both
-    potentials are only defined up to a function of time).
-    """
-    flow, psi_field = sol.flow, sol.corrector
-    grid, tg = flow.grid, flow.time_grid
-    dx, dt = grid.dx, tg.dt
-    mask = retained_mask(flow.values)
-
-    n_nodes = tg.n_steps + 1
-    psi_pot = np.zeros_like(flow.values)
-    phi_pot = np.zeros_like(flow.values)
-    wconv = pot.potential(flow.values, grid)
-    force = pot.force(flow.values, grid)
-    for k in range(n_nodes):
-        idx = np.flatnonzero(mask[k])
-        lo, hi = idx[0], idx[-1]
-        interior = np.zeros(grid.n_cells)
-        seg = psi_field.values[k, lo:hi + 1]
-        acc = np.concatenate([[0.0], np.cumsum(0.5 * (seg[1:] + seg[:-1]) * dx)])
-        interior[lo:hi + 1] = acc
-        interior[:lo] = acc[0]
-        interior[hi + 1:] = acc[-1]
-        psi_pot[k] = interior
-        logmu = np.log(np.maximum(flow.values[k], 1e-300))
-        phi_pot[k] = logmu + 2.0 * wconv[k] - psi_pot[k]
-
-    def hjb_residual(pot_vals: np.ndarray, gradient_field: np.ndarray, sign: float):
-        # sign = +1 for the forward potential psi, -1 for the backward phi.
-        # Forward time differences of interior slices only: the two endpoint
-        # slices carry the one-sided corrector reconstruction.
-        res = np.zeros_like(pot_vals)
-        dpot_dt = (pot_vals[2:-1] - pot_vals[1:-2]) / dt
-        # x -> int W'(x - y) (g(x) - g(y)) mu(dy), up to a constant per slice
-        # (the quadratic closed-form adjoint drops one), which the de-gauging
-        # below removes
-        kern = (gradient_field * force
-                + pot.force_adjoint(gradient_field * flow.values, grid))
-        for j, k in enumerate(range(1, n_nodes - 2)):
-            g = gradient_field[k]
-            lap = grad(g, dx)
-            r = sign * dpot_dt[j] + 0.5 * lap + 0.5 * g**2 - kern[k]
-            w_slice = flow.values[k]
-            r = r - np.sum(r * w_slice) * dx  # remove the free function of time
-            res[k] = r
-        # sup over the bulk: tail cells amplify finite-difference noise by
-        # high-order derivative factors without carrying mass
-        bulk = flow.values >= BULK_REL * flow.values.max(axis=1, keepdims=True)
-        bulk[0] = bulk[-1] = bulk[-2] = False
-        return float(np.max(np.abs(res[bulk]))) if bulk.any() else 0.0
-
-    grad_psi = psi_field.values
-    grad_phi = np.stack([grad(phi_pot[k], dx) for k in range(n_nodes)])
-    residuals = {
-        "hjb_forward_sup": hjb_residual(psi_pot, grad_psi, +1.0),
-        "hjb_backward_sup": hjb_residual(phi_pot, grad_phi, -1.0),
-    }
-    return (
-        GridField(tg, grid, psi_pot),
-        GridField(tg, grid, phi_pot),
-        residuals,
-    )

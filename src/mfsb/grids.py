@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, NonZeroMass, SizeMismatch, TooLarge
+from .errors import GridMismatch, NonZeroMass
 
 # Floor used inside logarithms so that empty cells do not produce -inf.
 LOG_FLOOR = 1e-300
@@ -22,11 +22,10 @@ LOG_FLOOR = 1e-300
 # Fisher-type integrals and carry zero velocity.
 MASS_FLOOR_REL = 1e-12
 # Bulk cells carry at least this fraction of the peak of their slice; the
-# optimality residuals take their sup norms over them.
+# optimality residual takes its sup norm over them.
 BULK_REL = 1e-3
 MASS_TOL = 1e-8           # tolerated mass drift of a flow, net mass of a source
 BOUNDARY_MASS_TOL = 1e-8  # mass a start or end density may put in the outer cells
-_ASSIGNMENT_MAX_PATHS = 128  # largest ensembles path_distance pairs exactly
 
 
 @dataclass(frozen=True)
@@ -293,37 +292,6 @@ def wasserstein1(a: Density, b: Density) -> float:
     dx = a.grid.dx
     diff = np.cumsum(a.values - b.values) * dx
     return float(np.sum(np.abs(diff)) * dx)
-
-
-def _positions(ensemble) -> np.ndarray:
-    pos = getattr(ensemble, "positions", ensemble)
-    return np.asarray(pos, dtype=float)
-
-
-def path_distance(e1, e2) -> float:
-    """Empirical Wasserstein-1 distance between path ensembles.
-
-    The ground cost between two paths is the sup over time nodes of their
-    pointwise distance; the optimal pairing is an exact assignment.
-    """
-    a, b = _positions(e1), _positions(e2)
-    if a.ndim != 2 or b.ndim != 2:
-        raise SizeMismatch("path ensembles must be 2-D (paths x time nodes)")
-    if a.shape != b.shape:
-        raise SizeMismatch(f"ensemble shapes differ: {a.shape} vs {b.shape}")
-    tg1, tg2 = getattr(e1, "time_grid", None), getattr(e2, "time_grid", None)
-    if tg1 is not None and tg2 is not None and tg1 != tg2:
-        raise SizeMismatch("ensembles live on different time grids")
-    n = a.shape[0]
-    if n > _ASSIGNMENT_MAX_PATHS:
-        raise TooLarge(f"assignment guard: {n} paths exceeds {_ASSIGNMENT_MAX_PATHS}")
-    # imported here, not at module level: importing scipy.optimize more than
-    # triples the start-up of a command, and no command calls path_distance
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
 
 
 def time_reverse(obj):

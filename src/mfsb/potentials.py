@@ -218,20 +218,7 @@ def conv_force(pot: InteractionPotential, mu: Density) -> np.ndarray:
     return pot.force(mu.values, mu.grid)
 
 
-def convolved_potential(pot: InteractionPotential, mu: Density) -> np.ndarray:
-    """Values of W * mu at the cell centers."""
-    return pot.potential(mu.values, mu.grid)
-
-
 def interaction_energy(pot: InteractionPotential, mu: Density) -> float:
     """Double integral of W(x - y) against mu x mu."""
-    return float(np.sum(convolved_potential(pot, mu) * mu.values) * mu.grid.dx)
+    return float(np.sum(pot.potential(mu.values, mu.grid) * mu.values) * mu.grid.dx)
 
-
-def hessian_kernel_term(pot: InteractionPotential, mu: Density,
-                        psi: np.ndarray) -> np.ndarray:
-    """x -> integral of W''(x - y) (psi(x) - psi(y)) mu(dy).
-
-    For quadratic W this is exactly kappa * (psi - mean of psi under mu).
-    """
-    return pot.hessian_term(mu.values, np.asarray(psi, dtype=float), mu.grid)

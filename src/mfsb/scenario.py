@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import mkv_flow
+from .dynamics import THETA_MAX_PARTICLES, mkv_flow
 from .errors import GridMismatch, HypothesisViolation, ParseError
 from .functionals import EquilibriumMeasure, equilibrium
 from .grids import (Density, MarginalFlow, SpatialGrid, TimeGrid, density_from_spec,
@@ -175,6 +175,11 @@ def _validate_hypotheses(sc: Scenario):
         raise HypothesisViolation("H1", "Hessian exceeds its declared upper bound")
     assumed = {name: CHECKS[name][0] for name in sc.checks}
     stepped = sorted(name for name, a in assumed.items() if a == "particle-step")
+    if stepped and sc.n_particles > THETA_MAX_PARTICLES:
+        raise ParseError(
+            f"checks {stepped} map at most {THETA_MAX_PARTICLES} particles, "
+            f"got {sc.n_particles}; lower particles"
+        )
     step = pot.hess_sup * sc.time_grid.dt
     if stepped and step > PARTICLE_STEP_LIMIT:
         raise HypothesisViolation(

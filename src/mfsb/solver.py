@@ -60,6 +60,7 @@ from .dynamics import _fp_step_matrix, mkv_flow
 
 # Fixed numerics of the solvers.
 _TOL_GRAD = 1e-6          # projected-gradient norm that counts as converged
+_TOL_CONTINUITY = 1e-8    # continuity residual bb_objective accepts
 _ETA0 = 0.5
 _ETA_MAX = 1e4
 _MAX_BACKTRACKS = 60
@@ -99,9 +100,7 @@ class SolverConfig:
 
 
 def heat_kernel(grid: SpatialGrid, t: float) -> np.ndarray:
-    """Mass transition matrix of free diffusion over time t on the grid."""
-    if t <= 0:
-        return np.eye(grid.n_cells)
+    """Mass transition matrix of free diffusion over time t > 0 on the grid."""
     x = grid.centers
     return np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * t)) * grid.dx / np.sqrt(
         2.0 * np.pi * t
@@ -333,8 +332,7 @@ def _evaluated(pot: InteractionPotential, flow: MarginalFlow, mu, m) -> _Buffers
     return ws
 
 
-def bb_objective(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *,
-                 tol_ce: float = 1e-8) -> float:
+def bb_objective(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential) -> float:
     """Staggered kinetic action of an admissible (flow, momentum) pair.
 
     This is the action the solver descends on, without its mollifier.  It
@@ -346,9 +344,9 @@ def bb_objective(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential, *
     mu, m = _as_matrix(flow, m)
     residual = time_derivative(mu, flow.time_grid.dt) + divergence(m, flow.grid.dx)
     worst = float(np.max(np.abs(residual)))
-    if worst > tol_ce:
+    if worst > _TOL_CONTINUITY:
         raise ContinuityViolation(
-            f"continuity residual {worst:.3e} exceeds {tol_ce:.1e}"
+            f"continuity residual {worst:.3e} exceeds {_TOL_CONTINUITY:.1e}"
         )
     return _action(_evaluated(pot, flow, mu, m))
 

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from mfsb.dynamics import (_THETA_MAX_ITERS, THETA_TOL, PathEnsemble,
                            interaction_drift)
@@ -67,6 +68,18 @@ def ipfp_cost(mu_in, mu_fin, t: float, *, tol: float = 1e-13,
     live_b = b > 0
     cost += float(np.sum(b[live_b] * np.log(np.maximum(v[live_b], 1e-300))))
     return cost
+
+
+def path_distance(e1, e2) -> float:
+    """Empirical Wasserstein-1 distance between path ensembles (or arrays).
+
+    The ground cost between two paths is the sup over time nodes of their
+    pointwise distance; the optimal pairing is an exact assignment.
+    """
+    a, b = (np.asarray(getattr(e, "positions", e), dtype=float) for e in (e1, e2))
+    cost = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
 
 
 def brute_force_path_distance(pos_a: np.ndarray, pos_b: np.ndarray) -> float:

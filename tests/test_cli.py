@@ -25,6 +25,7 @@ from mfsb import (
 )
 from mfsb import cli
 from mfsb.flowio import FLOW_MAGIC
+from mfsb.dynamics import THETA_MAX_PARTICLES
 from mfsb.scenario import PARTICLE_STEP_LIMIT
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -247,6 +248,21 @@ def test_particle_step_guard_edge():
     assert scenario_from_dict(bridge_only).checks == ("mean-linearity",)
 
 
+def test_theta_particle_guard_edge(tmp_path, capsys, monkeypatch):
+    # rejected at load, before an O(N^2) drift runs on every step
+    monkeypatch.setattr(cli, "simulate_particles", None)  # must not be reached
+    doc = json.loads((SCENARIOS / "gaussian_well_particles.json").read_text())
+    at_limit = dict(doc, particles=THETA_MAX_PARTICLES)
+    assert scenario_from_dict(at_limit).n_particles == THETA_MAX_PARTICLES == 10_000
+    scenario = _write(tmp_path, dict(doc, particles=THETA_MAX_PARTICLES + 1))
+    rc = cli.main(["verify", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "at most 10000 particles, got 10001" in capsys.readouterr().err
+    # a bridge check maps no particles, so the same count is admitted
+    bridge_only = dict(doc, particles=THETA_MAX_PARTICLES + 1, checks=["mean-linearity"])
+    assert scenario_from_dict(bridge_only).n_particles == THETA_MAX_PARTICLES + 1
+
+
 def test_mean_shift_without_kappa_checks_is_fine():
     doc = copy.deepcopy(MINIMAL)
     doc["mu_fin"] = {"kind": "gaussian", "mean": 1.0, "std": 1.0}
@@ -280,6 +296,16 @@ def test_flow_csv_round_trip(tmp_path, flow):
     save_flow(path, flow, "csv")
     back = load_flow(path)
     assert np.max(np.abs(back.values - flow.values)) <= 1e-12
+
+
+def test_flow_csv_header_takes_numpy_floats(tmp_path, flow):
+    # a numpy scalar's repr is "np.float64(6.0)", which no loader parses
+    grid = SpatialGrid(np.float64(6.0), 48)
+    path = tmp_path / "flow.csv"
+    save_flow(path, MarginalFlow(TimeGrid(np.float64(1.0), 8), grid, flow.values), "csv")
+    assert path.read_text().startswith(
+        "# mfsb-flow,version=1,half_width=6.0,n_cells=48,horizon=1.0,n_steps=8\n")
+    assert load_flow(path).grid == flow.grid
 
 
 def test_flow_checksum_guard(tmp_path, flow):
@@ -457,6 +483,32 @@ def test_cli_verify_solves_each_bridge_once_on_demand(tmp_path, monkeypatch,
     assert len(calls) == solves
     report = json.loads((out / "report.json").read_text())
     assert ("solver" in report["environment"]) == (solves > 0)
+
+
+@pytest.mark.parametrize("checks, bridge", [(["time-reversal"], "reverse"),
+                                            (["turnpike-rate"], "doubled-horizon")])
+def test_cli_verify_exits_3_when_a_later_solve_stalls(tmp_path, monkeypatch, capsys,
+                                                      checks, bridge):
+    solve = cli.solve_mfsb
+    seen = []
+
+    def second_stalls(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        if seen:
+            sol.diagnostics.update(converged=False, status="stalled")
+        seen.append(sol.diagnostics)
+        return sol
+
+    monkeypatch.setattr(cli, "solve_mfsb", second_stalls)
+    out = tmp_path / "v"
+    doc = {**MINIMAL, "checks": checks}
+    rc = cli.main(["verify", "--scenario", str(_write(tmp_path, doc)),
+                   "--out", str(out)])
+    assert rc == cli.EXIT_NO_CONVERGENCE == 3
+    assert len(seen) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["environment"]["solver"]["status"] == "converged"
+    assert f"solver did not converge: {bridge} bridge stalled" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mu_fin, mkv_flows", [("mkv-endpoint", 1),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfsb import (
     CFLViolation,
+    FreeEnergyGauge,
     InteractionPotential,
     SpatialGrid,
     TimeGrid,
@@ -14,8 +15,6 @@ from mfsb import (
     density_from_spec,
     mkv_flow,
     noise_ensemble,
-    path_distance,
-    relative_free_energy,
     simulate_particles,
     tanaka_theta,
     wasserstein1,
@@ -25,7 +24,8 @@ from mfsb.dynamics import _THETA_WINDOW, THETA_TOL, interaction_drift
 from mfsb.errors import NoConvergence
 from mfsb.scenario import load_scenario
 from oracles import (dense_drift, empirical_density_w1, kernel_derivative,
-                     mkv_gaussian_variance, reference_theta, theta_sweep)
+                     mkv_gaussian_variance, path_distance, reference_theta,
+                     theta_sweep)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -232,8 +232,8 @@ def test_mkv_dissipates_free_energy(grid256, pot_quad05):
         {"weight": 0.5, "mean": -1.0, "std": 0.6},
         {"weight": 0.5, "mean": 1.2, "std": 0.7}]})
     flow = mkv_flow(pot_quad05, mu0, TimeGrid(4.0, 64))
-    values = [relative_free_energy(pot_quad05, flow.density(k))
-              for k in range(0, 65, 4)]
+    values = [FreeEnergyGauge(pot_quad05, grid256, mu.mean()).relative(mu)
+              for mu in map(flow.density, range(0, 65, 4))]
     assert np.all(np.diff(values) <= 1e-6)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mfsb import (
+    FreeEnergyGauge,
     InteractionPotential,
     NoConvergence,
     MarginalFlow,
@@ -15,12 +16,10 @@ from mfsb import (
     equilibrium,
     fisher_information,
     free_energy,
-    relative_free_energy,
-    schrodinger_potentials,
     time_reverse,
     velocity_from_flow,
 )
-from mfsb.functionals import BridgeSolution, momentum_from_flow
+from mfsb.functionals import momentum_from_flow
 from mfsb.grids import GridField
 from oracles import gaussian_entropy_integral, gaussian_relative_free_energy
 
@@ -110,17 +109,22 @@ def test_equilibrium_stall_names_what_a_scenario_can_change(grid256, pot_quad05,
 # ------------------------------------------------------- relative free energy
 
 
+def _relative(pot, mu):
+    """Free energy of mu relative to the equilibrium at its own mean."""
+    return FreeEnergyGauge(pot, mu.grid, mu.mean()).relative(mu)
+
+
 def test_relative_free_energy_values(wide_grid, pot_quad05):
     for variance in (2.0, 0.5):
         mu = density_from_spec(wide_grid, {"kind": "gaussian", "mean": 0.0,
                                            "std": np.sqrt(variance)})
-        assert relative_free_energy(pot_quad05, mu) == pytest.approx(
+        assert _relative(pot_quad05, mu) == pytest.approx(
             gaussian_relative_free_energy(0.5, variance), abs=2e-3)
 
 
 def test_relative_free_energy_vanishes_at_equilibrium(grid256, pot_quad05, eq05):
-    assert relative_free_energy(pot_quad05, eq05.density,
-                                equilibrium_measure=eq05) == pytest.approx(0, abs=1e-8)
+    gauge = FreeEnergyGauge(pot_quad05, grid256, eq05.mean_constraint)
+    assert gauge.relative(eq05.density) == pytest.approx(0, abs=1e-8)
 
 
 def test_relative_free_energy_nonnegative(grid256, pot_quad05):
@@ -131,7 +135,7 @@ def test_relative_free_energy_nonnegative(grid256, pot_quad05):
             for w, m, s in zip(rng.uniform(0.2, 1, 2),
                                rng.uniform(-1.5, 1.5, 2),
                                rng.uniform(0.4, 1.0, 2))]})
-        assert relative_free_energy(pot_quad05, mu) >= -5e-3
+        assert _relative(pot_quad05, mu) >= -5e-3
 
 
 def test_log_sobolev_inequality(grid256):
@@ -146,7 +150,7 @@ def test_log_sobolev_inequality(grid256):
                                    rng.uniform(-1.0, 1.0, 2),
                                    rng.uniform(0.4, 0.9, 2))]})
             lhs = fisher_information(pot, mu)
-            rhs = 4 * kappa * relative_free_energy(pot, mu)
+            rhs = 4 * kappa * _relative(pot, mu)
             assert lhs >= rhs - 1e-3
 
 
@@ -320,65 +324,6 @@ def test_conserved_profile_equilibrium_bridge(grid256, pot_quad05, eq05):
     hat = backward_corrector(psi, flow, pot_quad05)
     prof = conserved_quantity_profile(psi, hat, flow)
     assert np.max(np.abs(prof.values)) < 1e-6
-
-
-# ------------------------------------------------------ Schrodinger potentials
-
-
-def _bridge_from_flow(flow, pot):
-    w = velocity_from_flow(flow)
-    psi = corrector(flow, w, pot)
-    return BridgeSolution(flow, w, psi, entropic_cost(psi, flow))
-
-
-def test_schrodinger_potentials_equilibrium(grid256, pot_quad05, eq05):
-    tg = TimeGrid(1.0, 16)
-    flow = stationary_flow(eq05.density, tg)
-    sol = _bridge_from_flow(flow, pot_quad05)
-    psi_pot, phi_pot, residuals = schrodinger_potentials(sol, pot_quad05)
-    mask = flow.values[0] >= 1e-12 * flow.values[0].max()
-    assert np.max(np.abs(psi_pot.values[0][mask])) < 1e-6
-    # phi = log mu + 2 W * mu is constant across the retained cells
-    phi_slice = phi_pot.values[0][mask]
-    assert phi_slice.max() - phi_slice.min() < 1e-6
-    assert residuals["hjb_forward_sup"] < 1e-6
-    assert residuals["hjb_backward_sup"] < 1e-6
-
-
-def test_schrodinger_potentials_product_form(grid256, pot_quad05):
-    # grad(phi + psi) recovers the score plus twice the interaction potential
-    from mfsb.grids import grad
-    from mfsb.potentials import convolved_potential
-    tg = TimeGrid(1.0, 16)
-    flow = heat_flow(grid256, tg)
-    sol = _bridge_from_flow(flow, pot_quad05)
-    psi_pot, phi_pot, _ = schrodinger_potentials(sol, pot_quad05)
-    k = 8
-    mu = flow.density(k)
-    mask = mu.values >= 1e-10 * mu.values.max()
-    inner = np.flatnonzero(mask)[2:-2]
-    lhs = grad(phi_pot.values[k] + psi_pot.values[k], grid256.dx)
-    rhs = grad(np.log(np.maximum(mu.values, 1e-300))
-               + 2 * convolved_potential(pot_quad05, mu), grid256.dx)
-    assert np.max(np.abs(lhs[inner] - rhs[inner])) < 1e-10
-
-
-def test_schrodinger_hjb_residual_refines(pot_zero):
-    # residuals of the classical bridge shrink under grid refinement;
-    # measured on the deterministic frozen-drift solver to avoid comparing
-    # two different descent histories
-    from mfsb import ipfp_frozen
-    residuals = []
-    for n_cells, n_steps in ((256, 128), (512, 256)):
-        grid = SpatialGrid(8.0, n_cells)
-        tg = TimeGrid(1.0, n_steps)
-        mu = density_from_spec(grid, {"kind": "gaussian", "mean": 0.0, "std": 1.0})
-        sol = ipfp_frozen(pot_zero, mu, mu, grid, tg)
-        _, _, res = schrodinger_potentials(sol, pot_zero)
-        residuals.append(res)
-    coarse, fine = residuals
-    assert fine["hjb_forward_sup"] < coarse["hjb_forward_sup"]
-    assert fine["hjb_backward_sup"] < coarse["hjb_backward_sup"]
 
 
 # ------------------------------------------------------------- momentum checks

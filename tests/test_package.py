@@ -23,11 +23,9 @@ DEFAULTS = {
     "flowio.save_matrix": {"fmt"},
     "flowio.write_manifest": {"extra"},
     "functionals.BridgeSolution": {"diagnostics"},
-    "functionals.relative_free_energy": {"equilibrium_measure"},
     "potentials.InteractionPotential": {"params"},
     "scenario.Scenario": {"raw"},
     "solver.SolverConfig": {"max_outer", "init", "multi_start"},
-    "solver.bb_objective": {"tol_ce"},
     "solver.solve_mfsb": {"config"},
     "verify.CheckEntry": {"detail"},
     "verify.VerificationReport": {"environment"},

@@ -5,7 +5,6 @@ from mfsb import (
     InteractionPotential,
     conv_force,
     density_from_spec,
-    hessian_kernel_term,
     interaction_energy,
 )
 from mfsb.grids import SpatialGrid, Density
@@ -93,11 +92,11 @@ def test_hessian_kernel_term(grid):
     mu = density_from_spec(grid, {"kind": "gaussian", "mean": 0.0, "std": 1.0})
     quad = InteractionPotential.quadratic(1.0)
     psi_const = np.full(grid.n_cells, 3.7)
-    assert np.max(np.abs(hessian_kernel_term(quad, mu, psi_const))) < 1e-12
-    assert np.all(hessian_kernel_term(InteractionPotential.zero(), mu,
-                                      grid.centers) == 0.0)
+    assert np.max(np.abs(quad.hessian_term(mu.values, psi_const, grid))) < 1e-12
+    assert np.all(InteractionPotential.zero().hessian_term(mu.values, grid.centers,
+                                                            grid) == 0.0)
     # kappa (psi - mean psi) for the quadratic kernel with psi = x, mean zero
-    term = hessian_kernel_term(quad, mu, grid.centers.copy())
+    term = quad.hessian_term(mu.values, grid.centers.copy(), grid)
     assert np.max(np.abs(term - grid.centers)) < 1e-12
     # generic kernel agrees with the direct double sum
     well = InteractionPotential.gaussian_well(0.8, 1.1)
@@ -106,4 +105,4 @@ def test_hessian_kernel_term(grid):
         np.sum(well.d2w(x - grid.centers) * (p - psi) * mu.values) * grid.dx
         for x, p in zip(grid.centers, psi)
     ])
-    assert np.max(np.abs(direct - hessian_kernel_term(well, mu, psi))) < 1e-10
+    assert np.max(np.abs(direct - well.hessian_term(mu.values, psi, grid))) < 1e-10
