@@ -4,7 +4,9 @@ pathwise noise-to-trajectory transformation.
 The Fokker-Planck stepper uses an implicit exponentially-fitted flux
 (Scharfetter-Gummel): it is positivity preserving, conserves mass exactly in
 flux form, and its stationary state coincides with the discrete Gibbs density
-of the drift, so equilibria stay put to solver roundoff.
+of the drift, so equilibria stay put to solver roundoff.  Each step solves one
+tridiagonal system with _solve_tridiagonal, a transcription of LAPACK's dgtsv
+in numpy, whose answers are bitwise LAPACK's (see _fp_solve for why).
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
 def _bernoulli(w: np.ndarray) -> np.ndarray:
     """B(w) = w / (e^w - 1), the exponential-fitting flux weight."""
     out = np.ones_like(w)
-    nz = np.abs(w) > 1e-12
+    nz = ~(np.abs(w) <= 1e-12)  # a NaN drift stays NaN
     with np.errstate(over="ignore"):
         den = np.expm1(w[nz])
     out[nz] = np.where(np.isinf(den), 0.0, w[nz] / den)
@@ -194,13 +196,82 @@ def _fp_banded(b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
     return ab
 
 
+def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system against rhs (a vector or a matrix).
+
+    ab holds the superdiagonal, the diagonal and the subdiagonal in its rows,
+    in LAPACK's banded storage.  This is LAPACK dgtsv's path without row
+    interchanges, operation for operation.  Elimination: f = l_i / d_i,
+    d_{i+1} -= f u_i and b_{i+1} -= f b_i.  Back substitution:
+    b_{n-1} /= d_{n-1}, then b_i = (b_i - u_i b_{i+1} - 0 b_{i+2}) / d_i.
+    The zero is the second superdiagonal of U, which stays empty without
+    interchanges.  Subtracting it can only turn a -0 into +0, and a partial
+    result is -0 only where rhs holds a -0, so the matrix path skips that step
+    unless rhs does.  Every other rounding is LAPACK's, in LAPACK's order, so
+    the result is bitwise LAPACK's.  A matrix result is Fortran-ordered, as
+    LAPACK returns it; products with it then take the same BLAS path.
+
+    Raises LinAlgError where dgtsv would interchange rows (|d_i| < |l_i|, or a
+    NaN) or meet a zero pivot, and ValueError on non-finite input.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("tridiagonal system must be finite")
+    sup, diag, sub = ab.tolist()
+    upper = sup[1:]
+    factors = []
+    for i, l in enumerate(sub[:-1]):
+        d = diag[i]
+        if not abs(d) >= abs(l) or d == 0.0:
+            raise np.linalg.LinAlgError(
+                f"tridiagonal solve has no nonzero pivot without a row interchange "
+                f"at row {i} (d = {d:.3e}, l = {l:.3e})")
+        f = l / d
+        diag[i + 1] -= f * upper[i]
+        factors.append(f)
+    if diag[-1] == 0.0:
+        raise np.linalg.LinAlgError(
+            f"tridiagonal solve has no nonzero pivot at row {len(diag) - 1}")
+    n = len(diag)
+    if rhs.ndim == 1:
+        x = rhs.tolist() + [0.0]  # x[n] = +0: row n-2 has no zero term in dgtsv
+        for i, f in enumerate(factors):
+            x[i + 1] -= f * x[i]
+        x[n - 1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = (x[i] - upper[i] * x[i + 1] - 0.0 * x[i + 2]) / diag[i]
+        return np.array(x[:-1])
+    # one row operation over all columns per step, into preallocated rows; the
+    # ufunc calls dominate, so their outputs are passed positionally
+    mul, subtract, divide = np.multiply, np.subtract, np.divide
+    x = np.array(rhs, dtype=float, order="C")
+    signed_zero = bool(np.any(np.signbit(x) & (x == 0.0)))
+    rows = list(x) + [np.zeros(x.shape[1])]  # rows[n] = +0, as x[n] above
+    tmp = np.empty(x.shape[1])
+    for f, prev, row in zip(factors, rows, rows[1:]):
+        mul(prev, f, tmp)
+        subtract(row, tmp, row)
+    divide(rows[n - 1], diag[-1], rows[n - 1])
+    for u, d, row, row1, row2 in zip(upper[::-1], diag[-2::-1], rows[-3::-1],
+                                     rows[-2::-1], rows[::-1]):
+        mul(row1, u, tmp)
+        subtract(row, tmp, row)
+        if signed_zero:
+            mul(row2, 0.0, tmp)
+            subtract(row, tmp, row)
+        divide(row, d, row)
+    return np.asfortranarray(x)
+
+
 def _fp_solve(b_cells: np.ndarray, dx: float, dt: float,
               rhs: np.ndarray) -> np.ndarray:
-    """Solve one implicit Fokker-Planck step against rhs (a vector or matrix)."""
-    # imported here, not at module level: importing scipy.linalg more than
-    # doubles the start-up of a command, and most runs take no such step
-    from scipy.linalg import solve_banded
-    return solve_banded((1, 1), _fp_banded(b_cells, dx, dt), rhs)
+    """Solve one implicit Fokker-Planck step against rhs (a vector or matrix).
+
+    The step matrix has unit column sums, a positive diagonal and nonpositive
+    off-diagonals, so it is column diagonally dominant: LAPACK's dgtsv never
+    interchanges rows on it, and _solve_tridiagonal, which is dgtsv without
+    interchanges, returns dgtsv's answer bitwise.
+    """
+    return _solve_tridiagonal(_fp_banded(b_cells, dx, dt), rhs)
 
 
 def _fp_step(p: np.ndarray, b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:

@@ -87,7 +87,7 @@ def _read(path, layout: _Layout) -> tuple[dict, np.ndarray]:
                 for key, value in zip(layout.fields, header)}
     else:
         text = path.read_text().splitlines()
-        if not text[0].startswith(f"# {layout.tag},"):
+        if not text or not text[0].startswith(f"# {layout.tag},"):
             raise ParseError(f"missing {layout.tag} header")
         meta = dict(item.partition("=")[::2] for item in text[0][2:].split(",")[1:])
     if int(meta["version"]) != FORMAT_VERSION:

@@ -355,6 +355,14 @@ def test_matrix_round_trip(tmp_path):
             assert np.max(np.abs(back - values)) <= 1e-12
 
 
+@pytest.mark.parametrize("load", [load_flow, load_matrix])
+def test_empty_csv_is_parse_error(tmp_path, load):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ParseError, match="missing mfsb-"):
+        load(path)
+
+
 # -------------------------------------------------------------- CLI commands
 
 

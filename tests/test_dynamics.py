@@ -19,8 +19,10 @@ from mfsb import (
     tanaka_theta,
     wasserstein1,
 )
-from mfsb import dynamics
-from mfsb.dynamics import _THETA_WINDOW, THETA_TOL, interaction_drift
+from mfsb import cli, dynamics
+from mfsb.dynamics import (_DRIFT_RESOLUTION_LIMIT, _THETA_WINDOW, THETA_TOL,
+                           _fp_banded, _fp_solve, _solve_tridiagonal,
+                           interaction_drift)
 from mfsb.errors import NoConvergence
 from mfsb.scenario import load_scenario
 from oracles import (dense_drift, empirical_density_w1, kernel_derivative,
@@ -262,3 +264,98 @@ def test_propagation_of_chaos_rate(grid256, pot_quad05, std_gaussian):
         gaps.append(np.mean(per_seed))
     slope = np.polyfit(np.log(sizes), np.log(gaps), 1)[0]
     assert -0.65 <= slope <= -0.35
+
+
+# ------------------------------------------------------- tridiagonal solver
+
+
+def _lapack(ab, rhs):
+    from scipy.linalg import solve_banded  # the reference only; mfsb has no scipy
+    return solve_banded((1, 1), ab, rhs)
+
+
+def _same_bits(a, b):
+    """Bitwise equality, zero signs included, whatever the memory order."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_lapack_bitwise(ab, rhs):
+    x = _solve_tridiagonal(ab, rhs)
+    assert _same_bits(x, _lapack(ab, rhs))
+    if rhs.ndim == 2:
+        assert x.flags.f_contiguous  # as LAPACK returns it
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_fp_solves_along_each_shipped_mkv_flow_are_lapack_bitwise(path, monkeypatch):
+    sc = load_scenario(path)
+    systems = []
+
+    def recorded(ab, rhs):
+        systems.append((ab, rhs))
+        return _solve_tridiagonal(ab, rhs)
+
+    monkeypatch.setattr(dynamics, "_solve_tridiagonal", recorded)
+    mkv_flow(sc.potential, sc.mu_in(), sc.time_grid)
+    assert len(systems) == sc.time_grid.n_steps
+    for ab, p in systems:
+        _assert_lapack_bitwise(ab, p)
+    n = sc.grid.n_cells
+    for ab, _ in (systems[0], systems[-1]):
+        _assert_lapack_bitwise(ab, np.eye(n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("cells_moved", [0.01, 1.0, _DRIFT_RESOLUTION_LIMIT])
+def test_fp_solve_of_a_random_drift_is_lapack_bitwise(seed, cells_moved):
+    rng = np.random.default_rng(seed)
+    n, dx, dt = 64 + 61 * seed, 16.0 / (64 + 61 * seed), rng.choice([1 / 128, 1 / 16])
+    b = rng.uniform(-1.0, 1.0, n)
+    b *= cells_moved * dx / dt / np.max(np.abs(b))  # moves mass cells_moved cells
+    ab = _fp_banded(b, dx, dt)
+    for rhs in (rng.uniform(0.0, 1.0, n), rng.normal(size=n), np.eye(n),
+                rng.normal(size=(n, 5))):
+        _assert_lapack_bitwise(ab, rhs)
+
+
+def test_tridiagonal_solve_keeps_lapacks_zero_signs():
+    # LAPACK also subtracts 0 * x[i+2]; that turns a -0 partial result into +0
+    ab = _fp_banded(np.linspace(-3.0, 2.0, 32), 0.5, 1 / 16)
+    rng = np.random.default_rng(3)
+    negative_zeros = np.where(rng.uniform(size=(32, 6)) < 0.5, -0.0, 0.0)
+    for rhs in (np.full(32, -0.0), np.full((32, 3), -0.0), negative_zeros,
+                negative_zeros[:, 0]):
+        _assert_lapack_bitwise(ab, rhs)
+    # without that term every entry of this solution would be -0
+    signs = np.signbit(_lapack(ab, np.full(32, -0.0)))
+    assert signs[-1] and not signs.all()
+
+
+def test_tridiagonal_solve_raises_where_lapack_would_pivot():
+    ab = _fp_banded(np.zeros(16), 0.5, 1 / 16)
+    ab[2, 5] = -2.0 * ab[1, 5]  # |l_5| > |d_5|: LAPACK swaps rows 5 and 6
+    with pytest.raises(np.linalg.LinAlgError, match="row interchange at row 5"):
+        _solve_tridiagonal(ab, np.ones(16))
+    singular = np.zeros((3, 16))
+    singular[1, 1:] = 1.0  # d_0 = l_0 = 0: LAPACK reports a singular matrix
+    with pytest.raises(np.linalg.LinAlgError, match="at row 0"):
+        _solve_tridiagonal(singular, np.eye(16))
+    singular[1] = [1.0] * 15 + [0.0]
+    with pytest.raises(np.linalg.LinAlgError, match="pivot at row 15"):
+        _solve_tridiagonal(singular, np.ones(16))
+
+
+def test_fp_solve_of_a_nan_drift_raises():
+    b = np.zeros(32)
+    b[7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        _fp_solve(b, 0.5, 1 / 16, np.ones(32))
+
+
+def test_nan_drift_exits_4_through_the_cli(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "conv_force",
+                        lambda pot, mu: np.full(mu.values.shape, np.nan))
+    rc = cli.main(["mkv", "--scenario", str(SCENARIOS / "asymmetric.json"),
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INTERNAL == 4
+    assert "tridiagonal system must be finite" in capsys.readouterr().err

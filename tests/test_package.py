@@ -62,38 +62,46 @@ def test_public_defaults_are_the_listed_ones():
     assert found == DEFAULTS
 
 
-# Runs in a fresh interpreter: loads the scenarios given after the first two
-# arguments, runs `verify` on the first argument into the second (unless they
-# are empty), and prints which scipy subpackages got imported on the way.
-_STARTUP = """
-import sys
-import mfsb.cli
-verify, out, *paths = sys.argv[1:]
-for path in paths:
-    mfsb.cli.load_scenario(path)
-if verify:
-    assert mfsb.cli.run(mfsb.cli.load_scenario(verify), "verify", out) == 0
-print(" ".join(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules))
-"""
-
-
-def _scipy_loaded(verify, out, *paths) -> list:
-    done = subprocess.run([sys.executable, "-c", _STARTUP, str(verify), str(out),
-                           *map(str, paths)],
+def _run_without_scipy(code: str, *args):
+    """Run code in a fresh interpreter in which every import of scipy fails."""
+    done = subprocess.run([sys.executable, "-c",
+                           'import sys; sys.modules["scipy"] = None\n' + code,
+                           *map(str, args)],
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                          capture_output=True, text=True, timeout=300, check=True)
-    return done.stdout.split()
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_startup_and_a_particle_verify_import_no_scipy_solver(tmp_path):
     scenarios = ROOT / "scenarios"
     paths = sorted(p for p in scenarios.glob("*.json") if p.stem != "mkv_endpoint")
     assert len(paths) == 5
-    assert _scipy_loaded(scenarios / "gaussian_well_particles.json", tmp_path,
-                         *paths) == []
+    _run_without_scipy("""
+import mfsb.cli
+out, verify, *paths = sys.argv[1:]
+for path in paths:
+    mfsb.cli.load_scenario(path)
+assert mfsb.cli.run(mfsb.cli.load_scenario(verify), "verify", out) == 0
+""", tmp_path, scenarios / "gaussian_well_particles.json", *paths)
 
 
-def test_an_mkv_load_imports_the_banded_solver_only():
-    # loading mkv_endpoint evolves an MKV flow, which takes Fokker-Planck steps
-    assert _scipy_loaded("", "", ROOT / "scenarios" / "mkv_endpoint.json") == [
-        "scipy.linalg"]
+def test_fokker_planck_steps_and_ipfp_frozen_run_without_scipy(tmp_path):
+    # loading mkv_endpoint evolves an MKV flow; its verify takes the mkv init
+    # and the mkv-distance check, and ipfp_frozen solves against matrices
+    paths = sorted((ROOT / "scenarios").glob("*.json"))
+    assert len(paths) == 6
+    _run_without_scipy("""
+import mfsb.cli
+from mfsb import (InteractionPotential, SpatialGrid, TimeGrid, density_from_spec,
+                  ipfp_frozen)
+out, *paths = sys.argv[1:]
+for path in paths:
+    mfsb.cli.load_scenario(path)
+verify = next(p for p in paths if p.endswith("mkv_endpoint.json"))
+assert mfsb.cli.run(mfsb.cli.load_scenario(verify), "verify", out) == 0
+grid = SpatialGrid(8.0, 32)
+mu = density_from_spec(grid, {"kind": "gaussian", "mean": 0.5, "std": 1.0})
+nu = density_from_spec(grid, {"kind": "gaussian", "mean": -0.5, "std": 1.2})
+assert ipfp_frozen(InteractionPotential.quadratic(0.5), mu, nu, grid,
+                   TimeGrid(1.0, 8)).diagnostics["converged"]
+""", tmp_path, *paths)
