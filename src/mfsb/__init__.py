@@ -32,7 +32,6 @@ from .grids import (
     divergence,
     divergence_inverse,
     grad,
-    time_reverse,
     wasserstein1,
 )
 from .potentials import (

@@ -37,10 +37,11 @@ EXIT_INTERNAL = 4
 class _Run:
     """What the commands compute from one scenario, each part on first use."""
 
-    def __init__(self, scenario: Scenario, strict_w2: bool):
+    def __init__(self, scenario: Scenario, strict_w2: bool, plots: bool):
         self.scenario = scenario
         self.pot = scenario.potential
         self.strict_w2 = strict_w2
+        self.plots = plots
         self.status = {}  # solver status of each bridge computed, by name
 
     def _solve(self, name, mu_in, mu_fin, time_grid):
@@ -101,7 +102,7 @@ def _write_manifest(out: Path, scenario: Scenario, command: str, fmt: str,
     )
 
 
-def _cmd_solve(run: _Run, out: Path, fmt: str, args) -> int:
+def _cmd_solve(run: _Run, out: Path, fmt: str) -> int:
     sol = run.sol
     flowio.save_flow(out / f"flow.{fmt}", sol.flow, fmt)
     flowio.save_matrix(out / f"corrector.{fmt}", "corrector",
@@ -115,7 +116,7 @@ def _cmd_solve(run: _Run, out: Path, fmt: str, args) -> int:
     return EXIT_OK if sol.diagnostics["converged"] else EXIT_NO_CONVERGENCE
 
 
-def _cmd_mkv(run: _Run, out: Path, fmt: str, args) -> int:
+def _cmd_mkv(run: _Run, out: Path, fmt: str) -> int:
     final = run.mkv.density(run.scenario.time_grid.n_steps)
     flowio.save_flow(out / f"mkv_flow.{fmt}", run.mkv, fmt)
     flowio.write_json(out / "summary.json", {
@@ -126,7 +127,7 @@ def _cmd_mkv(run: _Run, out: Path, fmt: str, args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(run: _Run, out: Path, fmt: str, args) -> int:
+def _cmd_simulate(run: _Run, out: Path, fmt: str) -> int:
     ens = run.ensemble
     flowio.save_matrix(out / f"positions.{fmt}", "positions", ens.positions, fmt)
     flowio.save_matrix(out / f"increments.{fmt}", "increments", ens.increments, fmt)
@@ -140,7 +141,7 @@ def _cmd_simulate(run: _Run, out: Path, fmt: str, args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(run: _Run, out: Path, fmt: str, args) -> int:
+def _cmd_verify(run: _Run, out: Path, fmt: str) -> int:
     scenario = run.scenario
     entries = {entry.name: entry for name in scenario.checks
                for entry in V.CHECKS[name][1](run)}
@@ -169,7 +170,7 @@ def _cmd_verify(run: _Run, out: Path, fmt: str, args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_report(run: _Run, out: Path, fmt: str, args) -> int:
+def _cmd_report(run: _Run, out: Path, fmt: str) -> int:
     sol = run.sol
     ts = run.scenario.time_grid.nodes
     f_rel, envelope = V.entropy_envelope(sol, run.pot, run.gauge)
@@ -184,7 +185,7 @@ def _cmd_report(run: _Run, out: Path, fmt: str, args) -> int:
     flowio.save_matrix(out / "conserved_profile.csv", "conserved",
                        np.column_stack([prof.times, prof.values]), "csv")
 
-    if args.plots:
+    if run.plots:
         _write_plots(out, ts, f_rel, envelope, energy, prof)
     _write_manifest(out, run.scenario, "report", fmt, extra={"cost": sol.cost})
     return EXIT_OK if sol.diagnostics["converged"] else EXIT_NO_CONVERGENCE
@@ -234,9 +235,8 @@ def run(scenario: Scenario, command: str, out_dir, *, fmt: str = "bin",
     """Programmatic entry point mirroring the CLI; returns the exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    args = argparse.Namespace(plots=plots)
     try:
-        return _COMMANDS[command](_Run(scenario, strict_w2), out, fmt, args)
+        return _COMMANDS[command](_Run(scenario, strict_w2, plots), out, fmt)
     except NoConvergence as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

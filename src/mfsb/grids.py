@@ -160,26 +160,30 @@ def density_from_spec(grid: SpatialGrid, spec: dict) -> Density:
     """
     kind = spec.get("kind")
     x = grid.centers
-    if kind == "gaussian":
-        mean, std = (real_number(key, spec[key]) for key in ("mean", "std"))
-        if std <= 0:
-            raise ValueError("gaussian std must be positive")
-        vals = np.exp(-0.5 * ((x - mean) / std) ** 2)
-    elif kind == "mixture":
-        comps = spec["components"]
-        if not comps:
-            raise ValueError("mixture needs at least one component")
-        vals = np.zeros_like(x)
-        for comp in comps:
-            w, mean, std = (real_number(key, comp[key])
-                            for key in ("weight", "mean", "std"))
-            if w < 0 or std <= 0:
-                raise ValueError("mixture weights must be >= 0 and stds > 0")
-            vals += w * np.exp(-0.5 * ((x - mean) / std) ** 2) / std
-    elif kind == "histogram":
-        vals = np.array([real_number("histogram value", v) for v in spec["values"]])
-    else:
-        raise ValueError(f"unknown density kind: {kind!r}")
+    # a bump whose scaled square overflows is 0, and an infinite weight on it
+    # is nan: Density rejects the values without mass or not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "gaussian":
+            mean, std = (real_number(key, spec[key]) for key in ("mean", "std"))
+            if std <= 0:
+                raise ValueError("gaussian std must be positive")
+            vals = np.exp(-0.5 * ((x - mean) / std) ** 2)
+        elif kind == "mixture":
+            comps = spec["components"]
+            if not comps:
+                raise ValueError("mixture needs at least one component")
+            vals = np.zeros_like(x)
+            for comp in comps:
+                w, mean, std = (real_number(key, comp[key])
+                                for key in ("weight", "mean", "std"))
+                if w < 0 or std <= 0:
+                    raise ValueError("mixture weights must be >= 0 and stds > 0")
+                vals += w * np.exp(-0.5 * ((x - mean) / std) ** 2) / std
+        elif kind == "histogram":
+            vals = np.array([real_number("histogram value", v)
+                             for v in spec["values"]])
+        else:
+            raise ValueError(f"unknown density kind: {kind!r}")
     return Density(grid, vals)
 
 
@@ -293,12 +297,3 @@ def wasserstein1(a: Density, b: Density) -> float:
     diff = np.cumsum(a.values - b.values) * dx
     return float(np.sum(np.abs(diff)) * dx)
 
-
-def time_reverse(obj):
-    """Reverse the time index of a flow, field or 2-D array (involution)."""
-    if isinstance(obj, MarginalFlow):
-        return MarginalFlow(obj.time_grid, obj.grid, obj.values[::-1].copy())
-    if isinstance(obj, GridField):
-        return GridField(obj.time_grid, obj.grid, obj.values[::-1].copy())
-    arr = np.asarray(obj)
-    return arr[::-1].copy()

@@ -44,27 +44,25 @@ class InteractionPotential:
     bound holds); hess_sup is an upper bound of W''.  Both have units 1/time^2.
     """
 
-    kind: str
     kappa: float
     hess_sup: float
     params: tuple = field(default=())
 
     @classmethod
     def zero(cls) -> "InteractionPotential":
-        return _Quadratic("zero", 0.0, 0.0)
+        return _Quadratic(0.0, 0.0)
 
     @classmethod
     def quadratic(cls, kappa: float) -> "InteractionPotential":
         kappa = _positive("quadratic", "kappa", kappa)
-        return _Quadratic("quadratic", kappa, kappa)
+        return _Quadratic(kappa, kappa)
 
     @classmethod
     def gaussian_well(cls, amplitude: float, width: float) -> "InteractionPotential":
         amplitude = _positive("gaussian-well", "amplitude", amplitude)
         width = _positive("gaussian-well", "width", width)
         # W''(0) = a/s^2 is the Hessian peak; no positive convexity bound exists.
-        return _GaussianWell("gaussian-well", 0.0, amplitude / width**2,
-                             (amplitude, width))
+        return _GaussianWell(0.0, amplitude / width**2, (amplitude, width))
 
     @classmethod
     def from_spec(cls, spec: dict) -> "InteractionPotential":

@@ -98,11 +98,8 @@ def _is_integer(value) -> bool:
 def _build_solver_config(spec: dict) -> SolverConfig:
     unknown = set(spec) - {f.name for f in fields(SolverConfig)}
     _require(not unknown, f"unknown solver options: {sorted(unknown)}")
-    kwargs = dict(spec)
     try:
-        if "multi_start" in kwargs:
-            kwargs["multi_start"] = tuple(kwargs["multi_start"])
-        return SolverConfig(**kwargs)
+        return SolverConfig(**spec)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid solver configuration: {exc}") from exc
 

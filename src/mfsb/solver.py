@@ -84,15 +84,13 @@ class SolverConfig:
 
     max_outer: int = 4000
     init: str = "heat"              # heat | mkv
-    multi_start: tuple = ()
 
     def __post_init__(self):
         if not (isinstance(self.max_outer, int) and not isinstance(self.max_outer, bool)
                 and self.max_outer >= 1):
             raise ValueError("max_outer must be an integer >= 1")
-        for name in (self.init, *self.multi_start):
-            if name not in ("heat", "mkv"):
-                raise ValueError(f"unknown init mode {name!r}")
+        if self.init not in ("heat", "mkv"):
+            raise ValueError(f"unknown init mode {self.init!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +109,13 @@ def static_sinkhorn(a: np.ndarray, b: np.ndarray, kernel: np.ndarray):
     """Scaling vectors (u, v) with diag(v) K diag(u) matching masses (a, b)."""
     u = np.ones_like(a)
     v = np.ones_like(b)
-    err = np.inf
     for _ in range(_SINKHORN_MAX_ITERS):
         u = a / np.maximum(kernel.T @ v, 1e-300)
         ku = kernel @ u
-        err = float(np.max(np.abs(v * ku - b)))
-        if err <= _SINKHORN_TOL:
+        if np.max(np.abs(v * ku - b)) <= _SINKHORN_TOL:
             break
         v = b / np.maximum(ku, 1e-300)
-    return u, v, err
+    return u, v
 
 
 def heat_interpolation_flow(mu_in: Density, mu_fin: Density, sgrid: SpatialGrid,
@@ -128,7 +124,7 @@ def heat_interpolation_flow(mu_in: Density, mu_fin: Density, sgrid: SpatialGrid,
     a = mu_in.values * sgrid.dx
     b = mu_fin.values * sgrid.dx
     kernel = heat_kernel(sgrid, tgrid.horizon)
-    u, v, _ = static_sinkhorn(a, b, kernel)
+    u, v = static_sinkhorn(a, b, kernel)
     values = np.empty((tgrid.n_steps + 1, sgrid.n_cells))
     values[0] = mu_in.values
     values[-1] = mu_fin.values
@@ -482,48 +478,38 @@ def _descend(pot: InteractionPotential, flow0: MarginalFlow, config: SolverConfi
     return mu, J, pg_norm, iterations, "budget"
 
 
+def _bridge_solution(pot: InteractionPotential, flow: MarginalFlow,
+                     diagnostics: dict) -> BridgeSolution:
+    """The bridge of a solved flow: its velocity, corrector and reported cost."""
+    velocity = velocity_from_flow(flow)
+    psi = corrector(flow, velocity, pot)
+    return BridgeSolution(flow, velocity, psi, entropic_cost(psi, flow), diagnostics)
+
+
 def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
                sgrid: SpatialGrid, tgrid: TimeGrid,
                config: SolverConfig | None = None) -> BridgeSolution:
     """Solve the two-marginal bridge problem by projected mirror descent.
 
-    Returns the best iterate with convergence diagnostics; a run that exhausts
-    its budget is returned flagged rather than raised.  Raises
+    Descends once from the configured initialization and returns the last
+    iterate with convergence diagnostics; a run that exhausts its budget or
+    stalls is returned flagged rather than raised.  Raises
     InfeasibleEndpoints when the endpoint validation fails.
     """
     config = config or SolverConfig()
     _validate_endpoints(mu_in, mu_fin, sgrid)
-
-    init_names = [config.init] + [n for n in config.multi_start if n != config.init]
-    starts = {}
-    best = None
-    for name in init_names:
-        flow0 = _initial_flow(name, pot, mu_in, mu_fin, sgrid, tgrid)
-        mu, J, pg_norm, iters, status = _descend(pot, flow0, config)
-        starts[name] = {"cost": J, "pg_norm": pg_norm, "iterations": iters,
-                        "status": status}
-        if best is None or J < best[1]:
-            best = (mu, J, pg_norm, iters, status, name)
-    mu, J, pg_norm, iters, status, which = best
-
-    flow = MarginalFlow(tgrid, sgrid, mu)
-    velocity = velocity_from_flow(flow)
-    psi = corrector(flow, velocity, pot)
-    cost = entropic_cost(psi, flow)
-    diagnostics = {
+    flow0 = _initial_flow(config.init, pot, mu_in, mu_fin, sgrid, tgrid)
+    mu, J, pg_norm, iters, status = _descend(pot, flow0, config)
+    return _bridge_solution(pot, MarginalFlow(tgrid, sgrid, mu), {
         "converged": status == "converged",
         "status": status,
         "iterations": iters,
         "pg_norm": pg_norm,
         "objective": J,
-        "init": which,
-        "starts": starts,
-        "start_discrepancy": (
-            max(s["cost"] for s in starts.values())
-            - min(s["cost"] for s in starts.values())
-        ),
-    }
-    return BridgeSolution(flow, velocity, psi, cost, diagnostics)
+        "init": config.init,
+        "starts": {config.init: {"cost": J, "pg_norm": pg_norm,
+                                 "iterations": iters, "status": status}},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +522,8 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
 
     Alternates (i) freezing the marginal flow and building the induced linear
     transition kernels, (ii) a classical two-marginal bridge fit against those
-    kernels, (iii) a damped marginal update.  Documented bias: the fixed point
+    kernels, (iii) a damped marginal update, undamped without a force, where
+    the kernels do not depend on the flow.  Documented bias: the fixed point
     satisfies the frozen-drift optimality condition, not the mean-field one.
     """
     _validate_endpoints(mu_in, mu_fin, sgrid)
@@ -545,9 +532,6 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
     b_target = mu_fin.values * sgrid.dx
     flow_vals = heat_interpolation_flow(mu_in, mu_fin, sgrid, tgrid).values
 
-    delta = np.inf
-    converged = False
-    outer = 0
     for outer in range(1, _IPFP_MAX_OUTER + 1):
         forces = pot.force(flow_vals[:-1], sgrid)
         # without a force the kernels cannot depend on the frozen flow
@@ -559,7 +543,7 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
         total = steps[0]
         for s_k in steps[1:]:
             total = s_k @ total
-        u, v, _ = static_sinkhorn(a, b_target, total)
+        u, v = static_sinkhorn(a, b_target, total)
         fwd = np.empty((n_steps + 1, sgrid.n_cells))
         bwd = np.empty_like(fwd)
         fwd[0] = u
@@ -571,27 +555,24 @@ def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
         bridge = np.empty_like(flow_vals)
         for k in range(n_steps + 1):
             bridge[k] = Density(sgrid, fwd[k] * bwd[k]).values
-        new_vals = (1.0 - _DAMPING) * flow_vals + _DAMPING * bridge
+        # without a force the fit is the fixed point: take it undamped
+        damping = 1.0 if drift_free else _DAMPING
+        new_vals = (1.0 - damping) * flow_vals + damping * bridge
         new_vals /= new_vals.sum(axis=1, keepdims=True) * sgrid.dx
         delta = float(np.max(np.abs(new_vals - flow_vals)))
         flow_vals = new_vals
-        if delta <= _IPFP_TOL or (drift_free and outer >= 2):
-            converged = delta <= _IPFP_TOL or drift_free
+        converged = delta <= _IPFP_TOL
+        if converged:
             break
     if not converged and delta > 1e-4:
         raise NoConvergence(f"frozen-drift iteration stalled at delta {delta:.3e}")
 
-    flow = MarginalFlow(tgrid, sgrid, flow_vals)
-    velocity = velocity_from_flow(flow)
-    psi = corrector(flow, velocity, pot)
-    cost = entropic_cost(psi, flow)
-    diagnostics = {
+    return _bridge_solution(pot, MarginalFlow(tgrid, sgrid, flow_vals), {
         "converged": converged,
         "outer_iterations": outer,
         "marginal_update_delta": delta,
         "bias_note": "frozen-drift fixed point; not the mean-field optimizer in general",
-    }
-    return BridgeSolution(flow, velocity, psi, cost, diagnostics)
+    })
 
 
 # ---------------------------------------------------------------------------

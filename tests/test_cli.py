@@ -109,8 +109,8 @@ MALFORMED = {
     "fractional-cells": (("grid", "n_cells"), 64.7, "n_cells"),
     "fractional-steps": (("time", "n_steps"), 16.9, "n_steps"),
     "string-cells": (("grid", "n_cells"), "64", "n_cells"),
-    "multi_start-scalar": (("solver", "multi_start"), 5, "solver"),
-    "multi_start-unknown": (("solver", "multi_start"), ["bogus"], "bogus"),
+    "removed-multi_start": (("solver", "multi_start"), ["mkv"],
+                            "unknown solver options"),
     "provided-init": (("solver", "init"), "provided", "provided"),
     "max_outer-string": (("solver", "max_outer"), "10", "max_outer"),
     "max_outer-fractional": (("solver", "max_outer"), 1.5, "max_outer"),
@@ -391,7 +391,7 @@ def test_cli_validation_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["infinite-horizon", "histogram-length",
-                                  "fractional-cells", "multi_start-unknown"])
+                                  "fractional-cells", "removed-multi_start"])
 def test_cli_malformed_scenario_exit_code(tmp_path, case, capsys):
     path, value, message = MALFORMED[case]
     scenario = _write(tmp_path, _with(path, value))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from mfsb import (
     Density,
     GridMismatch,
-    MarginalFlow,
     NonZeroMass,
     SpatialGrid,
     TimeGrid,
@@ -13,7 +14,6 @@ from mfsb import (
     divergence,
     divergence_inverse,
     grad,
-    time_reverse,
     wasserstein1,
 )
 from oracles import (brute_force_path_distance, gaussian_entropy_integral,
@@ -103,6 +103,22 @@ def test_density_from_spec_variants(grid):
         Density(grid, -np.ones(grid.n_cells))
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "gaussian", "mean": 0.0, "std": 1e-160}, "no mass"),
+    ({"kind": "mixture", "components": [{"weight": 1.0, "mean": 0.0,
+                                         "std": 1e-160}]}, "no mass"),
+    ({"kind": "mixture", "components": [{"weight": float("inf"), "mean": 0.0,
+                                         "std": 1e-160}]}, "finite"),
+], ids=["gaussian", "mixture", "mixture-infinite-weight"])
+def test_density_from_spec_overflowing_bump_raises_without_warning(grid, spec,
+                                                                   message):
+    # no cell centre lies within 1e-158 of the mean: every bump value is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            density_from_spec(grid, spec)
+
+
 def test_wasserstein1_identity_and_shift(grid):
     a = density_from_spec(grid, {"kind": "gaussian", "mean": 0.0, "std": 1.0})
     assert wasserstein1(a, a) == 0.0
@@ -143,14 +159,3 @@ def test_path_distance_matches_brute_force():
         b = rng.normal(size=(5, 7)).cumsum(axis=1)
         assert path_distance(a, b) == pytest.approx(
             brute_force_path_distance(a, b), abs=1e-12)
-
-
-def test_time_reverse_involution(grid):
-    tg = TimeGrid(1.0, 8)
-    rng = np.random.default_rng(3)
-    vals = rng.random((9, grid.n_cells)) + 0.1
-    vals /= vals.sum(axis=1, keepdims=True) * grid.dx
-    flow = MarginalFlow(tg, grid, vals)
-    rev = time_reverse(flow)
-    assert np.array_equal(rev.values[0], flow.values[-1])
-    assert np.array_equal(time_reverse(rev).values, flow.values)

@@ -25,7 +25,7 @@ DEFAULTS = {
     "functionals.BridgeSolution": {"diagnostics"},
     "potentials.InteractionPotential": {"params"},
     "scenario.Scenario": {"raw"},
-    "solver.SolverConfig": {"max_outer", "init", "multi_start"},
+    "solver.SolverConfig": {"max_outer", "init"},
     "solver.solve_mfsb": {"config"},
     "verify.CheckEntry": {"detail"},
     "verify.VerificationReport": {"environment"},
