@@ -23,7 +23,7 @@ from .dynamics import mkv_flow, simulate_particles  # noqa: F401
 from .errors import MFSBError, NoConvergence, ScenarioError
 from .grids import TimeGrid
 from .scenario import Scenario, load_scenario
-from .solver import optimality_residual, solve_mfsb
+from .solver import cancel_ahead, optimality_residual, solve_ahead, solve_mfsb
 from . import flowio
 from . import verify as V
 
@@ -44,27 +44,35 @@ class _Run:
         self.plots = plots
         self.status = {}  # solver status of each bridge computed, by name
 
-    def _solve(self, name, mu_in, mu_fin, time_grid):
-        sol = solve_mfsb(self.pot, mu_in, mu_fin, self.scenario.grid, time_grid,
-                         self.scenario.solver)
-        self.status[name] = sol.diagnostics["status"]
+    def problem(self, bridge: str) -> tuple:
+        """The arguments of solve_mfsb for the forward, reverse or
+        doubled-horizon bridge."""
+        sc = self.scenario
+        mu_in, mu_fin, time_grid = sc.mu_in(), sc.mu_fin(), sc.time_grid
+        if bridge == "reverse":
+            mu_in, mu_fin = mu_fin, mu_in
+        elif bridge == "doubled-horizon":
+            time_grid = TimeGrid(2.0 * time_grid.horizon, time_grid.n_steps)
+        elif bridge != "forward":
+            raise ValueError(f"unknown bridge {bridge!r}")
+        return self.pot, mu_in, mu_fin, sc.grid, time_grid, sc.solver
+
+    def _solve(self, bridge):
+        sol = solve_mfsb(*self.problem(bridge))
+        self.status[bridge] = sol.diagnostics["status"]
         return sol
 
     @cached_property
     def sol(self):
-        sc = self.scenario
-        return self._solve("forward", sc.mu_in(), sc.mu_fin(), sc.time_grid)
+        return self._solve("forward")
 
     @cached_property
     def sol_reverse(self):
-        sc = self.scenario
-        return self._solve("reverse", sc.mu_fin(), sc.mu_in(), sc.time_grid)
+        return self._solve("reverse")
 
     @cached_property
     def sol_double(self):
-        sc = self.scenario
-        doubled = TimeGrid(2.0 * sc.time_grid.horizon, sc.time_grid.n_steps)
-        return self._solve("doubled-horizon", sc.mu_in(), sc.mu_fin(), doubled)
+        return self._solve("doubled-horizon")
 
     @cached_property
     def residual(self):
@@ -142,9 +150,21 @@ def _cmd_simulate(run: _Run, out: Path, fmt: str) -> int:
 
 
 def _cmd_verify(run: _Run, out: Path, fmt: str) -> int:
+    # the bridges beyond the forward one, in the order the checks read them,
+    # are solved in children while this process solves the forward one
+    ahead = dict.fromkeys(bridge for name in run.scenario.checks
+                          for bridge in V.CHECKS[name].bridges)
+    solve_ahead(run.problem(bridge) for bridge in ahead)
+    try:
+        return _verify(run, out, fmt)
+    finally:
+        cancel_ahead()
+
+
+def _verify(run: _Run, out: Path, fmt: str) -> int:
     scenario = run.scenario
     entries = {entry.name: entry for name in scenario.checks
-               for entry in V.CHECKS[name][1](run)}
+               for entry in V.CHECKS[name].entries(run)}
     environment = {
         "grid": {"half_width": scenario.grid.half_width,
                  "n_cells": scenario.grid.n_cells},

@@ -28,6 +28,12 @@ MEAN_MATCH_TOL = 1e-6
 # at most 2*hess_sup.  On the shipped gaussian-well particle setup, theta
 # passed up to hess_sup*dt = 2.5 and first failed at 4.
 PARTICLE_STEP_LIMIT = 1.0
+# Largest grids a scenario may ask for.  The largest dense arrays of a run are
+# the n_cells x n_cells pair tables (the heat kernel, the gaussian-well
+# tables) and the (n_steps + 1) x n_cells stacks of a descent, which holds
+# about twenty of them.  At both bounds each such float64 array is 32 MiB.
+MAX_N_CELLS = 2048
+MAX_N_STEPS = 2048
 
 
 @dataclass
@@ -117,6 +123,9 @@ def _parse_structure(doc: dict) -> Scenario:
             _require(key in doc[block], f"missing {block}.{key}")
     _require(_is_integer(grid_spec["n_cells"]), "grid.n_cells must be an integer")
     _require(_is_integer(time_spec["n_steps"]), "time.n_steps must be an integer")
+    for name, value, bound in (("grid.n_cells", grid_spec["n_cells"], MAX_N_CELLS),
+                               ("time.n_steps", time_spec["n_steps"], MAX_N_STEPS)):
+        _require(value <= bound, f"{name} may be at most {bound}, got {value}")
     try:
         grid = SpatialGrid(real_number("half_width", grid_spec["half_width"]),
                            grid_spec["n_cells"])
@@ -170,7 +179,7 @@ def _validate_hypotheses(sc: Scenario):
         raise HypothesisViolation("H1", "potential is not symmetric")
     if np.any(pot.d2w(z) > pot.hess_sup + 1e-9):
         raise HypothesisViolation("H1", "Hessian exceeds its declared upper bound")
-    assumed = {name: CHECKS[name][0] for name in sc.checks}
+    assumed = {name: CHECKS[name].assumes for name in sc.checks}
     stepped = sorted(name for name, a in assumed.items() if a == "particle-step")
     if stepped and sc.n_particles > THETA_MAX_PARTICLES:
         raise ParseError(
@@ -214,7 +223,16 @@ def _validate_hypotheses(sc: Scenario):
                 f"gap is {gap:.2e}"
             )
     # the same measure a symbolic "equilibrium" final density resolves to
-    if pot.kappa > 0 and sc.equilibrium.density.boundary_mass() > BOUNDARY_MASS_GATE:
+    if pot.kappa <= 0:
+        return
+    try:
+        eq_density = sc.equilibrium.density
+    except ValueError as exc:  # a stiff potential's equilibrium misses every cell
+        raise HypothesisViolation(
+            "H2", f"equilibrium density is not resolved on the grid ({exc}); "
+            "raise grid.n_cells"
+        ) from exc
+    if eq_density.boundary_mass() > BOUNDARY_MASS_GATE:
         raise HypothesisViolation(
             "H2", "equilibrium density has boundary mass above the gate; "
             "enlarge half_width"

@@ -22,6 +22,9 @@ Reported costs come from the corrector's cell quadrature (entropic_cost),
 not from J; the two differ by O(dx^2), which
 test_bb_objective_second_order_in_cell_quadrature checks.
 
+solve_ahead starts independent bridges in forked children; solve_mfsb, called
+with the same arguments, then collects a child's result instead of solving.
+
 A frozen-drift iterative-proportional-fitting baseline is also provided; it
 alternates classical bridge fitting against the kernels of the frozen flow
 and is not the mean-field optimizer in general (it lacks the Hessian coupling
@@ -30,6 +33,9 @@ of the optimality system), which is exactly why it is kept as a diagnostic.
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -486,17 +492,9 @@ def _bridge_solution(pot: InteractionPotential, flow: MarginalFlow,
     return BridgeSolution(flow, velocity, psi, entropic_cost(psi, flow), diagnostics)
 
 
-def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
-               sgrid: SpatialGrid, tgrid: TimeGrid,
-               config: SolverConfig | None = None) -> BridgeSolution:
-    """Solve the two-marginal bridge problem by projected mirror descent.
-
-    Descends once from the configured initialization and returns the last
-    iterate with convergence diagnostics; a run that exhausts its budget or
-    stalls is returned flagged rather than raised.  Raises
-    InfeasibleEndpoints when the endpoint validation fails.
-    """
-    config = config or SolverConfig()
+def _solve(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
+           sgrid: SpatialGrid, tgrid: TimeGrid, config: SolverConfig) -> BridgeSolution:
+    """The body of solve_mfsb: validate, initialize, descend."""
     _validate_endpoints(mu_in, mu_fin, sgrid)
     flow0 = _initial_flow(config.init, pot, mu_in, mu_fin, sgrid, tgrid)
     mu, J, pg_norm, iters, status = _descend(pot, flow0, config)
@@ -510,6 +508,135 @@ def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
         "starts": {config.init: {"cost": J, "pg_norm": pg_norm,
                                  "iterations": iters, "status": status}},
     })
+
+
+def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
+               sgrid: SpatialGrid, tgrid: TimeGrid,
+               config: SolverConfig | None = None) -> BridgeSolution:
+    """Solve the two-marginal bridge problem by projected mirror descent.
+
+    Descends once from the configured initialization and returns the last
+    iterate with convergence diagnostics; a run that exhausts its budget or
+    stalls is returned flagged rather than raised.  Raises
+    InfeasibleEndpoints when the endpoint validation fails.  A problem that
+    solve_ahead started is collected from its child: the same solution, or
+    the same exception, as solving it here.
+    """
+    problem = (pot, mu_in, mu_fin, sgrid, tgrid, config or SolverConfig())
+    for ahead in _AHEAD:
+        if ahead.key == _problem_key(*problem):
+            return _collect(ahead)
+    return _solve(*problem)
+
+
+# ---------------------------------------------------------------------------
+# bridges solved ahead, in forked children
+
+
+@dataclass
+class _Ahead:
+    """A problem being solved in a child: its key, the child, its result pipe."""
+
+    key: tuple
+    pid: int
+    fd: int
+
+
+_AHEAD: list = []  # the children solve_ahead started that nothing collected yet
+
+
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a child, as its text."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _problem_key(pot, mu_in: Density, mu_fin: Density, sgrid, tgrid, config) -> tuple:
+    """What makes two calls of solve_mfsb the same problem."""
+    return (pot, mu_in.grid, mu_in.values.tobytes(), mu_fin.grid,
+            mu_fin.values.tobytes(), sgrid, tgrid, config or SolverConfig())
+
+
+def _spare_cpus() -> int:
+    """Usable CPUs beyond the one the calling process runs on."""
+    try:
+        return len(os.sched_getaffinity(0)) - 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) - 1
+
+
+def solve_ahead(problems):
+    """Start solving problems, each the arguments of solve_mfsb, in children.
+
+    Forks one child per problem, in order, while usable CPUs beyond the
+    caller's own remain, and none where os.fork does not exist.  The caller
+    obtains each solution by calling solve_mfsb as it would have without
+    this call, and must call cancel_ahead when it is done.
+    """
+    if not hasattr(os, "fork"):
+        return
+    for problem in list(problems)[:_spare_cpus()]:
+        read_fd, write_fd = os.pipe()
+        # a child that writes must not write this process's buffers again
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            _solve_in_child(problem, write_fd)
+        os.close(write_fd)
+        _AHEAD.append(_Ahead(_problem_key(*problem), pid, read_fd))
+
+
+def _solve_in_child(problem: tuple, fd: int):
+    """Solve problem and write the pickled outcome to fd; never returns.
+
+    The outcome is (True, solution, None) or (False, exception, traceback
+    text); a child that cannot send it writes nothing.  os._exit ends the
+    child without the parent's exit handlers and without flushing its copy
+    of the parent's buffers.
+    """
+    code = 1
+    try:
+        _AHEAD.clear()  # the parent's children; this process collects none
+        try:
+            payload = pickle.dumps((True, _solve(*problem), None))
+        except BaseException as exc:
+            import traceback
+            payload = pickle.dumps((False, exc, traceback.format_exc()))
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(ahead: _Ahead) -> BridgeSolution:
+    """The solution a child sent, or the exception it raised, raised here."""
+    chunks = []
+    while chunk := os.read(ahead.fd, 1 << 20):
+        chunks.append(chunk)
+    _, status = os.waitpid(ahead.pid, 0)
+    _AHEAD.remove(ahead)
+    os.close(ahead.fd)
+    if not chunks:
+        raise RuntimeError(f"child {ahead.pid} solving a bridge sent no result "
+                           f"(exit status {os.waitstatus_to_exitcode(status)})")
+    ok, value, text = pickle.loads(b"".join(chunks))
+    if ok:
+        return value
+    raise value from _ChildTraceback(text)
+
+
+def cancel_ahead():
+    """Stop and reap every child solve_ahead started that nothing collected."""
+    import signal
+    while _AHEAD:
+        ahead = _AHEAD.pop()
+        os.kill(ahead.pid, signal.SIGKILL)
+        os.close(ahead.fd)
+        os.waitpid(ahead.pid, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ near zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -472,31 +473,48 @@ def check_mean_linearity(sol: BridgeSolution) -> CheckEntry:
     )
 
 
-# Every check `mfsb verify` runs: what it assumes beyond H1/H2 ("convexity" is
-# H3 and H4, "classical-limit" is H4 when kappa > 0, "particle-step" bounds
-# hess_sup*dt), and its entries on a run,
-# which computes sol, sol_reverse, sol_double, residual, gauge, mkv and
-# ensemble on first use.  Check functions are looked up by name at call time.
+class Check(NamedTuple):
+    """A check `mfsb verify` runs.
+
+    assumes names what it needs beyond H1/H2 ("convexity" is H3 and H4,
+    "classical-limit" is H4 when kappa > 0, "particle-step" bounds
+    hess_sup*dt).  bridges names every bridge beyond the forward one that
+    its entries read ("reverse", "doubled-horizon"), so that verify can
+    start solving them before the first check runs.  entries maps a run,
+    which computes sol, sol_reverse, sol_double, residual, gauge, mkv and
+    ensemble on first use, to the check's entries.
+    """
+
+    assumes: str | None
+    bridges: tuple
+    entries: Callable
+
+
+# Check functions are looked up by name at call time.
 CHECKS = {
-    "conserved": ("convexity", lambda r: [check_conserved(r.sol, r.pot)]),
-    "conserved-bound": ("convexity", lambda r: [check_conserved_bound(
-        r.sol, r.pot, r.gauge, cost_reverse=r.sol_reverse.cost)]),
-    "entropy-bound": ("classical-limit", lambda r: [
+    "conserved": Check("convexity", (), lambda r: [check_conserved(r.sol, r.pot)]),
+    "conserved-bound": Check("convexity", ("reverse",), lambda r: [
+        check_conserved_bound(r.sol, r.pot, r.gauge, cost_reverse=r.sol_reverse.cost)]),
+    "entropy-bound": Check("classical-limit", (), lambda r: [
         check_entropy_bound(r.sol, r.pot, r.gauge)]),
-    "turnpike": ("convexity", lambda r: [check_turnpike(r.sol, r.pot, r.gauge)]),
-    "turnpike-rate": ("convexity", lambda r: [
+    "turnpike": Check("convexity", (), lambda r: [
+        check_turnpike(r.sol, r.pot, r.gauge)]),
+    "turnpike-rate": Check("convexity", ("doubled-horizon",), lambda r: [
         turnpike_rate(r.sol, r.sol_double, r.pot, r.gauge)]),
-    "talagrand": ("convexity", lambda r: [check_talagrand(r.sol, r.pot, r.gauge)]),
-    "talagrand-equilibrium": ("convexity", lambda r: [
+    "talagrand": Check("convexity", (), lambda r: [
+        check_talagrand(r.sol, r.pot, r.gauge)]),
+    "talagrand-equilibrium": Check("convexity", (), lambda r: [
         check_talagrand_equilibrium(r.sol, r.pot, r.gauge)]),
-    "hwi": ("convexity", lambda r: [check_hwi(r.sol, r.pot, r.gauge)]),
-    "mkv-distance": ("convexity", lambda r: [check_mkv_distance(
+    "hwi": Check("convexity", (), lambda r: [check_hwi(r.sol, r.pot, r.gauge)]),
+    "mkv-distance": Check("convexity", (), lambda r: [check_mkv_distance(
         r.sol, r.pot, r.gauge, r.mkv, strict_w2=r.strict_w2)]),
-    "corrector-bounds": ("classical-limit", lambda r: check_corrector_bounds(r.sol, r.pot)),
-    "time-reversal": (None, lambda r: [check_time_reversal(r.sol, r.sol_reverse, r.pot)]),
-    "theta": ("particle-step", lambda r: [check_theta(r.pot, r.ensemble)]),
-    "mean-linearity": (None, lambda r: [check_mean_linearity(r.sol)]),
-    "optimality": (None, lambda r: [CheckEntry(
+    "corrector-bounds": Check("classical-limit", (),
+                              lambda r: check_corrector_bounds(r.sol, r.pot)),
+    "time-reversal": Check(None, ("reverse",), lambda r: [
+        check_time_reversal(r.sol, r.sol_reverse, r.pot)]),
+    "theta": Check("particle-step", (), lambda r: [check_theta(r.pot, r.ensemble)]),
+    "mean-linearity": Check(None, (), lambda r: [check_mean_linearity(r.sol)]),
+    "optimality": Check(None, (), lambda r: [CheckEntry(
         "optimality", r.residual.l2_weighted, r.residual.threshold, 0.0,
         {"sup_bulk": r.residual.sup_bulk})]),
 }

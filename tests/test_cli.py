@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from mfsb import (
 from mfsb import cli
 from mfsb.flowio import FLOW_MAGIC
 from mfsb.dynamics import THETA_MAX_PARTICLES
-from mfsb.scenario import PARTICLE_STEP_LIMIT
+from mfsb.scenario import MAX_N_CELLS, MAX_N_STEPS, PARTICLE_STEP_LIMIT
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -167,8 +168,9 @@ JSON_VALUES = st.one_of(
     st.lists(st.integers(-4, 64), max_size=3),
     st.dictionaries(st.text(max_size=4), st.integers(-4, 64), max_size=2),
     st.sampled_from([NAN, INF, -INF]),
-    # small sizes only: nothing guards the cost of a large n_cells
-    st.integers(-4, 64), st.floats(-4, 64),
+    # large integers stay cheap: the loader rejects a grid above its bounds
+    # before allocating it
+    st.integers(-4, 64), st.floats(-4, 64), st.integers(2**11 + 1, 2**62),
 )
 
 
@@ -220,6 +222,15 @@ def test_h2_violation_on_boundary_mass(tmp_path):
     assert err.value.hypothesis == "H2"
 
 
+def test_h2_violation_on_an_unresolved_equilibrium():
+    # std 1/sqrt(2 kappa) = 0.0032 against cells of 0.25: no cell holds mass
+    doc = copy.deepcopy(MINIMAL)
+    doc["potential"] = {"kind": "quadratic", "kappa": 47619}
+    with pytest.raises(HypothesisViolation, match="not resolved on the grid") as err:
+        scenario_from_dict(doc)
+    assert err.value.hypothesis == "H2"
+
+
 def _stiff_particles(amplitude, width):
     doc = json.loads((SCENARIOS / "gaussian_well_particles.json").read_text())
     doc["potential"] = {"kind": "gaussian-well", "amplitude": amplitude, "width": width}
@@ -261,6 +272,30 @@ def test_theta_particle_guard_edge(tmp_path, capsys, monkeypatch):
     # a bridge check maps no particles, so the same count is admitted
     bridge_only = dict(doc, particles=THETA_MAX_PARTICLES + 1, checks=["mean-linearity"])
     assert scenario_from_dict(bridge_only).n_particles == THETA_MAX_PARTICLES + 1
+
+
+@pytest.mark.parametrize("block, key, bound", [("grid", "n_cells", MAX_N_CELLS),
+                                               ("time", "n_steps", MAX_N_STEPS)])
+def test_grid_size_guard_edge(tmp_path, capsys, block, key, bound):
+    doc = copy.deepcopy(MINIMAL)
+    doc["potential"] = {"kind": "zero"}  # no equilibrium to solve at the edge
+    doc[block][key] = bound
+    sc = scenario_from_dict(doc)
+    assert (sc.grid.n_cells, sc.time_grid.n_steps)[block == "time"] == bound == 2048
+    doc[block][key] = bound + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"{block}.{key} may be at most {bound}, "
+                                             f"got {bound + 1}"):
+            scenario_from_dict(doc)
+        # rejected before any array of the grid exists
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    rc = cli.main(["verify", "--scenario", str(_write(tmp_path, doc)),
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_VALIDATION == 2
+    assert f"{block}.{key} may be at most {bound}" in capsys.readouterr().err
 
 
 def test_mean_shift_without_kappa_checks_is_fine():
