@@ -151,11 +151,14 @@ def _cmd_simulate(run: _Run, out: Path, fmt: str) -> int:
 
 def _cmd_verify(run: _Run, out: Path, fmt: str) -> int:
     # the bridges beyond the forward one, in the order the checks read them,
-    # are solved in children while this process solves the forward one
+    # are solved in children while this process solves the forward one; a
+    # bridge equal to an earlier one is solved once
     ahead = dict.fromkeys(bridge for name in run.scenario.checks
                           for bridge in V.CHECKS[name].bridges)
-    solve_ahead(run.problem(bridge) for bridge in ahead)
     try:
+        if ahead:
+            solve_ahead(run.problem("forward"),
+                        (run.problem(bridge) for bridge in ahead))
         return _verify(run, out, fmt)
     finally:
         cancel_ahead()

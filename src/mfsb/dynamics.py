@@ -11,10 +11,12 @@ in numpy, whose answers are bitwise LAPACK's (see _fp_solve for why).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from .errors import CFLViolation, NoConvergence, TooLarge
 from .grids import BOUNDARY_MASS_TOL, Density, MarginalFlow, TimeGrid
 from .potentials import InteractionPotential, conv_force
@@ -132,42 +134,150 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
     positions differ bitwise from the ones it was last evaluated at, which
     is exact because the drift is a pure function of the positions.  The
     first sweep whose change is not finite raises NoConvergence at once.
+
+    When a CPU is idle, a forked helper shares each sweep's drift
+    evaluations: the nodes that need a new drift go on a queue that both
+    processes take nodes from, the rows go into arrays the two share, and
+    the sweep waits for the helper once.  Each node's drift is the same call
+    on the same positions, so the result is bitwise the serial one.
     """
     if ensemble.n_particles > THETA_MAX_PARTICLES:
         raise TooLarge(f"ensemble exceeds the {THETA_MAX_PARTICLES} particle guard")
-    omega = ensemble.positions
+    omega = ensemble.positions.T  # node-major: row k holds every particle at node k
     dt = ensemble.time_grid.dt
     k_steps = ensemble.time_grid.n_steps
-    drift = np.zeros((ensemble.n_particles, k_steps))
-    drift_at = np.full_like(drift, np.nan)  # positions each drift column saw
-    y = omega.copy()  # the update with zero drift
-    update = omega.copy()
+    ys, drift = _theta_arrays(ensemble.n_particles, k_steps)
+    drift_at = np.full_like(drift, np.nan)  # positions each drift row saw
+    for y in ys:  # y is the update with zero drift; row 0 stays omega's
+        y[:] = omega
+    cur = 0  # y is ys[cur], the update goes to the other one
     windows = [(lo, min(lo + _THETA_WINDOW, k_steps))
                for lo in range(0, k_steps, _THETA_WINDOW)]
-    for lo, hi in windows + [(0, k_steps)]:  # the last one certifies the path
-        for sweep in range(1, _THETA_MAX_ITERS + 1):
-            for k in range(lo, hi):
-                if not np.array_equal(y[:, k], drift_at[:, k]):
-                    drift[:, k] = interaction_drift(pot, y[:, k])
-                    drift_at[:, k] = y[:, k]
-            np.cumsum(drift, axis=1, out=update[:, 1:])
-            update[:, 1:] *= dt
-            update[:, 1:] += omega[:, 1:]
-            delta = float(np.max(np.abs(update[:, lo + 1:hi + 1]
-                                        - y[:, lo + 1:hi + 1])))
-            y, update = update, y
-            if delta <= THETA_TOL or not np.isfinite(delta):
-                break
-        if not delta <= THETA_TOL:
-            cause = ("the drift may violate its Lipschitz bound" if np.isfinite(delta)
-                     else "the drift or the path is not finite")
-            raise NoConvergence(
-                f"theta iteration stopped on the time window "
-                f"[{lo * dt:.6g}, {hi * dt:.6g}] (steps {lo}..{hi}) at sweep "
-                f"{sweep} of {_THETA_MAX_ITERS}, last sweep change {delta:.3e}; {cause}"
-            )
-    return PathEnsemble(ensemble.time_grid, y, ensemble.increments.copy(),
-                        ensemble.seed)
+    helper = _DriftHelper(pot, ys, drift) if _fork.spare_cpus() > 0 else None
+    try:
+        for lo, hi in windows + [(0, k_steps)]:  # the last one certifies the path
+            for sweep in range(1, _THETA_MAX_ITERS + 1):
+                y, update = ys[cur], ys[1 - cur]
+                stale = [k for k in range(lo, hi)
+                         if not np.array_equal(y[k], drift_at[k])]
+                if helper and len(stale) > 1:
+                    helper.evaluate(cur, stale)
+                else:
+                    for k in stale:
+                        drift[k] = interaction_drift(pot, y[k])
+                drift_at[stale] = y[stale]
+                np.cumsum(drift, axis=0, out=update[1:])
+                update[1:] *= dt
+                update[1:] += omega[1:]
+                delta = float(np.max(np.abs(update[lo + 1:hi + 1]
+                                            - y[lo + 1:hi + 1])))
+                cur = 1 - cur
+                if delta <= THETA_TOL or not np.isfinite(delta):
+                    break
+            if not delta <= THETA_TOL:
+                cause = ("the drift may violate its Lipschitz bound" if np.isfinite(delta)
+                         else "the drift or the path is not finite")
+                raise NoConvergence(
+                    f"theta iteration stopped on the time window "
+                    f"[{lo * dt:.6g}, {hi * dt:.6g}] (steps {lo}..{hi}) at sweep "
+                    f"{sweep} of {_THETA_MAX_ITERS}, last sweep change {delta:.3e}; {cause}"
+                )
+    finally:
+        if helper:
+            helper.stop()
+    return PathEnsemble(ensemble.time_grid, ys[cur].T.copy(),
+                        ensemble.increments.copy(), ensemble.seed)
+
+
+def _theta_arrays(n_particles: int, k_steps: int):
+    """The path buffers y and update (k_steps + 1 rows of n_particles each)
+    and the drift (k_steps rows), zeroed, in one anonymous mapping that a
+    forked helper shares."""
+    import mmap
+    rows = 3 * k_steps + 2
+    flat = np.frombuffer(mmap.mmap(-1, 8 * rows * n_particles), dtype=float)
+    flat = flat.reshape(rows, n_particles)
+    paths = flat[:k_steps + 1], flat[k_steps + 1:2 * k_steps + 2]
+    return paths, flat[2 * k_steps + 2:]
+
+
+class _DriftHelper:
+    """A forked child that shares the drift evaluations of each sweep.
+
+    evaluate puts the sweep's nodes on a queue, a pipe that both processes
+    read without blocking, one node per read.  It wakes the helper with the
+    index of the path buffer in ys, evaluates nodes itself until the queue
+    is empty, and then waits once for the helper's answer: one byte when it
+    found the queue empty too, or the pickled exception it raised
+    (_fork.failure), after which the helper ends.  Each process writes the
+    drift rows of the nodes it took into the shared drift.
+    """
+
+    def __init__(self, pot, ys, drift):
+        fds = [*os.pipe(), *os.pipe(), *os.pipe()]
+        self.queue, self.queue_w, go_r, self.go, self.done, done_w = fds
+        os.set_blocking(self.queue, False)
+        self.pot, self.ys, self.drift = pot, ys, drift
+        try:
+            self.pid = _fork.fork(_serve_drifts, pot, ys, drift, self.queue, go_r,
+                                  done_w, (self.queue_w, self.go, self.done))
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        os.close(go_r)
+        os.close(done_w)
+
+    def evaluate(self, cur: int, nodes: list):
+        # a batch of tokens fits in any pipe's buffer, so the write returns
+        for lo in range(0, len(nodes), _QUEUE_BATCH):
+            batch = np.array(nodes[lo:lo + _QUEUE_BATCH], dtype="<u4")
+            os.write(self.queue_w, batch.tobytes())
+            os.write(self.go, bytes([cur]))
+            _evaluate_queued(self.queue, self.pot, self.ys[cur], self.drift)
+            answer = os.read(self.done, 1)
+            if answer != _DONE:
+                pid, self.pid = self.pid, None
+                _fork.collect(pid, self.done, "evaluating drifts", answer)
+
+    def stop(self):
+        """Kill and reap the helper, and close the pipes."""
+        for fd in (self.queue, self.queue_w, self.go, self.done):
+            os.close(fd)
+        if self.pid is not None:
+            _fork.kill(self.pid)
+
+
+_QUEUE_BATCH = 1024  # 4-byte node tokens per queue write: 4096 bytes
+_DONE = b"\0"  # the helper's answer to a batch it found no more nodes in
+
+
+def _evaluate_queued(queue: int, pot, y, drift):
+    """Evaluate the drift on y at the nodes taken off the queue, one read at
+    a time, until it is empty."""
+    while True:
+        try:
+            token = os.read(queue, 4)
+        except BlockingIOError:  # empty
+            return
+        k = int.from_bytes(token, "little")
+        drift[k] = interaction_drift(pot, y[k])
+
+
+def _serve_drifts(pot, ys, drift, queue: int, go_r: int, done_w: int, parent_ends):
+    """The helper's loop, until the go pipe ends: per byte cur read from it,
+    the drift on ys[cur] at the nodes it takes off the queue."""
+    for fd in parent_ends:
+        os.close(fd)
+    with open(done_w, "wb") as done:
+        while go := os.read(go_r, 1):
+            try:
+                _evaluate_queued(queue, pot, ys[go[0]], drift)
+            except BaseException:
+                done.write(_fork.failure())
+                raise
+            done.write(_DONE)
+            done.flush()
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:

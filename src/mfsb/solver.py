@@ -33,9 +33,8 @@ of the optimality system), which is exactly why it is kept as a diagnostic.
 
 from __future__ import annotations
 
+import copy
 import os
-import pickle
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +59,7 @@ from .grids import (
     grad,
     time_derivative,
 )
+from . import _fork
 from .potentials import InteractionPotential, conv_force
 from .dynamics import _fp_step_matrix, mkv_flow
 
@@ -103,12 +103,20 @@ class SolverConfig:
 # classical heat-kernel machinery (initialization)
 
 
-def heat_kernel(grid: SpatialGrid, t: float) -> np.ndarray:
-    """Mass transition matrix of free diffusion over time t > 0 on the grid."""
+def _neg_sq_distances(grid: SpatialGrid) -> np.ndarray:
+    """-(x_i - x_j)^2 over the cell centers, the heat kernel's exponent at 2t = 1."""
     x = grid.centers
-    return np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * t)) * grid.dx / np.sqrt(
-        2.0 * np.pi * t
-    )
+    return -((x[:, None] - x[None, :]) ** 2)
+
+
+def heat_kernel(grid: SpatialGrid, t: float, neg_sq: np.ndarray) -> np.ndarray:
+    """Mass transition matrix of free diffusion over time t > 0 on the grid,
+    from neg_sq = _neg_sq_distances(grid), which every kernel of a grid shares."""
+    kernel = np.divide(neg_sq, 2.0 * t)
+    np.exp(kernel, out=kernel)
+    kernel *= grid.dx
+    kernel /= np.sqrt(2.0 * np.pi * t)
+    return kernel
 
 
 def static_sinkhorn(a: np.ndarray, b: np.ndarray, kernel: np.ndarray):
@@ -129,15 +137,16 @@ def heat_interpolation_flow(mu_in: Density, mu_fin: Density, sgrid: SpatialGrid,
     """Marginals of the classical (interaction-free) bridge between the endpoints."""
     a = mu_in.values * sgrid.dx
     b = mu_fin.values * sgrid.dx
-    kernel = heat_kernel(sgrid, tgrid.horizon)
+    neg_sq = _neg_sq_distances(sgrid)
+    kernel = heat_kernel(sgrid, tgrid.horizon, neg_sq)
     u, v = static_sinkhorn(a, b, kernel)
     values = np.empty((tgrid.n_steps + 1, sgrid.n_cells))
     values[0] = mu_in.values
     values[-1] = mu_fin.values
     for k in range(1, tgrid.n_steps):
         t = tgrid.nodes[k]
-        fwd = heat_kernel(sgrid, t) @ u
-        bwd = heat_kernel(sgrid, tgrid.horizon - t).T @ v
+        fwd = heat_kernel(sgrid, t, neg_sq) @ u
+        bwd = heat_kernel(sgrid, tgrid.horizon - t, neg_sq).T @ v
         values[k] = Density(sgrid, fwd * bwd).values
     return MarginalFlow(tgrid, sgrid, values)
 
@@ -520,13 +529,18 @@ def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
     stalls is returned flagged rather than raised.  Raises
     InfeasibleEndpoints when the endpoint validation fails.  A problem that
     solve_ahead started is collected from its child: the same solution, or
-    the same exception, as solving it here.
+    the same exception, as solving it here.  A problem that solve_ahead saw
+    twice is solved once, and a later call returns a copy of its solution.
     """
     problem = (pot, mu_in, mu_fin, sgrid, tgrid, config or SolverConfig())
-    for ahead in _AHEAD:
-        if ahead.key == _problem_key(*problem):
-            return _collect(ahead)
-    return _solve(*problem)
+    key = _problem_key(*problem)
+    if _REUSE.get(key) is not None:
+        return copy.deepcopy(_REUSE[key])
+    ahead = next((ahead for ahead in _AHEAD if ahead.key == key), None)
+    sol = _collect(ahead) if ahead else _solve(*problem)
+    if key in _REUSE:
+        _REUSE[key] = sol
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +557,7 @@ class _Ahead:
 
 
 _AHEAD: list = []  # the children solve_ahead started that nothing collected yet
-
-
-class _ChildTraceback(Exception):
-    """The traceback of an exception raised in a child, as its text."""
-
-    def __str__(self):
-        return f'\n"""\n{self.args[0]}"""'
+_REUSE: dict = {}  # key of a problem solve_ahead saw twice -> its solution, once solved
 
 
 def _problem_key(pot, mu_in: Density, mu_fin: Density, sgrid, tgrid, config) -> tuple:
@@ -558,85 +566,59 @@ def _problem_key(pot, mu_in: Density, mu_fin: Density, sgrid, tgrid, config) -> 
             mu_fin.values.tobytes(), sgrid, tgrid, config or SolverConfig())
 
 
-def _spare_cpus() -> int:
-    """Usable CPUs beyond the one the calling process runs on."""
-    try:
-        return len(os.sched_getaffinity(0)) - 1
-    except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) - 1
-
-
-def solve_ahead(problems):
+def solve_ahead(solving, problems):
     """Start solving problems, each the arguments of solve_mfsb, in children.
 
-    Forks one child per problem, in order, while usable CPUs beyond the
-    caller's own remain, and none where os.fork does not exist.  The caller
+    solving is the problem the caller solves itself meanwhile.  Forks
+    one child per problem, in order, while usable CPUs beyond the caller's
+    own and its children's remain, and none where os.fork does not exist.
+    A problem equal to solving or to an earlier one gets no child: it is
+    solved once, and solve_mfsb returns that solution for each.  The caller
     obtains each solution by calling solve_mfsb as it would have without
     this call, and must call cancel_ahead when it is done.
     """
-    if not hasattr(os, "fork"):
-        return
-    for problem in list(problems)[:_spare_cpus()]:
+    keys = [_problem_key(*solving)]
+    for problem in problems:
+        key = _problem_key(*problem)
+        if key in keys:
+            _REUSE[key] = None
+            continue
+        keys.append(key)
+        if _fork.spare_cpus() < 1:
+            continue
         read_fd, write_fd = os.pipe()
-        # a child that writes must not write this process's buffers again
-        sys.stdout.flush()
-        sys.stderr.flush()
-        pid = os.fork()
-        if pid == 0:
-            os.close(read_fd)
-            _solve_in_child(problem, write_fd)
+        pid = _fork.fork(_solve_in_child, problem, read_fd, write_fd)
         os.close(write_fd)
-        _AHEAD.append(_Ahead(_problem_key(*problem), pid, read_fd))
+        _AHEAD.append(_Ahead(key, pid, read_fd))
 
 
-def _solve_in_child(problem: tuple, fd: int):
-    """Solve problem and write the pickled outcome to fd; never returns.
-
-    The outcome is (True, solution, None) or (False, exception, traceback
-    text); a child that cannot send it writes nothing.  os._exit ends the
-    child without the parent's exit handlers and without flushing its copy
-    of the parent's buffers.
-    """
-    code = 1
-    try:
-        _AHEAD.clear()  # the parent's children; this process collects none
-        try:
-            payload = pickle.dumps((True, _solve(*problem), None))
-        except BaseException as exc:
-            import traceback
-            payload = pickle.dumps((False, exc, traceback.format_exc()))
-        with open(fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
+def _solve_in_child(problem: tuple, read_fd: int, write_fd: int):
+    """Solve problem and write its pickled outcome (_fork.outcome) to
+    write_fd; a child that cannot send it writes nothing."""
+    os.close(read_fd)
+    _AHEAD.clear()  # the parent's children; this process collects none
+    payload = _fork.outcome(_solve, *problem)
+    with open(write_fd, "wb") as pipe:
+        pipe.write(payload)
 
 
 def _collect(ahead: _Ahead) -> BridgeSolution:
     """The solution a child sent, or the exception it raised, raised here."""
-    chunks = []
-    while chunk := os.read(ahead.fd, 1 << 20):
-        chunks.append(chunk)
-    _, status = os.waitpid(ahead.pid, 0)
     _AHEAD.remove(ahead)
-    os.close(ahead.fd)
-    if not chunks:
-        raise RuntimeError(f"child {ahead.pid} solving a bridge sent no result "
-                           f"(exit status {os.waitstatus_to_exitcode(status)})")
-    ok, value, text = pickle.loads(b"".join(chunks))
-    if ok:
-        return value
-    raise value from _ChildTraceback(text)
+    try:
+        return _fork.collect(ahead.pid, ahead.fd, "solving a bridge", b"")
+    finally:
+        os.close(ahead.fd)
 
 
 def cancel_ahead():
-    """Stop and reap every child solve_ahead started that nothing collected."""
-    import signal
+    """Stop and reap every child solve_ahead started that nothing collected,
+    and forget the solutions kept for a second call."""
+    _REUSE.clear()
     while _AHEAD:
         ahead = _AHEAD.pop()
-        os.kill(ahead.pid, signal.SIGKILL)
         os.close(ahead.fd)
-        os.waitpid(ahead.pid, 0)
+        _fork.kill(ahead.pid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from mfsb import (
@@ -12,6 +14,18 @@ from mfsb import (
 )
 
 # The desk-scale reference configuration: 256 cells on [-8, 8], 128 steps.
+
+
+@pytest.fixture
+def time_bound():
+    """Fail a test whose forked child hangs, instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("a forked child did not end in time")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import inspect
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from mfsb import (
     tanaka_theta,
     wasserstein1,
 )
-from mfsb import cli, dynamics
+from mfsb import _fork, cli, dynamics
 from mfsb.dynamics import (_DRIFT_RESOLUTION_LIMIT, _THETA_WINDOW, THETA_TOL,
                            _fp_banded, _fp_solve, _solve_tridiagonal,
                            interaction_drift)
@@ -126,46 +128,173 @@ def test_theta_push_forward_identity(grid256, std_gaussian, tg, pot_name):
     assert np.max(np.abs(mapped.positions - ens.positions)) <= 5e-10
 
 
+class DriftLog:
+    """Wraps drifts so that each call appends its process id to a file, from
+    this process and from a forked drift helper alike."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def wrap(self, drift, parent_delay=0.0):
+        """drift, logged; in this process each call first sleeps parent_delay
+        seconds, so that a helper takes nodes meanwhile."""
+        parent = os.getpid()
+
+        def logged(pot, x):
+            with open(self.path, "ab", buffering=0) as log:  # one appending write
+                log.write(b"%d\n" % os.getpid())
+            if os.getpid() == parent:
+                time.sleep(parent_delay)
+            return drift(pot, x)
+        return logged
+
+    def pids(self) -> list:
+        return [int(pid) for pid in self.path.read_text().split()]
+
+
+@pytest.fixture
+def drift_log(tmp_path):
+    return DriftLog(tmp_path / "drift_calls")
+
+
+def _each_theta_mode(monkeypatch):
+    """Make tanaka_theta see no idle CPU, then one, which it gives a drift
+    helper; yields the name of each mode."""
+    for mode, spare in (("serial", 0), ("helper", 1)):
+        monkeypatch.setattr(_fork, "spare_cpus", lambda spare=spare: spare)
+        yield mode
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _fork._RUNNING == set()
+
+
+def _in_helper(drift, substitute):
+    """drift in this process, substitute in any other."""
+    parent = os.getpid()
+    return lambda pot, x: (drift if os.getpid() == parent else substitute)(pot, x)
+
+
 @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s["kind"])
-def test_windowed_theta_is_the_global_picard_fixed_point(std_gaussian, tg, spec):
+def test_windowed_theta_is_the_global_picard_fixed_point(std_gaussian, tg, spec,
+                                                         monkeypatch, time_bound):
     pot = InteractionPotential.from_spec(spec)
     noise = noise_ensemble(simulate_particles(pot, std_gaussian, tg, 64, seed=17))
-    mapped = tanaka_theta(pot, noise).positions
     reference = reference_theta(pot, noise).positions
-    assert np.max(np.abs(mapped - reference)) <= 2 * THETA_TOL
-    # the global stopping test of plain Picard iteration holds at the result
-    assert np.max(np.abs(theta_sweep(pot, noise, mapped) - mapped)) <= THETA_TOL
+    for _ in _each_theta_mode(monkeypatch):
+        mapped = tanaka_theta(pot, noise).positions
+        assert np.max(np.abs(mapped - reference)) <= 2 * THETA_TOL
+        # the global stopping test of plain Picard iteration holds at the result
+        assert np.max(np.abs(theta_sweep(pot, noise, mapped) - mapped)) <= THETA_TOL
+        _assert_no_child()
 
 
-def test_theta_drift_calls_on_the_shipped_particle_scenario(monkeypatch):
+@pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s["kind"])
+def test_helper_theta_is_bitwise_the_serial_one(std_gaussian, spec, monkeypatch,
+                                                drift_log, time_bound):
+    pot = InteractionPotential.from_spec(spec)
+    noise = noise_ensemble(simulate_particles(pot, std_gaussian, TimeGrid(1.0, 24),
+                                              48, seed=29))
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 0)
+    serial = tanaka_theta(pot, noise).positions
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    monkeypatch.setattr(dynamics, "interaction_drift",
+                        drift_log.wrap(interaction_drift, parent_delay=1e-3))
+    helped = tanaka_theta(pot, noise).positions
+    assert len(set(drift_log.pids())) == 2  # the helper evaluated nodes
+    assert helped.shape == serial.shape and helped.flags.c_contiguous
+    assert helped.tobytes() == serial.tobytes()
+    _assert_no_child()
+
+
+def test_theta_drift_calls_on_the_shipped_particle_scenario(monkeypatch, tmp_path,
+                                                            time_bound):
     sc = load_scenario(SCENARIOS / "gaussian_well_particles.json")
     noise = noise_ensemble(simulate_particles(
         sc.potential, sc.mu_in(), sc.time_grid, sc.n_particles, sc.seed))
-    calls = []
+    calls = {}
+    for mode in _each_theta_mode(monkeypatch):
+        log = DriftLog(tmp_path / mode)
+        monkeypatch.setattr(dynamics, "interaction_drift", log.wrap(interaction_drift))
+        tanaka_theta(sc.potential, noise)
+        calls[mode] = len(log.pids())
+    # the helper's calls count too; plain Picard over the whole horizon
+    # makes 10 sweeps of 128 calls here
+    assert calls["helper"] == calls["serial"] <= 600
 
-    def counted(pot, x):
-        calls.append(1)
-        return interaction_drift(pot, x)
 
-    monkeypatch.setattr(dynamics, "interaction_drift", counted)
-    tanaka_theta(sc.potential, noise)
-    # plain Picard over the whole horizon makes 10 sweeps of 128 calls here
-    assert len(calls) <= 600
-
-
-def test_theta_stall_names_its_window(monkeypatch, std_gaussian, tg, pot_zero):
+def test_theta_stall_names_its_window(monkeypatch, std_gaussian, tg, pot_zero,
+                                      tmp_path, time_bound):
     noise = noise_ensemble(simulate_particles(pot_zero, std_gaussian, tg, 4, seed=5))
-    calls = []
+    for mode in _each_theta_mode(monkeypatch):
+        log = DriftLog(tmp_path / mode)
+        monkeypatch.setattr(dynamics, "interaction_drift",
+                            log.wrap(lambda pot, x: np.full_like(x, np.nan)))
+        with pytest.raises(NoConvergence,
+                           match=r"window \[0, 0\.0625\].*last sweep change nan"):
+            tanaka_theta(pot_zero, noise)
+        assert len(log.pids()) <= _THETA_WINDOW
+        _assert_no_child()
 
-    def nan_drift(pot, x):
-        calls.append(1)
-        return np.full_like(x, np.nan)
 
-    monkeypatch.setattr(dynamics, "interaction_drift", nan_drift)
+def test_theta_stall_on_a_nan_drift_from_the_helper(monkeypatch, std_gaussian, tg,
+                                                    pot_zero, drift_log, time_bound):
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    noise = noise_ensemble(simulate_particles(pot_zero, std_gaussian, tg, 4, seed=5))
+    nan_in_helper = _in_helper(interaction_drift, lambda pot, x: np.full_like(x, np.nan))
+    monkeypatch.setattr(dynamics, "interaction_drift",
+                        drift_log.wrap(nan_in_helper, parent_delay=0.05))
     with pytest.raises(NoConvergence,
                        match=r"window \[0, 0\.0625\].*last sweep change nan"):
         tanaka_theta(pot_zero, noise)
-    assert len(calls) <= _THETA_WINDOW
+    pids = drift_log.pids()
+    assert len(pids) == _THETA_WINDOW and len(set(pids)) == 2
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("where", ["helper", "parent"])
+def test_a_drift_exception_leaves_no_helper(monkeypatch, std_gaussian, tg, pot_well,
+                                            drift_log, time_bound, where):
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    noise = noise_ensemble(simulate_particles(pot_well, std_gaussian, tg, 8, seed=5))
+
+    def broken(pot, x):
+        raise ValueError(f"drift broke in the {where}")
+    drift = (_in_helper(interaction_drift, broken) if where == "helper"
+             else _in_helper(broken, interaction_drift))
+    monkeypatch.setattr(dynamics, "interaction_drift",
+                        drift_log.wrap(drift, parent_delay=0.01))
+    with pytest.raises(ValueError, match=f"drift broke in the {where}") as raised:
+        tanaka_theta(pot_well, noise)
+    if where == "helper":
+        # raised here, chained to the helper's traceback
+        assert "raise ValueError" in str(raised.value.__cause__)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("busy", ["one cpu", "no fork", "a running child",
+                                  "in a child"])
+def test_theta_forks_nothing_without_an_idle_cpu(monkeypatch, std_gaussian, pot_well,
+                                                 busy):
+    noise = noise_ensemble(simulate_particles(pot_well, std_gaussian, TimeGrid(1.0, 16),
+                                              16, seed=3))
+    expected = tanaka_theta(pot_well, noise).positions
+
+    def refuse():
+        raise AssertionError("tanaka_theta forked without an idle CPU")
+    monkeypatch.setattr(os, "fork", refuse)
+    cpus = {"one cpu": 1}.get(busy, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if busy == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif busy == "a running child":
+        monkeypatch.setattr(_fork, "_RUNNING", {os.getpid()})
+    elif busy == "in a child":
+        monkeypatch.setattr(_fork, "_IN_CHILD", True)
+    assert _fork.spare_cpus() == 0
+    assert tanaka_theta(pot_well, noise).positions.tobytes() == expected.tobytes()
 
 
 def test_theta_lipschitz_on_path_space(grid256, std_gaussian):

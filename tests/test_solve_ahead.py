@@ -3,7 +3,6 @@ codes, and no child left behind."""
 
 import json
 import os
-import signal
 from functools import cached_property
 from pathlib import Path
 from unittest import mock
@@ -28,16 +27,7 @@ def _small_asymmetric(checks=None) -> dict:
     return doc
 
 
-@pytest.fixture(autouse=True)
-def time_bound():
-    """Fail a test whose child hangs, instead of hanging the suite."""
-    def expire(signum, frame):
-        raise TimeoutError("a forked bridge solve did not end in time")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(120)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+pytestmark = pytest.mark.usefixtures("time_bound")
 
 
 @pytest.fixture
@@ -191,3 +181,28 @@ def test_no_child_outlives_run(tmp_path, monkeypatch, cpus, forks, path):
     assert len(forks) == 1
     _assert_no_child()
     assert solver._AHEAD == []
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_a_bridge_equal_to_the_forward_one_is_solved_once(tmp_path, monkeypatch, cpus,
+                                                          forks, n_cpus):
+    # on classical_gaussian the reverse bridge is the forward one
+    doc = json.loads((SCENARIOS / "classical_gaussian.json").read_text())
+    doc["grid"]["n_cells"] = 64
+    doc["time"]["n_steps"] = 32
+    doc["checks"] = ["time-reversal"]
+    cpus(n_cpus)
+    solves, answers = [], []
+    solve, call = solver._solve, cli.solve_mfsb
+    monkeypatch.setattr(solver, "_solve", lambda *p: solves.append(p) or solve(*p))
+    monkeypatch.setattr(cli, "solve_mfsb",
+                        lambda *p: answers.append(call(*p)) or answers[-1])
+    assert cli.run(scenario_from_dict(doc), "verify", tmp_path) == cli.EXIT_OK
+    assert forks == [] and len(solves) == 1
+    # the CLI still asks for each bridge, and each answer is its own copy
+    forward, reverse = answers
+    assert reverse is not forward and reverse.diagnostics is not forward.diagnostics
+    assert (reverse.cost, reverse.diagnostics) == (forward.cost, forward.diagnostics)
+    assert reverse.flow.values.tobytes() == forward.flow.values.tobytes()
+    assert solver._REUSE == {}
+    _assert_no_child()
