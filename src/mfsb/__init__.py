@@ -62,7 +62,6 @@ from .solver import (
     SolverConfig,
     bb_gradient,
     bb_objective,
-    ipfp_frozen,
     optimality_residual,
     solve_mfsb,
 )

@@ -307,7 +307,7 @@ def _fp_banded(b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
 
 
 def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system against rhs (a vector or a matrix).
+    """Solve a tridiagonal system against the vector rhs.
 
     ab holds the superdiagonal, the diagonal and the subdiagonal in its rows,
     in LAPACK's banded storage.  This is LAPACK dgtsv's path without row
@@ -315,11 +315,9 @@ def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     d_{i+1} -= f u_i and b_{i+1} -= f b_i.  Back substitution:
     b_{n-1} /= d_{n-1}, then b_i = (b_i - u_i b_{i+1} - 0 b_{i+2}) / d_i.
     The zero is the second superdiagonal of U, which stays empty without
-    interchanges.  Subtracting it can only turn a -0 into +0, and a partial
-    result is -0 only where rhs holds a -0, so the matrix path skips that step
-    unless rhs does.  Every other rounding is LAPACK's, in LAPACK's order, so
-    the result is bitwise LAPACK's.  A matrix result is Fortran-ordered, as
-    LAPACK returns it; products with it then take the same BLAS path.
+    interchanges; subtracting it can turn a -0 into +0, as in LAPACK.  Every
+    rounding is LAPACK's, in LAPACK's order, so the result is bitwise
+    LAPACK's.
 
     Raises LinAlgError where dgtsv would interchange rows (|d_i| < |l_i|, or a
     NaN) or meet a zero pivot, and ValueError on non-finite input.
@@ -342,39 +340,18 @@ def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"tridiagonal solve has no nonzero pivot at row {len(diag) - 1}")
     n = len(diag)
-    if rhs.ndim == 1:
-        x = rhs.tolist() + [0.0]  # x[n] = +0: row n-2 has no zero term in dgtsv
-        for i, f in enumerate(factors):
-            x[i + 1] -= f * x[i]
-        x[n - 1] /= diag[-1]
-        for i in range(n - 2, -1, -1):
-            x[i] = (x[i] - upper[i] * x[i + 1] - 0.0 * x[i + 2]) / diag[i]
-        return np.array(x[:-1])
-    # one row operation over all columns per step, into preallocated rows; the
-    # ufunc calls dominate, so their outputs are passed positionally
-    mul, subtract, divide = np.multiply, np.subtract, np.divide
-    x = np.array(rhs, dtype=float, order="C")
-    signed_zero = bool(np.any(np.signbit(x) & (x == 0.0)))
-    rows = list(x) + [np.zeros(x.shape[1])]  # rows[n] = +0, as x[n] above
-    tmp = np.empty(x.shape[1])
-    for f, prev, row in zip(factors, rows, rows[1:]):
-        mul(prev, f, tmp)
-        subtract(row, tmp, row)
-    divide(rows[n - 1], diag[-1], rows[n - 1])
-    for u, d, row, row1, row2 in zip(upper[::-1], diag[-2::-1], rows[-3::-1],
-                                     rows[-2::-1], rows[::-1]):
-        mul(row1, u, tmp)
-        subtract(row, tmp, row)
-        if signed_zero:
-            mul(row2, 0.0, tmp)
-            subtract(row, tmp, row)
-        divide(row, d, row)
-    return np.asfortranarray(x)
+    x = rhs.tolist() + [0.0]  # x[n] = +0: row n-2 has no zero term in dgtsv
+    for i, f in enumerate(factors):
+        x[i + 1] -= f * x[i]
+    x[n - 1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (x[i] - upper[i] * x[i + 1] - 0.0 * x[i + 2]) / diag[i]
+    return np.array(x[:-1])
 
 
 def _fp_solve(b_cells: np.ndarray, dx: float, dt: float,
               rhs: np.ndarray) -> np.ndarray:
-    """Solve one implicit Fokker-Planck step against rhs (a vector or matrix).
+    """Solve one implicit Fokker-Planck step against the vector rhs.
 
     The step matrix has unit column sums, a positive diagonal and nonpositive
     off-diagonals, so it is column diagonally dominant: LAPACK's dgtsv never
@@ -387,11 +364,6 @@ def _fp_solve(b_cells: np.ndarray, dx: float, dt: float,
 def _fp_step(p: np.ndarray, b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
     """One implicit Fokker-Planck step applied to the density p."""
     return np.maximum(_fp_solve(b_cells, dx, dt, p), 0.0)
-
-
-def _fp_step_matrix(b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
-    """One-step transition matrix of the implicit Fokker-Planck scheme."""
-    return _fp_solve(b_cells, dx, dt, np.eye(b_cells.size))
 
 
 def _check_drift_resolution(b: np.ndarray, dx: float, dt: float):

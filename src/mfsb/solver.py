@@ -24,11 +24,6 @@ test_bb_objective_second_order_in_cell_quadrature checks.
 
 solve_ahead starts independent bridges in forked children; solve_mfsb, called
 with the same arguments, then collects a child's result instead of solving.
-
-A frozen-drift iterative-proportional-fitting baseline is also provided; it
-alternates classical bridge fitting against the kernels of the frozen flow
-and is not the mean-field optimizer in general (it lacks the Hessian coupling
-of the optimality system), which is exactly why it is kept as a diagnostic.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContinuityViolation, InfeasibleEndpoints, NoConvergence
+from .errors import ContinuityViolation, InfeasibleEndpoints
 from .functionals import (
     BridgeSolution,
     corrector,
@@ -61,7 +56,7 @@ from .grids import (
 )
 from . import _fork
 from .potentials import InteractionPotential, conv_force
-from .dynamics import _fp_step_matrix, mkv_flow
+from .dynamics import mkv_flow
 
 
 # Fixed numerics of the solvers.
@@ -74,11 +69,8 @@ _BACKTRACK = 0.5
 _GROW = 1.3
 _ARMIJO = 1e-4
 _MOMENTUM = 0.9           # heavy-ball weight in log space, restart on failure
-_DAMPING = 0.5            # frozen-drift marginal update
 _KINETIC_REG = 1e-7       # relative floor added to the velocity denominator
 _UPDATE_FLOOR_REL = 1e-8  # cells below this fraction of the peak stay frozen
-_IPFP_MAX_OUTER = 120
-_IPFP_TOL = 1e-9
 _SINKHORN_MAX_ITERS = 5000
 _SINKHORN_TOL = 1e-12
 _RESIDUAL_THRESHOLD_SCALE = 5e-2  # optimality threshold per unit of dx + dt
@@ -493,21 +485,17 @@ def _descend(pot: InteractionPotential, flow0: MarginalFlow, config: SolverConfi
     return mu, J, pg_norm, iterations, "budget"
 
 
-def _bridge_solution(pot: InteractionPotential, flow: MarginalFlow,
-                     diagnostics: dict) -> BridgeSolution:
-    """The bridge of a solved flow: its velocity, corrector and reported cost."""
-    velocity = velocity_from_flow(flow)
-    psi = corrector(flow, velocity, pot)
-    return BridgeSolution(flow, velocity, psi, entropic_cost(psi, flow), diagnostics)
-
-
 def _solve(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
            sgrid: SpatialGrid, tgrid: TimeGrid, config: SolverConfig) -> BridgeSolution:
-    """The body of solve_mfsb: validate, initialize, descend."""
+    """The body of solve_mfsb: validate, initialize, descend, then take the
+    solved flow's velocity, corrector and reported cost."""
     _validate_endpoints(mu_in, mu_fin, sgrid)
     flow0 = _initial_flow(config.init, pot, mu_in, mu_fin, sgrid, tgrid)
     mu, J, pg_norm, iters, status = _descend(pot, flow0, config)
-    return _bridge_solution(pot, MarginalFlow(tgrid, sgrid, mu), {
+    flow = MarginalFlow(tgrid, sgrid, mu)
+    velocity = velocity_from_flow(flow)
+    psi = corrector(flow, velocity, pot)
+    return BridgeSolution(flow, velocity, psi, entropic_cost(psi, flow), {
         "converged": status == "converged",
         "status": status,
         "iterations": iters,
@@ -619,69 +607,6 @@ def cancel_ahead():
         ahead = _AHEAD.pop()
         os.close(ahead.fd)
         _fork.kill(ahead.pid)
-
-
-# ---------------------------------------------------------------------------
-# frozen-drift baseline
-
-
-def ipfp_frozen(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
-                sgrid: SpatialGrid, tgrid: TimeGrid) -> BridgeSolution:
-    """Frozen-drift fitting baseline.
-
-    Alternates (i) freezing the marginal flow and building the induced linear
-    transition kernels, (ii) a classical two-marginal bridge fit against those
-    kernels, (iii) a damped marginal update, undamped without a force, where
-    the kernels do not depend on the flow.  Documented bias: the fixed point
-    satisfies the frozen-drift optimality condition, not the mean-field one.
-    """
-    _validate_endpoints(mu_in, mu_fin, sgrid)
-    n_steps = tgrid.n_steps
-    a = mu_in.values * sgrid.dx
-    b_target = mu_fin.values * sgrid.dx
-    flow_vals = heat_interpolation_flow(mu_in, mu_fin, sgrid, tgrid).values
-
-    for outer in range(1, _IPFP_MAX_OUTER + 1):
-        forces = pot.force(flow_vals[:-1], sgrid)
-        # without a force the kernels cannot depend on the frozen flow
-        drift_free = not forces.any()
-        if drift_free:
-            steps = [_fp_step_matrix(-forces[0], sgrid.dx, tgrid.dt)] * n_steps
-        else:
-            steps = [_fp_step_matrix(-f, sgrid.dx, tgrid.dt) for f in forces]
-        total = steps[0]
-        for s_k in steps[1:]:
-            total = s_k @ total
-        u, v = static_sinkhorn(a, b_target, total)
-        fwd = np.empty((n_steps + 1, sgrid.n_cells))
-        bwd = np.empty_like(fwd)
-        fwd[0] = u
-        for k in range(n_steps):
-            fwd[k + 1] = steps[k] @ fwd[k]
-        bwd[-1] = v
-        for k in range(n_steps - 1, -1, -1):
-            bwd[k] = steps[k].T @ bwd[k + 1]
-        bridge = np.empty_like(flow_vals)
-        for k in range(n_steps + 1):
-            bridge[k] = Density(sgrid, fwd[k] * bwd[k]).values
-        # without a force the fit is the fixed point: take it undamped
-        damping = 1.0 if drift_free else _DAMPING
-        new_vals = (1.0 - damping) * flow_vals + damping * bridge
-        new_vals /= new_vals.sum(axis=1, keepdims=True) * sgrid.dx
-        delta = float(np.max(np.abs(new_vals - flow_vals)))
-        flow_vals = new_vals
-        converged = delta <= _IPFP_TOL
-        if converged:
-            break
-    if not converged and delta > 1e-4:
-        raise NoConvergence(f"frozen-drift iteration stalled at delta {delta:.3e}")
-
-    return _bridge_solution(pot, MarginalFlow(tgrid, sgrid, flow_vals), {
-        "converged": converged,
-        "outer_iterations": outer,
-        "marginal_update_delta": delta,
-        "bias_note": "frozen-drift fixed point; not the mean-field optimizer in general",
-    })
 
 
 # ---------------------------------------------------------------------------

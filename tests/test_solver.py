@@ -14,7 +14,6 @@ from mfsb import (
     corrector,
     density_from_spec,
     entropic_cost,
-    ipfp_frozen,
     optimality_residual,
     solve_mfsb,
     velocity_from_flow,
@@ -373,34 +372,15 @@ def test_solver_mean_linearity(grid256, pot_quad05):
     assert np.max(np.abs(means - chord)) <= 1e-3 * (1 + abs(means[-1] - means[0]))
 
 
-# ----------------------------------------------------------- frozen baseline
+# -------------------------------------------------------- classical bridge
 
 
-def test_ipfp_frozen_classical_agrees(grid256, pot_zero, std_gaussian,
-                                      sol_classical):
-    sol = ipfp_frozen(pot_zero, std_gaussian, std_gaussian, grid256,
-                      TimeGrid(1.0, 128))
-    assert sol.diagnostics["converged"]
-    assert sol.diagnostics["marginal_update_delta"] <= 1e-9
-    assert abs(sol.cost - sol_classical.cost) <= 0.01 * sol_classical.cost
-
-
-def test_ipfp_frozen_equilibrium(grid256, pot_quad05, eq05):
-    sol = ipfp_frozen(pot_quad05, eq05.density, eq05.density, grid256,
-                      TimeGrid(2.0, 64))
-    assert sol.cost <= 1e-5
-
-
-def test_ipfp_frozen_bias_reported(grid256, pot_quad05, asym_endpoints, sol_asym):
-    mu_in, mu_fin = asym_endpoints
-    sol = ipfp_frozen(pot_quad05, mu_in, mu_fin, grid256, TimeGrid(4.0, 128))
-    r_frozen = optimality_residual(sol, pot_quad05)
-    r_direct = optimality_residual(sol_asym, pot_quad05)
-    # the frozen-drift fixed point misses the Hessian coupling: recorded as a
-    # diagnostic comparison (cost and worst-case residual are no better)
-    assert "bias_note" in sol.diagnostics
-    assert sol.cost >= sol_asym.cost - 1e-6
-    assert r_frozen.sup_bulk >= r_direct.sup_bulk - 1e-6
+def test_heat_bridge_cost_agrees_with_the_solver(heat_bridges, sol_classical):
+    # two independent classical bridges on one grid: the exact heat-kernel
+    # marginals and the mirror descent on the staggered action
+    heat = heat_bridges[256]
+    assert heat.flow.values.shape == sol_classical.flow.values.shape
+    assert abs(heat.cost - sol_classical.cost) <= 1e-5 * sol_classical.cost
 
 
 # ------------------------------------------------------- optimality residual
@@ -413,13 +393,9 @@ def test_optimality_residual_equilibrium(grid256, pot_quad05, eq05):
     assert r.sup_bulk <= 1e-6
 
 
-def test_optimality_residual_halves_under_refinement(pot_zero):
-    values = {}
-    for n_cells, n_steps in ((256, 128), (512, 256)):
-        grid = SpatialGrid(8.0, n_cells)
-        mu = density_from_spec(grid, {"kind": "gaussian", "mean": 0.0, "std": 1.0})
-        sol = ipfp_frozen(pot_zero, mu, mu, grid, TimeGrid(1.0, n_steps))
-        values[n_cells] = optimality_residual(sol, pot_zero)
+def test_optimality_residual_halves_under_refinement(heat_bridges, pot_zero):
+    values = {n_cells: optimality_residual(bridge, pot_zero)
+              for n_cells, bridge in heat_bridges.items()}
     for attr in ("sup_bulk", "l2_weighted"):
         factor = getattr(values[256], attr) / getattr(values[512], attr)
         assert 1.5 <= factor <= 3.0
