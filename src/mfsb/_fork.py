@@ -1,9 +1,15 @@
-"""Forked children: how many may run, how one starts, ends and is reaped.
+"""Forked children: how many may run, and the one way to run one.
 
-solver.solve_ahead forks one child per bridge it solves ahead, and
-dynamics.tanaka_theta forks one drift helper.  Both count their children
-here, so neither starts one while the other's hold the idle CPUs, and a
-forked child starts none of its own.
+solver.solve_ahead starts one Child per bridge it solves ahead, and
+dynamics.tanaka_theta one drift helper.  Both count their children here,
+so neither starts one while the other's hold the idle CPUs, and a forked
+child starts none of its own.
+
+A Child runs body(*args, inbox, reply) in a forked process.  The parent
+writes to inbox with send; body answers with reply(value), any number of
+times, and answer reads each value in turn.  A reply is pickled before any
+of it is written, so a value that cannot be pickled raises in body, and an
+exception that escapes body is sent in the same way, as its last answer.
 """
 
 from __future__ import annotations
@@ -35,72 +41,82 @@ def spare_cpus() -> int:
     return max(usable - 1 - len(_RUNNING), 0)
 
 
-def fork(body, *args) -> int:
-    """Run body(*args) in a forked child and return the child's pid.
+class Child:
+    """body(*args, inbox, reply) running in a forked child.
 
-    Standard streams are flushed first, so the child never writes this
-    process's buffers again.  os._exit ends the child, with status 0 once
-    body returns and 1 if it raises, without the parent's exit handlers.
+    Standard streams are flushed before the fork, so the child never writes
+    this process's buffers again.  os._exit ends the child, with status 0
+    once body returns and 1 if it raises, without the parent's exit
+    handlers.  The caller must call stop.
     """
-    global _IN_CHILD
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
+
+    def __init__(self, body, *args):
+        global _IN_CHILD
+        inbox, self._inbox = os.pipe()
+        answers, replies = os.pipe()
+        sys.stdout.flush()
+        sys.stderr.flush()
         try:
-            _IN_CHILD = True
-            _RUNNING.clear()  # the parent's children; this process reaps none
-            body(*args)
-            code = 0
-        finally:
-            os._exit(code)
-    _RUNNING.add(pid)
-    return pid
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (inbox, self._inbox, answers, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                _IN_CHILD = True
+                os.close(self._inbox)
+                os.close(answers)
+                with open(replies, "wb") as out:
+                    try:
+                        body(*args, inbox, lambda value: _send(out, None, value))
+                        code = 0
+                    except BaseException as exc:  # sent, and it ends the child
+                        import traceback
+                        _send(out, traceback.format_exc(), exc)
+            finally:
+                os._exit(code)
+        _RUNNING.add(self.pid)
+        os.close(inbox)
+        os.close(replies)
+        self._answers = open(answers, "rb")
+        self.name = body.__name__
+        self.status = None  # the exit status, once reaped
+
+    def send(self, data: bytes):
+        """Write data to the child's inbox."""
+        os.write(self._inbox, data)
+
+    def answer(self):
+        """The child's next reply, or the exception it raised, raised here
+        chained to its traceback.  A child that ends without answering is
+        stopped and raises RuntimeError with its exit status."""
+        try:
+            text, value = pickle.load(self._answers)
+        except (EOFError, pickle.UnpicklingError):
+            self.stop()
+            raise RuntimeError(f"child {self.pid} ({self.name}) sent no result "
+                               f"(exit status {self.status})") from None
+        if text is None:
+            return value
+        raise value from ChildTraceback(text)
+
+    def stop(self):
+        """Close both pipes, then kill and reap the child; once stopped, do
+        nothing."""
+        if self.status is not None:
+            return
+        import signal
+        os.close(self._inbox)
+        self._answers.close()
+        os.kill(self.pid, signal.SIGKILL)
+        _, status = os.waitpid(self.pid, 0)
+        _RUNNING.discard(self.pid)
+        self.status = os.waitstatus_to_exitcode(status)
 
 
-def reap(pid: int) -> int:
-    """Wait for a child to end and return its wait status."""
-    _, status = os.waitpid(pid, 0)
-    _RUNNING.discard(pid)
-    return status
-
-
-def kill(pid: int):
-    """Kill a child and reap it."""
-    import signal
-    os.kill(pid, signal.SIGKILL)
-    reap(pid)
-
-
-def outcome(fn, *args) -> bytes:
-    """fn(*args) as a pickled (True, result, None), or the exception it
-    raised as failure() pickles it."""
-    try:
-        return pickle.dumps((True, fn(*args), None))
-    except BaseException:
-        return failure()
-
-
-def failure() -> bytes:
-    """The exception being handled, pickled as (False, exception, traceback
-    text)."""
-    import traceback
-    return pickle.dumps((False, sys.exc_info()[1], traceback.format_exc()))
-
-
-def collect(pid: int, fd: int, what: str, head: bytes):
-    """Read the pickled outcome a child writes to fd, after head, up to the
-    end of the pipe; reap the child, and return the outcome's result or
-    raise its exception here, chained to the child's traceback."""
-    chunks = [head]
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    status = reap(pid)
-    if not any(chunks):
-        raise RuntimeError(f"child {pid} {what} sent no result "
-                           f"(exit status {os.waitstatus_to_exitcode(status)})")
-    ok, value, text = pickle.loads(b"".join(chunks))
-    if ok:
-        return value
-    raise value from ChildTraceback(text)
+def _send(out, text, value):
+    """Write (text, value) to out, pickled whole before any byte is written."""
+    out.write(pickle.dumps((text, value)))
+    out.flush()

@@ -63,9 +63,8 @@ def interaction_drift(pot: InteractionPotential, x: np.ndarray,
 
 def _particle_streams(seed: int, n_particles: int):
     """Counter-based per-particle generators; bitwise stable under any scheduling."""
-    seed = int(seed) & (2**64 - 1)
     return [
-        np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        np.random.Generator(np.random.Philox(key=np.array([int(seed), i], dtype=np.uint64)))
         for i in range(n_particles)
     ]
 
@@ -77,8 +76,11 @@ def simulate_particles(pot: InteractionPotential, mu_in: Density,
 
     Initial positions are drawn from mu_in by inverse CDF, either at the
     stratified quantiles (i + 1/2)/N (default, variance reduction for marginal
-    comparisons) or iid.  Deterministic given the seed.
+    comparisons) or iid.  Deterministic given the seed, which lies in
+    [0, 2**64).
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if n_particles < 2:
         raise ValueError("need at least 2 particles")
     if init not in ("stratified", "iid"):
@@ -205,51 +207,41 @@ class _DriftHelper:
     """A forked child that shares the drift evaluations of each sweep.
 
     evaluate puts the sweep's nodes on a queue, a pipe that both processes
-    read without blocking, one node per read.  It wakes the helper with the
+    read without blocking, one node per read.  It sends the helper the
     index of the path buffer in ys, evaluates nodes itself until the queue
-    is empty, and then waits once for the helper's answer: one byte when it
-    found the queue empty too, or the pickled exception it raised
-    (_fork.failure), after which the helper ends.  Each process writes the
-    drift rows of the nodes it took into the shared drift.
+    is empty, and then waits once for the helper's answer, which it sends
+    when it finds the queue empty too.  Each process writes the drift rows
+    of the nodes it took into the shared drift.
     """
 
     def __init__(self, pot, ys, drift):
-        fds = [*os.pipe(), *os.pipe(), *os.pipe()]
-        self.queue, self.queue_w, go_r, self.go, self.done, done_w = fds
+        self.queue, self.queue_w = os.pipe()
         os.set_blocking(self.queue, False)
         self.pot, self.ys, self.drift = pot, ys, drift
         try:
-            self.pid = _fork.fork(_serve_drifts, pot, ys, drift, self.queue, go_r,
-                                  done_w, (self.queue_w, self.go, self.done))
+            self.child = _fork.Child(_serve_drifts, pot, ys, drift, self.queue)
         except BaseException:
-            for fd in fds:
-                os.close(fd)
+            os.close(self.queue)
+            os.close(self.queue_w)
             raise
-        os.close(go_r)
-        os.close(done_w)
 
     def evaluate(self, cur: int, nodes: list):
         # a batch of tokens fits in any pipe's buffer, so the write returns
         for lo in range(0, len(nodes), _QUEUE_BATCH):
             batch = np.array(nodes[lo:lo + _QUEUE_BATCH], dtype="<u4")
             os.write(self.queue_w, batch.tobytes())
-            os.write(self.go, bytes([cur]))
+            self.child.send(bytes([cur]))
             _evaluate_queued(self.queue, self.pot, self.ys[cur], self.drift)
-            answer = os.read(self.done, 1)
-            if answer != _DONE:
-                pid, self.pid = self.pid, None
-                _fork.collect(pid, self.done, "evaluating drifts", answer)
+            self.child.answer()
 
     def stop(self):
-        """Kill and reap the helper, and close the pipes."""
-        for fd in (self.queue, self.queue_w, self.go, self.done):
-            os.close(fd)
-        if self.pid is not None:
-            _fork.kill(self.pid)
+        """Kill and reap the helper, and close the queue."""
+        os.close(self.queue)
+        os.close(self.queue_w)
+        self.child.stop()
 
 
 _QUEUE_BATCH = 1024  # 4-byte node tokens per queue write: 4096 bytes
-_DONE = b"\0"  # the helper's answer to a batch it found no more nodes in
 
 
 def _evaluate_queued(queue: int, pot, y, drift):
@@ -264,20 +256,12 @@ def _evaluate_queued(queue: int, pot, y, drift):
         drift[k] = interaction_drift(pot, y[k])
 
 
-def _serve_drifts(pot, ys, drift, queue: int, go_r: int, done_w: int, parent_ends):
-    """The helper's loop, until the go pipe ends: per byte cur read from it,
-    the drift on ys[cur] at the nodes it takes off the queue."""
-    for fd in parent_ends:
-        os.close(fd)
-    with open(done_w, "wb") as done:
-        while go := os.read(go_r, 1):
-            try:
-                _evaluate_queued(queue, pot, ys[go[0]], drift)
-            except BaseException:
-                done.write(_fork.failure())
-                raise
-            done.write(_DONE)
-            done.flush()
+def _serve_drifts(pot, ys, drift, queue: int, inbox: int, reply):
+    """The helper's body: per byte cur read from inbox, the drift on
+    ys[cur] at the nodes it takes off the queue, then an answer."""
+    while go := os.read(inbox, 1):
+        _evaluate_queued(queue, pot, ys[go[0]], drift)
+        reply(None)
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ the discrete divergence below is its exact inverse.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,9 +37,10 @@ class SpatialGrid:
     n_cells: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.half_width) and self.half_width > 0):
-            raise ValueError(
-                f"half_width must be finite and positive, got {self.half_width}")
+        # 4·half_width, the span of pair differences, is finite too
+        if not 0 < self.half_width <= sys.float_info.max / 4:
+            raise ValueError(f"half_width must be positive with 4*half_width "
+                             f"finite, got {self.half_width}")
         if self.n_cells < 8:
             raise ValueError(f"n_cells must be at least 8, got {self.n_cells}")
 

@@ -151,7 +151,8 @@ def _parse_structure(doc: dict) -> Scenario:
     unknown = set(checks) - set(CHECKS)
     _require(not unknown, f"unknown checks: {sorted(unknown)}")
     seed = doc.get("seed", 0)
-    _require(_is_integer(seed), "seed must be an integer")
+    _require(_is_integer(seed) and 0 <= seed < 2**64,
+             "seed must be an integer in [0, 2**64)")
     n_particles = doc.get("particles", 64)
     _require(isinstance(n_particles, int) and n_particles >= 2,
              "particles must be an integer >= 2")

@@ -29,7 +29,6 @@ with the same arguments, then collects a child's result instead of solving.
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -518,16 +517,23 @@ def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
     InfeasibleEndpoints when the endpoint validation fails.  A problem that
     solve_ahead started is collected from its child: the same solution, or
     the same exception, as solving it here.  A problem that solve_ahead saw
-    twice is solved once, and a later call returns a copy of its solution.
+    is solved once, and each later call returns a copy of its solution.
     """
     problem = (pot, mu_in, mu_fin, sgrid, tgrid, config or SolverConfig())
     key = _problem_key(*problem)
-    if _REUSE.get(key) is not None:
-        return copy.deepcopy(_REUSE[key])
-    ahead = next((ahead for ahead in _AHEAD if ahead.key == key), None)
-    sol = _collect(ahead) if ahead else _solve(*problem)
-    if key in _REUSE:
-        _REUSE[key] = sol
+    ahead = _AHEAD.get(key)
+    if isinstance(ahead, _fork.Child):
+        _AHEAD[key] = None  # a call after the child failed solves here
+        try:
+            sol = ahead.answer()
+        finally:
+            ahead.stop()
+    elif ahead is not None:
+        return copy.deepcopy(ahead)
+    else:
+        sol = _solve(*problem)
+    if key in _AHEAD:
+        _AHEAD[key] = sol
     return sol
 
 
@@ -535,17 +541,9 @@ def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
 # bridges solved ahead, in forked children
 
 
-@dataclass
-class _Ahead:
-    """A problem being solved in a child: its key, the child, its result pipe."""
-
-    key: tuple
-    pid: int
-    fd: int
-
-
-_AHEAD: list = []  # the children solve_ahead started that nothing collected yet
-_REUSE: dict = {}  # key of a problem solve_ahead saw twice -> its solution, once solved
+# key of each problem solve_ahead saw -> the Child solving it, its solution
+# once obtained, or None while no child solves it
+_AHEAD: dict = {}
 
 
 def _problem_key(pot, mu_in: Density, mu_fin: Density, sgrid, tgrid, config) -> tuple:
@@ -565,48 +563,26 @@ def solve_ahead(solving, problems):
     obtains each solution by calling solve_mfsb as it would have without
     this call, and must call cancel_ahead when it is done.
     """
-    keys = [_problem_key(*solving)]
+    _AHEAD[_problem_key(*solving)] = None
     for problem in problems:
         key = _problem_key(*problem)
-        if key in keys:
-            _REUSE[key] = None
-            continue
-        keys.append(key)
-        if _fork.spare_cpus() < 1:
-            continue
-        read_fd, write_fd = os.pipe()
-        pid = _fork.fork(_solve_in_child, problem, read_fd, write_fd)
-        os.close(write_fd)
-        _AHEAD.append(_Ahead(key, pid, read_fd))
+        if key not in _AHEAD:
+            _AHEAD[key] = (_fork.Child(_solve_in_child, problem)
+                           if _fork.spare_cpus() > 0 else None)
 
 
-def _solve_in_child(problem: tuple, read_fd: int, write_fd: int):
-    """Solve problem and write its pickled outcome (_fork.outcome) to
-    write_fd; a child that cannot send it writes nothing."""
-    os.close(read_fd)
-    _AHEAD.clear()  # the parent's children; this process collects none
-    payload = _fork.outcome(_solve, *problem)
-    with open(write_fd, "wb") as pipe:
-        pipe.write(payload)
-
-
-def _collect(ahead: _Ahead) -> BridgeSolution:
-    """The solution a child sent, or the exception it raised, raised here."""
-    _AHEAD.remove(ahead)
-    try:
-        return _fork.collect(ahead.pid, ahead.fd, "solving a bridge", b"")
-    finally:
-        os.close(ahead.fd)
+def _solve_in_child(problem: tuple, inbox: int, reply):
+    """The body of a child of solve_ahead: reply with problem's solution."""
+    reply(_solve(*problem))
 
 
 def cancel_ahead():
     """Stop and reap every child solve_ahead started that nothing collected,
-    and forget the solutions kept for a second call."""
-    _REUSE.clear()
+    and forget the solutions kept for a later call."""
     while _AHEAD:
-        ahead = _AHEAD.pop()
-        os.close(ahead.fd)
-        _fork.kill(ahead.pid)
+        _, ahead = _AHEAD.popitem()
+        if isinstance(ahead, _fork.Child):
+            ahead.stop()
 
 
 # ---------------------------------------------------------------------------

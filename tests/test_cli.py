@@ -93,11 +93,17 @@ MALFORMED = {
     "infinite-cells": (("grid", "n_cells"), INF, "grid"),
     "nan-half-width": (("grid", "half_width"), NAN, "half_width"),
     "infinite-half-width": (("grid", "half_width"), INF, "half_width"),
+    # finite, but 4·half_width, the span of the H1 sample, is not
+    "overflowing-half-width": (("grid", "half_width"), 1e308,
+                               "invalid grid specification"),
     "infinite-horizon": (("time", "horizon"), INF, "horizon"),
     "nan-horizon": (("time", "horizon"), NAN, "horizon"),
     "histogram-length": (("mu_in",), {"kind": "histogram", "values": [1.0] * 10},
                          "expected 64 values"),
     "boolean-seed": (("seed",), True, "seed"),
+    # particle streams key on the seed as 64 unsigned bits
+    "negative-seed": (("seed",), -1, r"seed must be an integer in \[0, 2\*\*64\)"),
+    "seed-beyond-64-bits": (("seed",), 2**64, r"seed must be an integer in \[0"),
     "nan-kappa": (("potential", "kappa"), NAN, "kappa"),
     "infinite-kappa": (("potential", "kappa"), INF, "kappa"),
     "nan-width": (("potential",),
@@ -426,14 +432,16 @@ def test_cli_validation_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["infinite-horizon", "histogram-length",
-                                  "fractional-cells", "removed-multi_start"])
+                                  "fractional-cells", "removed-multi_start",
+                                  "overflowing-half-width"])
 def test_cli_malformed_scenario_exit_code(tmp_path, case, capsys):
     path, value, message = MALFORMED[case]
     scenario = _write(tmp_path, _with(path, value))
     rc = cli.main(["verify", "--scenario", str(scenario),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Warning" not in err
 
 
 def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):

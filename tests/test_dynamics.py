@@ -93,6 +93,14 @@ def test_simulation_bitwise_deterministic(grid256, pot_quad05, std_gaussian, tg)
     assert not np.array_equal(a.positions, c.positions)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_simulation_rejects_a_seed_beyond_64_bits(pot_zero, std_gaussian, tg, seed):
+    # reduced modulo 2**64, -1 would give the ensemble of 2**64 - 1
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        simulate_particles(pot_zero, std_gaussian, tg, 4, seed=seed)
+    assert simulate_particles(pot_zero, std_gaussian, tg, 4, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_increment_variance_sanity(grid256, pot_zero, std_gaussian, tg):
     ens = simulate_particles(pot_zero, std_gaussian, tg, 500, seed=5)
     ratio = ens.increments.var() / tg.dt
@@ -271,6 +279,20 @@ def test_a_drift_exception_leaves_no_helper(monkeypatch, std_gaussian, tg, pot_w
     if where == "helper":
         # raised here, chained to the helper's traceback
         assert "raise ValueError" in str(raised.value.__cause__)
+    _assert_no_child()
+
+
+def test_a_helper_that_dies_without_answering_leaves_no_child(monkeypatch, std_gaussian,
+                                                             tg, pot_well, drift_log,
+                                                             time_bound):
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    noise = noise_ensemble(simulate_particles(pot_well, std_gaussian, tg, 8, seed=5))
+    dead = _in_helper(interaction_drift, lambda pot, x: os._exit(7))
+    monkeypatch.setattr(dynamics, "interaction_drift",
+                        drift_log.wrap(dead, parent_delay=0.01))
+    with pytest.raises(RuntimeError,
+                       match=r"child \d+ \(_serve_drifts\) sent no result \(exit status 7\)"):
+        tanaka_theta(pot_well, noise)
     _assert_no_child()
 
 

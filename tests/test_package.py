@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -60,6 +61,25 @@ def test_public_defaults_are_the_listed_ones():
             if defaults:
                 found[qualified] = defaults
     assert found == DEFAULTS
+
+
+PROCESS_CALLS = {"fork", "kill", "waitpid", "_exit"}
+
+
+def _process_calls(path: Path) -> set:
+    """The os.fork, os.kill, os.waitpid and os._exit calls in a file."""
+    return {node.func.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+            and node.func.attr in PROCESS_CALLS}
+
+
+def test_only_the_fork_module_starts_and_ends_processes():
+    src = ROOT / "src" / "mfsb"
+    assert _process_calls(src / "_fork.py") == PROCESS_CALLS  # the walk finds them
+    calls = {path.name: _process_calls(path) for path in sorted(src.glob("*.py"))
+             if path.name != "_fork.py"}
+    assert len(calls) > 1 and not any(calls.values()), calls
 
 
 def _run_without_scipy(code: str, *args):

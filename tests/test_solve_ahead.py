@@ -162,6 +162,34 @@ def test_an_exception_in_a_child_keeps_its_exit_code(tmp_path, monkeypatch, caps
         assert "in body" in err and "raise exc" in err
 
 
+@pytest.mark.parametrize("end", ["dies", "answers what cannot be pickled"])
+def test_a_child_without_a_usable_answer_is_an_internal_error(tmp_path, monkeypatch,
+                                                              capsys, cpus, forks, end):
+    cpus(2)
+    parent = os.getpid()
+    solve = solver._solve
+
+    def body(*problem):
+        if os.getpid() == parent:
+            return solve(*problem)
+        if end == "dies":
+            os._exit(7)
+        return lambda: None
+    monkeypatch.setattr(solver, "_solve", body)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_small_asymmetric(["conserved", "time-reversal"])))
+    assert cli.main(["verify", "--scenario", str(path),
+                     "--out", str(tmp_path / "v")]) == cli.EXIT_INTERNAL
+    assert len(forks) == 1
+    _assert_no_child()
+    err = capsys.readouterr().err
+    if end == "dies":
+        assert f"child {forks[0]} (_solve_in_child) sent no result (exit status 7)" in err
+    else:
+        # raised in the child's reply, and sent back as its exception
+        assert "pickle" in err and "in _solve_in_child" in err
+
+
 @pytest.mark.parametrize("path", ["returns", "forward solve raises", "check raises"])
 def test_no_child_outlives_run(tmp_path, monkeypatch, cpus, forks, path):
     cpus(2)
@@ -180,7 +208,7 @@ def test_no_child_outlives_run(tmp_path, monkeypatch, cpus, forks, path):
             cli.run(sc, "verify", tmp_path)
     assert len(forks) == 1
     _assert_no_child()
-    assert solver._AHEAD == []
+    assert solver._AHEAD == {}
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
@@ -204,5 +232,5 @@ def test_a_bridge_equal_to_the_forward_one_is_solved_once(tmp_path, monkeypatch,
     assert reverse is not forward and reverse.diagnostics is not forward.diagnostics
     assert (reverse.cost, reverse.diagnostics) == (forward.cost, forward.diagnostics)
     assert reverse.flow.values.tobytes() == forward.flow.values.tobytes()
-    assert solver._REUSE == {}
+    assert solver._AHEAD == {}
     _assert_no_child()
