@@ -1,25 +1,37 @@
-"""Forked children: how many may run, and the one way to run one.
+"""Forked children: how many may run, the one way to run one, and the
+arrays a child shares with its parent.
 
-solver.solve_ahead starts one Child per bridge it solves ahead, and
-dynamics.tanaka_theta one drift helper.  Both count their children here,
-so neither starts one while the other's hold the idle CPUs, and a forked
-child starts none of its own.
+solver.solve_ahead starts one Child per bridge it solves ahead,
+solver._descend one helper that takes a block of each iteration's rows, and
+dynamics.tanaka_theta one drift helper.  All count their children here, so
+none starts one while the others' hold the idle CPUs, and a forked child
+starts none of its own.
 
 A Child runs body(*args, inbox, reply) in a forked process.  The parent
 writes to inbox with send; body answers with reply(value), any number of
 times, and answer reads each value in turn.  A reply is pickled before any
 of it is written, so a value that cannot be pickled raises in body, and an
 exception that escapes body is sent in the same way, as its last answer.
+A wait for an answer, or for a child's next message, first polls its pipe
+for up to _POLL_S: an answer that comes within microseconds is then read
+without the sleep and wake-up of a blocking read, which cost tens of
+microseconds on a virtual machine.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
+import select
 import sys
+import time
+
+import numpy as np
 
 _RUNNING: set = set()  # pids of the children this process forked and did not reap
 _IN_CHILD = False      # set in a forked child
+_POLL_S = 2e-3         # how long a wait on a pipe polls before it sleeps
 
 
 class ChildTraceback(Exception):
@@ -39,6 +51,30 @@ def spare_cpus() -> int:
     except AttributeError:  # no affinity call on this platform
         usable = os.cpu_count() or 1
     return max(usable - 1 - len(_RUNNING), 0)
+
+
+def poll(fd: int):
+    """Return once fd is readable, or after _POLL_S, checking in a loop
+    that yields the CPU to any other runnable thread instead of sleeping.
+
+    Only a shortcut: the read that follows waits for what has not come."""
+    end = time.perf_counter() + _POLL_S
+    while not select.select([fd], [], [], 0)[0] and time.perf_counter() < end:
+        os.sched_yield()
+
+
+def shared_arrays(*specs) -> list:
+    """Zeroed arrays, one per (shape, dtype) spec, in one anonymous shared
+    mapping: a child forked after they were made writes into the same
+    memory as its parent."""
+    import mmap
+    starts, size = [], 0
+    for shape, dtype in specs:
+        starts.append(size)
+        size += -(-np.dtype(dtype).itemsize * math.prod(shape) // 64) * 64
+    buffer = mmap.mmap(-1, max(size, 1))
+    return [np.frombuffer(buffer, dtype, math.prod(shape), start).reshape(shape)
+            for (shape, dtype), start in zip(specs, starts)]
 
 
 class Child:
@@ -92,6 +128,7 @@ class Child:
         """The child's next reply, or the exception it raised, raised here
         chained to its traceback.  A child that ends without answering is
         stopped and raises RuntimeError with its exit status."""
+        poll(self._answers.fileno())
         try:
             text, value = pickle.load(self._answers)
         except (EOFError, pickle.UnpicklingError):

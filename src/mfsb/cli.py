@@ -59,7 +59,7 @@ class _Run:
 
     def _solve(self, bridge):
         sol = solve_mfsb(*self.problem(bridge))
-        self.status[bridge] = sol.diagnostics["status"]
+        self.status[bridge] = _status(sol.diagnostics)
         return sol
 
     @cached_property
@@ -92,6 +92,16 @@ class _Run:
         sc = self.scenario
         return simulate_particles(self.pot, sc.mu_in(), sc.time_grid,
                                   sc.n_particles, sc.seed)
+
+
+def _status(diagnostics: dict) -> str:
+    """A solve's status, and for a stall where its line search gave up."""
+    stall = diagnostics.get("stall")
+    if not stall:
+        return diagnostics["status"]
+    return (f"{diagnostics['status']} (line search gave up at step "
+            f"{stall['step']:.3e}, where the Armijo test asked J to fall by "
+            f"{stall['armijo_decrease_rel']:.3e} of |J|)")
 
 
 def _write_manifest(out: Path, scenario: Scenario, command: str, fmt: str,

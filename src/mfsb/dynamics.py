@@ -193,14 +193,11 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
 
 def _theta_arrays(n_particles: int, k_steps: int):
     """The path buffers y and update (k_steps + 1 rows of n_particles each)
-    and the drift (k_steps rows), zeroed, in one anonymous mapping that a
-    forked helper shares."""
-    import mmap
-    rows = 3 * k_steps + 2
-    flat = np.frombuffer(mmap.mmap(-1, 8 * rows * n_particles), dtype=float)
-    flat = flat.reshape(rows, n_particles)
-    paths = flat[:k_steps + 1], flat[k_steps + 1:2 * k_steps + 2]
-    return paths, flat[2 * k_steps + 2:]
+    and the drift (k_steps rows), zeroed, in one mapping that a forked
+    helper shares."""
+    path = ((k_steps + 1, n_particles), float)
+    y, update, drift = _fork.shared_arrays(path, path, ((k_steps, n_particles), float))
+    return (y, update), drift
 
 
 class _DriftHelper:
@@ -259,7 +256,11 @@ def _evaluate_queued(queue: int, pot, y, drift):
 def _serve_drifts(pot, ys, drift, queue: int, inbox: int, reply):
     """The helper's body: per byte cur read from inbox, the drift on
     ys[cur] at the nodes it takes off the queue, then an answer."""
-    while go := os.read(inbox, 1):
+    while True:
+        _fork.poll(inbox)
+        go = os.read(inbox, 1)
+        if not go:
+            return
         _evaluate_queued(queue, pot, ys[go[0]], drift)
         reply(None)
 

@@ -155,11 +155,16 @@ class _Quadratic(InteractionPotential):
         # near-zero bridge costs are sensitive to their roundoff
         if mu.ndim == 1:
             return self.kappa * (x - np.sum(x * mu) * dx)
-        return self.kappa * (x - (mu @ x * dx)[:, None])
+        # kappa * (x - mean), in the one array the stack's force needs
+        force = np.subtract(x, (mu @ x * dx)[:, None])
+        force *= self.kappa
+        return force
 
     def force_adjoint(self, rho, grid):
-        return -(self.kappa * grid.dx * np.sum(rho, axis=-1, keepdims=True)
-                 * grid.centers)
+        # -(kappa * dx * sum(rho) * x), in one array
+        weight = self.kappa * grid.dx * np.sum(rho, axis=-1, keepdims=True)
+        adjoint = np.multiply(weight, grid.centers)
+        return np.negative(adjoint, out=adjoint)
 
     def hessian_term(self, mu, psi, grid):
         return self.kappa * (psi - np.sum(psi * (mu * grid.dx), axis=-1,

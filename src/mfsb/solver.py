@@ -24,11 +24,18 @@ test_bb_objective_second_order_in_cell_quadrature checks.
 
 solve_ahead starts independent bridges in forked children; solve_mfsb, called
 with the same arguments, then collects a child's result instead of solving.
+A descent that finds a CPU idle at its first line search forks one helper
+(closed-form kernels only), which runs every pass over time rows on half of
+the rows; the kernel's grid actions, the BLAS they call, and the sums over
+the whole stack stay in the process, so the iterates are bitwise the
+one-process ones.
 """
 
 from __future__ import annotations
 
 import copy
+import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +175,14 @@ def mkv_pullback_flow(pot: InteractionPotential, mu_in: Density, mu_fin: Density
 class _Buffers:
     """Every array one descent writes into, allocated once per descent.
 
+    The points, their logs, the row sums and the scratch arrays but the
+    second are in one anonymous shared mapping, so that a helper forked
+    later writes into the same arrays: a block reads them at the other
+    block's rows, or the forking process reads or writes them on every row.
+    The other arrays are written and read on each block's own rows only,
+    and stay in each process's own memory, where the heap reuses them once
+    the descent is done.
+
     An edge array has the shape of a stack of slices: column j < n-1 holds
     the edge between cells j and j+1, so each edge pass is one contiguous
     pass over the flattened arrays, pairing element k with element k+1.
@@ -176,11 +191,32 @@ class _Buffers:
     sum over cells, is exactly zero.  Row sums over edges read columns
     0..n-2 only, so each adds the same numbers in the same order as a sum
     over a separate edge array.
+
+    Each pass writes one block of rows, given as rows = (lo, hi); the pass
+    over the whole stack is the same pass on (0, n_steps + 1).  Most read
+    only their own rows.  The time differences read the rows next to the
+    block, an edge pass reads the first cell after it, and a pass from edges
+    to cells the last edge before it: each such read waits until both
+    blocks have written what it reads, and no pass writes what another
+    block reads in it.  The scratch arrays by pass:
+
+      _evaluate:           0 -dmu/dt; 2 half of the edge terms, then J's
+                           weights; 5 holds the force (read across)
+      _edge_gradients:     0 rho, then rho/2; 1 dJ/dm; 2 the edge term;
+                           3 the momentum flux, then 1/mu; 4 den^2, then
+                           the score flow over mu
+      _cell_gradients:     5 dJ/dmu; 4 the score flow into the next cell,
+                           then the weights on the force; 3 the adjoint's
+                           running sum (reads 0 and 2 across)
+      _centered_gradient:  1 the adjoint's time difference (reads 3
+                           across); 5 the gradient; 4 gradient * mu; 2 the
+                           weights of the descent and its norm
+      _candidate:          0 the heavy-ball pull
     """
 
     def __init__(self, pot: InteractionPotential, sgrid: SpatialGrid,
                  tgrid: TimeGrid):
-        shape = (tgrid.n_steps + 1, sgrid.n_cells)
+        rows = tgrid.n_steps + 1
         self.pot = pot
         self.sgrid = sgrid
         self.dx = sgrid.dx
@@ -188,36 +224,70 @@ class _Buffers:
         self.tw = tgrid.trapezoid_weights
         self.twdx = self.tw[:, None] * self.dx
         self.twdx_half = self.twdx * 0.5
-        # edge terms of the last point evaluated
-        self.peak = np.zeros((shape[0], 1))
-        self.light = np.zeros(shape, dtype=bool)  # edges without mass
-        self.mu_edge = np.zeros(shape)
-        self.den = np.zeros(shape)       # mollified edge density, 1 off the mask
-        self.u = np.zeros(shape)         # edge velocity, 0 off the mask
-        # the descent direction and its domain
-        self.immovable = np.zeros(shape, dtype=bool)
-        self.centered = np.zeros(shape)
-        self.safe = np.zeros(shape, dtype=bool)
-        self.scratch = tuple(np.zeros(shape) for _ in range(6))
+        self.all = (0, rows)
+        shape = (rows, sgrid.n_cells)
+        (self.points,     # the current point and the line-search candidate
+         self.logs,       # their logs
+         across,
+         self.sums,       # row sums of the action's and the descent's weights
+         ) = _fork.shared_arrays(((2, *shape), float), ((2, *shape), float),
+                                 ((5, *shape), float), ((2, rows), float))
+        (self.m,          # the momentum of the last point evaluated
+         self.velocity,   # heavy-ball velocity in log space
+         # edge terms of the last point evaluated
+         self.mu_edge,
+         self.den,        # mollified edge density, 1 off the mask
+         self.u,          # edge velocity, 0 off the mask
+         self.centered,   # the descent direction
+         own) = (np.zeros(shape) for _ in range(7))
+        self.scratch = (across[0], own, *across[1:])
+        self.peak = np.zeros((rows, 1))
+        (self.light,      # edges without mass
+         self.immovable,  # cells the descent does not move
+         self.safe) = (np.zeros(shape, dtype=bool) for _ in range(3))
+        self.reg = 0.0  # the absolute mollifier of den, fixed per descent
 
 
-def _shifted(a: np.ndarray):
-    """(a[k], a[k+1]) over the flattened array: the pairs of an edge pass."""
-    flat = a.reshape(-1)
-    return flat[:-1], flat[1:]
+def _edge_pairs(a: np.ndarray, rows):
+    """(a[k], a[k+1]) over the flattened array, for the edges k that start
+    in the block of rows: the last cell of the block pairs with the next
+    block's first, and the last cell of the stack with none."""
+    flat, n = a.reshape(-1), a.shape[1]
+    start, stop = rows[0] * n, min(rows[1] * n, flat.size - 1)
+    return flat[start:stop], flat[start + 1:stop + 1]
 
 
-def _momentum(ws: _Buffers, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Momentum slaved to mu, the divergence inversion of -d(mu)/dt, into out."""
+def _cell_pairs(a: np.ndarray, rows):
+    """(a[k-1], a[k]) over the flattened array, for the cells k of the block
+    of rows but the first of the stack: the first cell of the block pairs
+    with the previous block's last."""
+    flat, n = a.reshape(-1), a.shape[1]
+    start, stop = max(rows[0] * n, 1), rows[1] * n
+    return flat[start - 1:stop - 1], flat[start:stop]
+
+
+def _interior(rows, n_rows: int):
+    """The rows of the block that are neither the first nor the last node."""
+    return slice(max(rows[0], 1), min(rows[1], n_rows - 1))
+
+
+def _momentum(ws: _Buffers, mu: np.ndarray, out: np.ndarray, rows=None) -> np.ndarray:
+    """Momentum slaved to mu, the divergence inversion of -d(mu)/dt, into
+    out on rows (all rows when None)."""
+    lo, hi = rows = rows or ws.all
     ddt = ws.scratch[0]  # -d(mu)/dt, each difference taken in reverse order
-    np.subtract(mu[:-2], mu[2:], out=ddt[1:-1])
-    ddt[1:-1] /= 2.0 * ws.dt
-    np.subtract(mu[0], mu[1], out=ddt[0])
-    np.subtract(mu[-2], mu[-1], out=ddt[-1])
-    ddt[0] /= ws.dt
-    ddt[-1] /= ws.dt
-    np.cumsum(ddt, axis=1, out=out)
-    out *= ws.dx
+    inner = _interior(rows, mu.shape[0])
+    np.subtract(mu[inner.start - 1:inner.stop - 1], mu[inner.start + 1:inner.stop + 1],
+                out=ddt[inner])
+    ddt[inner] /= 2.0 * ws.dt
+    if lo == 0:
+        np.subtract(mu[0], mu[1], out=ddt[0])
+        ddt[0] /= ws.dt
+    if hi == mu.shape[0]:
+        np.subtract(mu[-2], mu[-1], out=ddt[-1])
+        ddt[-1] /= ws.dt
+    np.cumsum(ddt[lo:hi], axis=1, out=out[lo:hi])
+    out[lo:hi] *= ws.dx
     return out
 
 
@@ -238,85 +308,138 @@ def _momentum(ws: _Buffers, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
 # (tests/oracles.py, reference_descend).
 
 
+def _logs(mu: np.ndarray, out: np.ndarray):
+    """log mu, with the log floor, into out."""
+    np.maximum(mu, LOG_FLOOR, out=out)
+    np.log(out, out=out)
+
+
 def _edge_terms(ws: _Buffers, mu: np.ndarray, m: np.ndarray, reg,
-                log_mu: np.ndarray) -> None:
-    """Edge terms of the point (mu, m) into ws, and log mu into log_mu.
+                log_mu: np.ndarray, rows=None) -> None:
+    """Edge terms of the point (mu, m) into ws, on rows.
 
     reg is an absolute mollifier, scalar or per-slice column, fixed by the
-    caller so the objective stays an exact function of (mu, m).
+    caller so the objective stays an exact function of (mu, m).  A block of
+    rows reads log mu from log_mu and the force from ws.scratch[5], over
+    the whole stack; with rows None, both are taken here, for every row.
     """
-    left, right = _shifted(mu)
-    mu_edge = ws.mu_edge
-    np.add(left, right, out=_shifted(mu_edge)[0])
+    if rows is None:
+        rows = ws.all
+        _logs(mu, log_mu)
+        np.copyto(ws.scratch[5], ws.pot.force(mu, ws.sgrid))
+    r = slice(*rows)
+    mu_edge, den, u, light = ws.mu_edge[r], ws.den[r], ws.u[r], ws.light[r]
+    np.add(*_edge_pairs(mu, rows), out=_edge_pairs(ws.mu_edge, rows)[0])
     mu_edge *= 0.5
-    np.max(mu, axis=1, keepdims=True, out=ws.peak)
-    np.less(mu_edge, MASS_FLOOR_REL * ws.peak, out=ws.light)
-    ws.light[:, -1] = True
-    np.add(mu_edge, reg, out=ws.den)
-    np.copyto(ws.den, 1.0, where=ws.light)
-    np.maximum(mu, LOG_FLOOR, out=log_mu)
-    np.log(log_mu, out=log_mu)
+    np.max(mu[r], axis=1, keepdims=True, out=ws.peak[r])
+    np.less(mu_edge, MASS_FLOOR_REL * ws.peak[r], out=light)
+    light[:, -1] = True
+    np.add(mu_edge, np.broadcast_to(reg, ws.peak.shape)[r], out=den)
+    np.copyto(den, 1.0, where=light)
     # u = m / den + 0.5 * score + force_edge on the mask, 0 off it
-    u, half = ws.u, ws.scratch[1]
-    half_flat = _shifted(half)[0]
-    log_left, log_right = _shifted(log_mu)
-    np.subtract(log_right, log_left, out=half_flat)
-    half_flat /= ws.dx
-    half_flat *= 0.5
-    np.divide(m, ws.den, out=u)
+    half = ws.scratch[2][r]
+    half_edges = _edge_pairs(ws.scratch[2], rows)[0]
+    log_left, log_right = _edge_pairs(log_mu, rows)
+    np.subtract(log_right, log_left, out=half_edges)
+    half_edges /= ws.dx
+    half_edges *= 0.5
+    np.divide(m[r], den, out=u)
     u += half
-    np.add(*_shifted(ws.pot.force(mu, ws.sgrid)), out=half_flat)
-    half_flat *= 0.5
+    np.add(*_edge_pairs(ws.scratch[5], rows), out=half_edges)
+    half_edges *= 0.5
     u += half
-    np.copyto(u, 0.0, where=ws.light)
+    np.copyto(u, 0.0, where=light)
+
+
+def _slice_actions(ws: _Buffers, rows) -> None:
+    """The row sums of J's weights at the point last evaluated, on rows,
+    into ws.sums[0]."""
+    r = slice(*rows)
+    w = ws.scratch[2][r]
+    np.multiply(ws.u[r], ws.u[r], out=w)
+    w *= ws.mu_edge[r]
+    np.sum(w[:, :-1], axis=1, out=ws.sums[0][r])
+
+
+def _total_action(ws: _Buffers) -> float:
+    """J from the row sums of _slice_actions."""
+    slicewise = 0.5 * ws.sums[0] * ws.dx
+    return float(np.sum(ws.tw * slicewise))
 
 
 def _action(ws: _Buffers) -> float:
     """J of the point last evaluated by _edge_terms."""
-    w = ws.scratch[1]
-    np.multiply(ws.u, ws.u, out=w)
-    w *= ws.mu_edge
-    slicewise = 0.5 * np.sum(w[:, :-1], axis=1) * ws.dx
-    return float(np.sum(ws.tw * slicewise))
+    _slice_actions(ws, ws.all)
+    return _total_action(ws)
 
 
-def _to_cells(edge: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each edge's value added into its two cells: edge[j] + edge[j-1]."""
-    left, right = _shifted(edge)
-    np.add(right, left, out=_shifted(out)[1])
-    out[0, 0] = edge[0, 0]
+def _to_cells(edge: np.ndarray, out: np.ndarray, rows) -> np.ndarray:
+    """Each edge's value added into its two cells, edge[j] + edge[j-1], on
+    rows."""
+    left, right = _cell_pairs(edge, rows)
+    np.add(right, left, out=_cell_pairs(out, rows)[1])
+    if rows[0] == 0:
+        out[0, 0] = edge[0, 0]
     return out
+
+
+def _edge_gradients(ws: _Buffers, mu: np.ndarray, m: np.ndarray, rows) -> None:
+    """The edge parts of the partial gradients at the point (mu, m) that
+    the terms in ws were taken at, on rows."""
+    r = slice(*rows)
+    rho, gm, edge, flux, prod, _ = (s[r] for s in ws.scratch)
+    u, den = ws.u[r], ws.den[r]
+    np.multiply(u, ws.twdx[r], out=rho)
+    rho *= ws.mu_edge[r]
+    np.divide(rho, den, out=gm)
+    np.multiply(u, u, out=edge)
+    edge *= ws.twdx_half[r]
+    np.multiply(rho, m[r], out=flux)
+    np.multiply(den, den, out=prod)
+    flux /= prod
+    edge -= flux
+    edge *= 0.5
+    # the score's flow through each edge, rho / 2dx, against 1/mu of its
+    # two cells; the flow into the next cell is taken by _cell_gradients
+    half_rho, inv_mu = rho, flux
+    half_rho *= 0.5
+    np.greater(mu[r], 1e-100, out=ws.safe[r])
+    inv_mu.fill(0.0)
+    np.divide(1.0, mu[r], out=inv_mu, where=ws.safe[r])
+    np.divide(half_rho, ws.dx, out=prod)
+    prod *= inv_mu
+
+
+def _cell_gradients(ws: _Buffers, rows) -> None:
+    """dJ/dmu on rows, but the force's adjoint, from the edge parts; and the
+    running sum of dJ/dm from the right, the first step of its adjoint."""
+    r = slice(*rows)
+    half_rho, gm, edge, inv_mu, prod, gmu = ws.scratch
+    _to_cells(edge, gmu, rows)
+    gmu[r] -= prod[r]
+    gmu_right, prod_right = _cell_pairs(gmu, rows)[1], _cell_pairs(prod, rows)[1]
+    np.divide(_cell_pairs(half_rho, rows)[0], ws.dx, out=prod_right)
+    prod_right *= _cell_pairs(inv_mu, rows)[1]
+    gmu_right += prod_right
+    _to_cells(half_rho, prod, rows)  # the weights on the force
+    q = inv_mu
+    np.cumsum(gm[r, ::-1], axis=1, out=q[r, ::-1])
+    q[r] *= ws.dx
+    q[_interior(rows, q.shape[0])] /= 2.0 * ws.dt
+    if rows[0] == 0:
+        q[0] /= ws.dt
+    if rows[1] == q.shape[0]:
+        q[-1] /= ws.dt
 
 
 def _action_gradients(ws: _Buffers, mu: np.ndarray, m: np.ndarray):
     """Partial gradients (dJ/dmu, dJ/dm) at the point (mu, m) that the terms
     in ws were taken at, as two of ws's scratch arrays."""
-    rho, gm, edge, flux, prod, gmu = ws.scratch
-    np.multiply(ws.u, ws.twdx, out=rho)
-    rho *= ws.mu_edge
-    np.divide(rho, ws.den, out=gm)
-    np.multiply(ws.u, ws.u, out=edge)
-    edge *= ws.twdx_half
-    np.multiply(rho, m, out=flux)
-    np.multiply(ws.den, ws.den, out=prod)
-    flux /= prod
-    edge -= flux
-    edge *= 0.5
-    _to_cells(edge, gmu)
-    # the score's flow through each edge, against 1/mu of its two cells
-    half_rho, score_flow, inv_mu = rho, edge, flux
-    half_rho *= 0.5
-    np.divide(half_rho, ws.dx, out=score_flow)
-    np.greater(mu, 1e-100, out=ws.safe)
-    inv_mu.fill(0.0)
-    np.divide(1.0, mu, out=inv_mu, where=ws.safe)
-    np.multiply(score_flow, inv_mu, out=prod)
-    gmu -= prod
-    gmu_right, prod_right = _shifted(gmu)[1], _shifted(prod)[1]
-    np.multiply(_shifted(score_flow)[0], _shifted(inv_mu)[1], out=prod_right)
-    gmu_right += prod_right
-    gmu += ws.pot.force_adjoint(_to_cells(half_rho, prod), ws.sgrid)
-    return gmu, gm
+    _edge_gradients(ws, mu, m, ws.all)
+    _cell_gradients(ws, ws.all)
+    gmu = ws.scratch[5]
+    gmu += ws.pot.force_adjoint(ws.scratch[4], ws.sgrid)
+    return gmu, ws.scratch[1]
 
 
 def _as_matrix(flow, m):
@@ -360,7 +483,9 @@ def bb_gradient(flow: MarginalFlow, m: np.ndarray, pot: InteractionPotential):
     on; reported costs come from the corrector's cell quadrature instead.
     """
     mu, m = _as_matrix(flow, m)
-    return _action_gradients(_evaluated(pot, flow, mu, m), mu, m)
+    # copies: a view would keep the buffers' whole shared mapping alive
+    ws = _evaluated(pot, flow, mu, m)
+    return tuple(g.copy() for g in _action_gradients(ws, mu, m))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +520,32 @@ def _initial_flow(name: str, pot, mu_in, mu_fin, sgrid, tgrid) -> MarginalFlow:
     return mkv_pullback_flow(pot, mu_in, mu_fin, sgrid, tgrid)
 
 
+def _centered_gradient(ws: _Buffers, mu: np.ndarray, rows) -> None:
+    """The mirror gradient on rows, from dJ/dmu and the running sum that
+    _cell_gradients left; and the row sums of its weights mu * g^2."""
+    r = slice(*rows)
+    q, adj, prod, weighted, g = (ws.scratch[i] for i in (3, 1, 4, 2, 5))
+    # dJ/dm through the adjoint of _momentum: the running sum, then the
+    # adjoint of the time difference, added to dJ/dmu
+    inner = _interior(rows, mu.shape[0])
+    np.subtract(q[inner.start + 1:inner.stop + 1], q[inner.start - 1:inner.stop - 1],
+                out=adj[inner])
+    g[inner] += adj[inner]
+    if rows[0] == 0:
+        g[0] = 0.0
+    if rows[1] == mu.shape[0]:
+        g[-1] = 0.0
+    immovable, centered = ws.immovable[r], ws.centered[r]
+    np.less(mu[r], _UPDATE_FLOOR_REL * ws.peak[r], out=immovable)
+    np.copyto(g[r], 0.0, where=immovable)
+    np.multiply(g[r], mu[r], out=prod[r])
+    np.subtract(g[r], np.sum(prod[r], axis=1, keepdims=True) * ws.dx, out=centered)
+    np.copyto(centered, 0.0, where=immovable)
+    np.multiply(centered, centered, out=weighted[r])
+    weighted[r] *= mu[r]
+    np.sum(weighted[r], axis=1, out=ws.sums[1][r])
+
+
 def _projected_gradient(ws: _Buffers, mu: np.ndarray, m: np.ndarray):
     """Cells that may not move, and the mirror gradient on the others.
 
@@ -402,29 +553,141 @@ def _projected_gradient(ws: _Buffers, mu: np.ndarray, m: np.ndarray):
     zero on the pinned endpoints and on frozen cells, and centred per slice
     so that a step keeps each slice's mass.
     """
-    gmu, gm = _action_gradients(ws, mu, m)
-    # dJ/dm through the adjoint of _momentum: a running sum over cells from
-    # the right, then the adjoint of the time difference, added to gmu
-    q, adj, prod = ws.scratch[0], ws.scratch[2], ws.scratch[4]
-    np.cumsum(gm[:, ::-1], axis=1, out=q[:, ::-1])
-    q *= ws.dx
-    q[1:-1] /= 2.0 * ws.dt
-    q[0] /= ws.dt
-    q[-1] /= ws.dt
-    np.subtract(q[2:], q[:-2], out=adj[1:-1])
-    g = gmu
-    g[1:-1] += adj[1:-1]
-    g[0] = 0.0
-    g[-1] = 0.0
-    np.less(mu, _UPDATE_FLOOR_REL * ws.peak, out=ws.immovable)
-    np.copyto(g, 0.0, where=ws.immovable)
-    np.multiply(g, mu, out=prod)
-    np.subtract(g, np.sum(prod, axis=1, keepdims=True) * ws.dx, out=ws.centered)
-    np.copyto(ws.centered, 0.0, where=ws.immovable)
+    _action_gradients(ws, mu, m)
+    _centered_gradient(ws, mu, ws.all)
     return ws.immovable, ws.centered
 
 
-def _descend(pot: InteractionPotential, flow0: MarginalFlow, config: SolverConfig):
+# The phases of one descent iteration.  Each runs on a block of rows, with
+# the points named by their index in ws.points, so that a forked helper can
+# run it on its block from a pickled (name, args).
+
+
+def _candidate(ws: _Buffers, rows, cur: int, eta: float, restart: bool = False):
+    """The line-search candidate at step eta from the point cur, and its
+    log, into the other point, on rows; restart stops the heavy ball first."""
+    lo, hi = rows
+    r = slice(lo, hi)
+    mu, cand, velocity = ws.points[cur][r], ws.points[1 - cur][r], ws.velocity[r]
+    pull = ws.scratch[0][r]
+    if restart:
+        velocity[:] = 0.0
+    np.multiply(ws.centered[r], -eta, out=cand)
+    np.multiply(velocity, _MOMENTUM, out=pull)
+    cand += pull
+    np.copyto(cand, 0.0, where=ws.immovable[r])
+    np.clip(cand, -50.0, 50.0, out=cand)
+    np.exp(cand, out=cand)
+    cand *= mu
+    if lo == 0:
+        cand[0] = mu[0]
+    if hi == ws.all[1]:
+        cand[-1] = mu[-1]
+    cand /= cand.sum(axis=1, keepdims=True) * ws.dx
+    _logs(cand, ws.logs[1 - cur][r])
+
+
+def _evaluate(ws: _Buffers, rows, which: int):
+    """The momentum, edge terms and row sums of J of the point which, on
+    rows; its logs and its force are taken."""
+    x = ws.points[which]
+    _edge_terms(ws, x, _momentum(ws, x, ws.m, rows), ws.reg, ws.logs[which], rows)
+    _slice_actions(ws, rows)
+
+
+def _gradient_terms(ws: _Buffers, rows, cur: int, accepted: bool):
+    """The heavy ball's velocity, if the point cur was just accepted, and
+    the edge parts of the gradient at cur, on rows."""
+    r = slice(*rows)
+    if accepted:
+        np.subtract(ws.logs[cur][r], ws.logs[1 - cur][r], out=ws.velocity[r])
+        np.copyto(ws.velocity[r], 0.0, where=ws.immovable[r])
+    _edge_gradients(ws, ws.points[cur], ws.m, rows)
+
+
+def _direction(ws: _Buffers, rows, cur: int, eta: float):
+    """The mirror gradient at the point cur, and the first candidate along
+    it, on rows."""
+    _centered_gradient(ws, ws.points[cur], rows)
+    _candidate(ws, rows, cur, eta)
+
+
+_PHASES = {phase.__name__: phase for phase in
+           (_candidate, _evaluate, _gradient_terms, _cell_gradients, _direction)}
+
+
+def _closed_forms(pot: InteractionPotential) -> bool:
+    """Whether the kernel's force and force adjoint are closed forms of its
+    own, rather than the base class's products with a pair table.
+
+    A table product runs threaded BLAS, whose worker keeps spinning on the
+    idle CPU after each product: a descent on the gaussian well with a
+    helper took 1.4 to 6 times as long as without.
+    """
+    kind = type(pot)
+    return (kind.force is not InteractionPotential.force
+            and kind.force_adjoint is not InteractionPotential.force_adjoint)
+
+
+class _Rows:
+    """Runs each phase of one descent on every row; once share has forked a
+    helper, on the first half of the rows while the helper runs it on the
+    second.  A call returns when both halves are done.  The potential's grid
+    actions, and every sum over the whole stack, run here only."""
+
+    def __init__(self, ws: _Buffers):
+        self.ws = ws
+        self.rows = ws.all
+        self.helper = None
+        self.tried = False
+
+    def share(self):
+        """Fork the helper, at the first call only, if the kernel's grid
+        actions are closed forms and a CPU is idle."""
+        if self.tried:
+            return
+        self.tried = True
+        if _closed_forms(self.ws.pot) and _fork.spare_cpus() > 0:
+            n_rows = self.ws.all[1]
+            split = n_rows // 2
+            self.helper = _fork.Child(_serve_rows, self.ws, (split, n_rows))
+            self.rows = (0, split)
+
+    def __call__(self, phase, *args):
+        if self.helper:
+            self.helper.send(pickle.dumps((phase.__name__, args)))
+        phase(self.ws, self.rows, *args)
+        if self.helper:
+            self.helper.answer()
+
+    def evaluate(self, which: int) -> float:
+        """J of the point which; its logs are taken."""
+        ws = self.ws
+        np.copyto(ws.scratch[5], ws.pot.force(ws.points[which], ws.sgrid))
+        self(_evaluate, which)
+        return _total_action(ws)
+
+    def stop(self):
+        if self.helper:
+            self.helper.stop()
+
+
+def _serve_rows(ws: _Buffers, rows, inbox: int, reply):
+    """The helper's body: each phase whose (name, args) it reads from inbox,
+    run on rows, then an answer."""
+    with open(inbox, "rb") as commands:
+        while True:
+            _fork.poll(inbox)
+            try:
+                name, args = pickle.load(commands)
+            except EOFError:
+                return
+            _PHASES[name](ws, rows, *args)
+            reply(None)
+
+
+def _descend(pot: InteractionPotential, flow0: MarginalFlow, config: SolverConfig,
+             stall: dict | None = None):
     """Mirror (multiplicative) descent with heavy-ball momentum and restart.
 
     Cells below the update floor keep their initialization (their action
@@ -432,56 +695,60 @@ def _descend(pot: InteractionPotential, flow0: MarginalFlow, config: SolverConfi
     otherwise dominate the line search); every slice stays a probability
     density by construction and the endpoints are pinned.  Each point is
     evaluated once, into one set of buffers: the current point and the
-    line-search candidate are swapped on acceptance, and the terms of an
+    line-search candidate swap roles on acceptance, and the terms of an
     accepted candidate give the next gradient.
+
+    From the first line search on, a forked helper runs each phase on half
+    of the rows when a CPU is idle and the kernel's grid actions are closed
+    forms; the passes are the same on either block, so the iterates are
+    bitwise the one-process ones.  A descent
+    that stalls puts in stall the last step it tried and the Armijo
+    decrease that step asked, relative to |J|.
     """
     ws = _Buffers(pot, flow0.grid, flow0.time_grid)
-    dx = ws.dx
-    mu = flow0.values.copy()
-    cand, log_mu, cand_log, m, velocity = (np.zeros_like(mu) for _ in range(5))
     # mollifier frozen at the initialization's slice peaks
-    reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
-    _edge_terms(ws, mu, _momentum(ws, mu, m), reg, log_mu)
-    J = _action(ws)
-    eta = _ETA0
-    pg_norm = np.inf
-    iterations = 0
-    weighted, pull = ws.scratch[1], ws.scratch[2]
-    for iterations in range(1, config.max_outer + 1):
-        immovable, centered = _projected_gradient(ws, mu, m)
-        np.multiply(centered, centered, out=weighted)
-        weighted *= mu
-        descent = float(np.sum(weighted))
-        pg_norm = float(np.sqrt(np.sum(ws.tw * np.sum(weighted, axis=1) * dx)))
-        if pg_norm <= _TOL_GRAD:
-            return mu, J, pg_norm, iterations, "converged"
-        accepted = False
-        for attempt in range(_MAX_BACKTRACKS):
-            np.multiply(centered, -eta, out=cand)
-            np.multiply(velocity, _MOMENTUM, out=pull)
-            cand += pull
-            np.copyto(cand, 0.0, where=immovable)
-            np.clip(cand, -50.0, 50.0, out=cand)
-            np.exp(cand, out=cand)
-            cand *= mu
-            cand[0] = mu[0]
-            cand[-1] = mu[-1]
-            cand /= cand.sum(axis=1, keepdims=True) * dx
-            _edge_terms(ws, cand, _momentum(ws, cand, m), reg, cand_log)
-            J_cand = _action(ws)
-            if J_cand <= J - _ARMIJO * eta * descent:
-                np.subtract(cand_log, log_mu, out=velocity)
-                np.copyto(velocity, 0.0, where=immovable)
-                mu, cand, log_mu, cand_log, J = cand, mu, cand_log, log_mu, J_cand
-                eta = min(eta * _GROW, _ETA_MAX)
-                accepted = True
-                break
-            eta *= _BACKTRACK
-            if attempt == 15:
-                velocity[:] = 0.0  # momentum is hampering: restart the ball
-        if not accepted:
-            return mu, J, pg_norm, iterations, "stalled"
-    return mu, J, pg_norm, iterations, "budget"
+    ws.reg = _KINETIC_REG * flow0.values.max(axis=1, keepdims=True)
+    np.copyto(ws.points[0], flow0.values)
+    _logs(ws.points[0], ws.logs[0])
+    run = _Rows(ws)
+    try:
+        J = run.evaluate(0)
+        eta = _ETA0
+        pg_norm = np.inf
+        iterations = 0
+        cur, accepted = 0, False
+        for iterations in range(1, config.max_outer + 1):
+            run(_gradient_terms, cur, accepted)
+            run(_cell_gradients)
+            gmu = ws.scratch[5]
+            gmu += pot.force_adjoint(ws.scratch[4], ws.sgrid)
+            run(_direction, cur, eta)
+            descent = float(np.sum(ws.scratch[2]))
+            pg_norm = float(np.sqrt(np.sum(ws.tw * ws.sums[1] * ws.dx)))
+            if pg_norm <= _TOL_GRAD:
+                return ws.points[cur].copy(), J, pg_norm, iterations, "converged"
+            run.share()
+            accepted = False
+            for attempt in range(_MAX_BACKTRACKS):
+                if attempt:
+                    # after 16 failures momentum is hampering: restart the ball
+                    run(_candidate, cur, eta, attempt == 16)
+                J_cand = run.evaluate(1 - cur)
+                if J_cand <= J - _ARMIJO * eta * descent:
+                    cur, J, accepted = 1 - cur, J_cand, True
+                    eta = min(eta * _GROW, _ETA_MAX)
+                    break
+                tried = eta
+                eta *= _BACKTRACK
+            if not accepted:
+                if stall is not None:
+                    asked = _ARMIJO * tried * descent
+                    stall.update(step=tried,
+                                 armijo_decrease_rel=asked / abs(J) if J else math.inf)
+                return ws.points[cur].copy(), J, pg_norm, iterations, "stalled"
+        return ws.points[cur].copy(), J, pg_norm, iterations, "budget"
+    finally:
+        run.stop()
 
 
 def _solve(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
@@ -490,11 +757,12 @@ def _solve(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
     solved flow's velocity, corrector and reported cost."""
     _validate_endpoints(mu_in, mu_fin, sgrid)
     flow0 = _initial_flow(config.init, pot, mu_in, mu_fin, sgrid, tgrid)
-    mu, J, pg_norm, iters, status = _descend(pot, flow0, config)
+    stall = {}
+    mu, J, pg_norm, iters, status = _descend(pot, flow0, config, stall)
     flow = MarginalFlow(tgrid, sgrid, mu)
     velocity = velocity_from_flow(flow)
     psi = corrector(flow, velocity, pot)
-    return BridgeSolution(flow, velocity, psi, entropic_cost(psi, flow), {
+    diagnostics = {
         "converged": status == "converged",
         "status": status,
         "iterations": iters,
@@ -503,7 +771,10 @@ def _solve(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
         "init": config.init,
         "starts": {config.init: {"cost": J, "pg_norm": pg_norm,
                                  "iterations": iters, "status": status}},
-    })
+    }
+    if stall:
+        diagnostics["stall"] = stall
+    return BridgeSolution(flow, velocity, psi, entropic_cost(psi, flow), diagnostics)
 
 
 def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,

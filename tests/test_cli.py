@@ -24,7 +24,7 @@ from mfsb import (
     save_matrix,
     scenario_from_dict,
 )
-from mfsb import cli
+from mfsb import _fork, cli, solver
 from mfsb.flowio import FLOW_MAGIC
 from mfsb.dynamics import THETA_MAX_PARTICLES
 from mfsb.scenario import MAX_N_CELLS, MAX_N_STEPS, PARTICLE_STEP_LIMIT
@@ -96,6 +96,8 @@ MALFORMED = {
     # finite, but 4·half_width, the span of the H1 sample, is not
     "overflowing-half-width": (("grid", "half_width"), 1e308,
                                "invalid grid specification"),
+    # finite, but the squares of the H1 sample overflow; so do its cells'
+    "wide-half-width": (("grid", "half_width"), 1e200, "density has no mass"),
     "infinite-horizon": (("time", "horizon"), INF, "horizon"),
     "nan-horizon": (("time", "horizon"), NAN, "horizon"),
     "histogram-length": (("mu_in",), {"kind": "histogram", "values": [1.0] * 10},
@@ -433,7 +435,7 @@ def test_cli_validation_exit_code(tmp_path):
 
 @pytest.mark.parametrize("case", ["infinite-horizon", "histogram-length",
                                   "fractional-cells", "removed-multi_start",
-                                  "overflowing-half-width"])
+                                  "overflowing-half-width", "wide-half-width"])
 def test_cli_malformed_scenario_exit_code(tmp_path, case, capsys):
     path, value, message = MALFORMED[case]
     scenario = _write(tmp_path, _with(path, value))
@@ -540,26 +542,39 @@ def test_cli_verify_solves_each_bridge_once_on_demand(tmp_path, monkeypatch,
                                             (["turnpike-rate"], "doubled-horizon")])
 def test_cli_verify_exits_3_when_a_later_solve_stalls(tmp_path, monkeypatch, capsys,
                                                       checks, bridge):
+    # every bridge is solved in this process when the CLI asks for it, and
+    # the second one under an Armijo test that no step passes
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 0)
     solve = cli.solve_mfsb
     seen = []
 
     def second_stalls(*args, **kwargs):
-        sol = solve(*args, **kwargs)
         if seen:
-            sol.diagnostics.update(converged=False, status="stalled")
+            monkeypatch.setattr(solver, "_ARMIJO", 1e300)
+        sol = solve(*args, **kwargs)
         seen.append(sol.diagnostics)
         return sol
 
     monkeypatch.setattr(cli, "solve_mfsb", second_stalls)
     out = tmp_path / "v"
-    doc = {**MINIMAL, "checks": checks}
+    # a reverse bridge of its own, not a copy of the forward one
+    doc = {**MINIMAL, "checks": checks,
+           "mu_fin": {"kind": "gaussian", "mean": 0.0, "std": 1.1}}
     rc = cli.main(["verify", "--scenario", str(_write(tmp_path, doc)),
                    "--out", str(out)])
     assert rc == cli.EXIT_NO_CONVERGENCE == 3
     assert len(seen) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["environment"]["solver"]["status"] == "converged"
-    assert f"solver did not converge: {bridge} bridge stalled" in capsys.readouterr().err
+    assert "stall" not in report["environment"]["solver"]
+    # the line search of the first iteration halved the first step, 0.5,
+    # 59 times, and asked the last one for far more than J
+    stall = seen[1]["stall"]
+    assert seen[1]["status"] == "stalled" and seen[1]["iterations"] == 1
+    assert stall["step"] == 0.5 ** 60 and stall["armijo_decrease_rel"] > 1e250
+    assert (f"solver did not converge: {bridge} bridge stalled (line search gave up "
+            f"at step {0.5 ** 60:.3e}, where the Armijo test asked J to fall by "
+            f"{stall['armijo_decrease_rel']:.3e} of |J|)") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mu_fin, mkv_flows", [("mkv-endpoint", 1),

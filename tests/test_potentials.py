@@ -51,6 +51,18 @@ def test_conv_force_direct_sum_matches_closed_form(grid):
     assert np.max(np.abs(direct - conv_force(quad, mu))) < 1e-10
 
 
+def test_quadratic_stack_actions_keep_every_bit_of_their_formulas(grid):
+    # the descent's force and force adjoint on a stack of rows, each formed
+    # in one array, round as the closed forms written out do
+    rows = np.random.default_rng(7).uniform(size=(9, grid.n_cells))
+    x, dx = grid.centers, grid.dx
+    for pot in (InteractionPotential.zero(), InteractionPotential.quadratic(0.8)):
+        force = pot.kappa * (x - (rows @ x * dx)[:, None])
+        adjoint = -(pot.kappa * dx * np.sum(rows, axis=-1, keepdims=True) * x)
+        assert pot.force(rows, grid).tobytes() == force.tobytes()
+        assert pot.force_adjoint(rows, grid).tobytes() == adjoint.tobytes()
+
+
 def test_conv_force_antisymmetry_and_mean_cancellation(grid):
     pot = InteractionPotential.gaussian_well(1.0, 1.0)
     mu = density_from_spec(grid, {"kind": "gaussian", "mean": 0.0, "std": 1.0})

@@ -9,7 +9,8 @@ from unittest import mock
 
 import pytest
 
-from mfsb import InfeasibleEndpoints, NoConvergence, cli, scenario_from_dict, solver
+from mfsb import (InfeasibleEndpoints, NoConvergence, _fork, cli, scenario_from_dict,
+                  solver)
 from mfsb import verify as V
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -38,19 +39,35 @@ def cpus(monkeypatch):
     return use
 
 
+class _Forks(list):
+    """The pid of every child this process forks.  live holds the number of
+    its children alive at each fork, and bodies the body of each Child."""
+
+    def __init__(self):
+        super().__init__()
+        self.live, self.bodies = [], []
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """The pid of every child this process forks."""
-    pids = []
-    fork = os.fork
+    """The children this process forks, as a _Forks."""
+    forked = _Forks()
+    fork, start = os.fork, _fork.Child.__init__
 
     def recorded():
+        live = len(_fork._RUNNING)
         pid = fork()
         if pid:
-            pids.append(pid)
+            forked.append(pid)
+            forked.live.append(live)
         return pid
+
+    def started(child, body, *args):
+        forked.bodies.append(body.__name__)
+        start(child, body, *args)
     monkeypatch.setattr(os, "fork", recorded)
-    return pids
+    monkeypatch.setattr(_fork.Child, "__init__", started)
+    return forked
 
 
 def _assert_no_child():
@@ -136,7 +153,11 @@ def test_children_are_capped_by_usable_cpus(tmp_path, cpus, forks):
     doc = _small_asymmetric(["time-reversal", "turnpike-rate"])
     assert cli.run(scenario_from_dict(doc), "verify", tmp_path) in (
         cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
-    assert len(forks) == 1
+    # no fork while the one usable CPU beyond this process's own is taken:
+    # the reverse bridge's child, and once it is collected, the helper of
+    # the doubled-horizon descent
+    assert forks.live == [0] * len(forks)
+    assert forks.bodies == ["_solve_in_child", "_serve_rows"]
     _assert_no_child()
 
 
@@ -226,7 +247,10 @@ def test_a_bridge_equal_to_the_forward_one_is_solved_once(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "solve_mfsb",
                         lambda *p: answers.append(call(*p)) or answers[-1])
     assert cli.run(scenario_from_dict(doc), "verify", tmp_path) == cli.EXIT_OK
-    assert forks == [] and len(solves) == 1
+    # no child solves the reverse bridge; a spare CPU goes to the forward
+    # descent's helper
+    assert len(solves) == 1 and forks.live == [0] * len(forks)
+    assert forks.bodies == ["_serve_rows"] * (n_cpus - 1)
     # the CLI still asks for each bridge, and each answer is its own copy
     forward, reverse = answers
     assert reverse is not forward and reverse.diagnostics is not forward.diagnostics
@@ -234,3 +258,25 @@ def test_a_bridge_equal_to_the_forward_one_is_solved_once(tmp_path, monkeypatch,
     assert reverse.flow.values.tobytes() == forward.flow.values.tobytes()
     assert solver._AHEAD == {}
     _assert_no_child()
+
+
+def test_a_descent_helper_that_dies_is_an_internal_error(tmp_path, monkeypatch, capsys,
+                                                        cpus, forks):
+    cpus(2)
+    parent = os.getpid()
+    edge_terms = solver._edge_terms
+
+    def dies_in_the_helper(*args):
+        if os.getpid() != parent:
+            os._exit(7)
+        return edge_terms(*args)
+    monkeypatch.setattr(solver, "_edge_terms", dies_in_the_helper)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_small_asymmetric(["conserved"])))
+    assert cli.main(["verify", "--scenario", str(path),
+                     "--out", str(tmp_path / "v")]) == cli.EXIT_INTERNAL
+    assert forks.bodies == ["_serve_rows"]
+    _assert_no_child()
+    assert _fork._RUNNING == set()
+    err = capsys.readouterr().err
+    assert f"child {forks[0]} (_serve_rows) sent no result (exit status 7)" in err

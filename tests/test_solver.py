@@ -1,3 +1,7 @@
+import ast
+import inspect
+import os
+
 import numpy as np
 import pytest
 
@@ -19,7 +23,7 @@ from mfsb import (
     velocity_from_flow,
     wasserstein1,
 )
-from mfsb import solver
+from mfsb import _fork, solver
 from mfsb.grids import LOG_FLOOR, MASS_FLOOR_REL
 from mfsb.solver import (
     _KINETIC_REG,
@@ -278,6 +282,108 @@ def test_descent_budget_is_bitwise_the_allocating_reference(small):
     assert rest[2:] == [5, "budget"]
     assert np.array_equal(mu, ref_mu)
     assert rest == ref_rest
+
+
+def _log_pids(monkeypatch, path, name):
+    """Make solver.<name> append the pid of its caller to path, from this
+    process and from a forked helper alike."""
+    original = getattr(solver, name)
+
+    def logged(*args):
+        _append_pid(path)
+        return original(*args)
+    monkeypatch.setattr(solver, name, logged)
+
+
+def _append_pid(path):
+    with open(path, "ab", buffering=0) as log:  # one appending write
+        log.write(b"%d\n" % os.getpid())
+
+
+def _pids(path) -> set:
+    return {int(pid) for pid in path.read_text().split()}
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _fork._RUNNING == set()
+
+
+@pytest.mark.parametrize("max_outer", [4000, 5])
+@pytest.mark.parametrize("init", ["heat", "mkv"])
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_helper_descent_is_bitwise_the_one_process_one(small, monkeypatch, tmp_path,
+                                                       time_bound, kind, init,
+                                                       max_outer):
+    pot = KERNELS[kind]
+    grid, tg, mu0, mu1 = small
+    flow0 = _initial_flow(init, pot, mu0, mu1, grid, tg)
+    config = SolverConfig(max_outer=max_outer)
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 0)
+    mu, *rest = _descend(pot, flow0, config)
+    assert rest[-1] == ("converged" if max_outer > 5 else "budget")
+    # a helper on every kernel, the pair-table products' too
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    monkeypatch.setattr(solver, "_closed_forms", lambda pot: True)
+    _log_pids(monkeypatch, tmp_path / "evaluations", "_edge_terms")
+    helped, *helped_rest = _descend(pot, flow0, config)
+    assert len(_pids(tmp_path / "evaluations")) == 2  # the helper evaluated rows
+    assert helped.tobytes() == mu.tobytes()
+    assert helped_rest == rest
+    _assert_no_child()
+
+
+def test_only_closed_form_kernels_get_a_descent_helper():
+    # the pair-table products run threaded BLAS, whose spinning worker
+    # takes the helper's CPU
+    assert {kind: solver._closed_forms(pot) for kind, pot in KERNELS.items()} == {
+        "zero": True, "quadratic": True, "gaussian-well": False}
+
+
+def test_the_descent_helper_calls_no_kernel_action(small, monkeypatch, tmp_path,
+                                                   time_bound):
+    calls = tmp_path / "kernel_calls"
+
+    class Logged(type(KERNELS["quadratic"])):
+        def force(self, mu, grid):
+            _append_pid(calls)
+            return super().force(mu, grid)
+
+        def force_adjoint(self, rho, grid):
+            _append_pid(calls)
+            return super().force_adjoint(rho, grid)
+    pot = Logged(0.7, 0.7)
+    grid, tg, mu0, mu1 = small
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    _log_pids(monkeypatch, tmp_path / "evaluations", "_edge_terms")
+    *_, status = _descend(pot, heat_interpolation_flow(mu0, mu1, grid, tg),
+                          SolverConfig())
+    assert status == "converged"
+    assert len(_pids(tmp_path / "evaluations")) == 2
+    assert _pids(calls) == {os.getpid()}
+    _assert_no_child()
+
+
+def test_the_descent_helper_multiplies_no_matrices():
+    # no phase a helper runs, nor a solver function that one calls, takes a
+    # matrix product: those run BLAS, which the helper leaves to this process
+    functions = {node.name: node for node in ast.parse(inspect.getsource(solver)).body
+                 if isinstance(node, ast.FunctionDef)}
+    products = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "linalg"}
+    todo, seen = list(solver._PHASES), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            assert not isinstance(node, ast.MatMult), name
+            assert not (isinstance(node, ast.Attribute) and node.attr in products), name
+            if isinstance(node, ast.Name) and node.id in functions:
+                todo.append(node.id)
+    assert {"_momentum", "_edge_terms", "_edge_gradients", "_cell_gradients",
+            "_centered_gradient"} <= seen
 
 
 def test_bb_gradient_vanishes_at_equilibrium(grid256, pot_quad05, eq05):
