@@ -7,6 +7,11 @@ dynamics.tanaka_theta one drift helper.  All count their children here, so
 none starts one while the others' hold the idle CPUs, and a forked child
 starts none of its own.
 
+blas_calls reads and sets the thread count of numpy's OpenBLAS.  The
+descent holds it at one while its helper lives: a second BLAS thread gains
+nothing on the descent's products, and it keeps spinning on the CPU the
+helper needs.
+
 A Child runs body(*args, inbox, reply) in a forked process.  The parent
 writes to inbox with send; body answers with reply(value), any number of
 times, and answer reads each value in turn.  A reply is pickled before any
@@ -20,6 +25,7 @@ microseconds on a virtual machine.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -51,6 +57,33 @@ def spare_cpus() -> int:
     except AttributeError:  # no affinity call on this platform
         usable = os.cpu_count() or 1
     return max(usable - 1 - len(_RUNNING), 0)
+
+
+@functools.cache
+def blas_calls():
+    """(get, set): the C calls that read and set OpenBLAS's thread count,
+    found through numpy's own extension module, whose lookup also searches
+    the libraries it links; None where numpy's BLAS has no such calls.
+    Looked up at the first call, not at import."""
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        try:
+            get, put = (getattr(library, name.format(verb)) for verb in ("get", "set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
 
 
 def poll(fd: int):

@@ -21,6 +21,7 @@ quadratic kernel does where its double sums telescope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,8 +62,17 @@ class InteractionPotential:
     def gaussian_well(cls, amplitude: float, width: float) -> "InteractionPotential":
         amplitude = _positive("gaussian-well", "amplitude", amplitude)
         width = _positive("gaussian-well", "width", width)
-        # W''(0) = a/s^2 is the Hessian peak; no positive convexity bound exists.
-        return _GaussianWell(0.0, amplitude / width**2, (amplitude, width))
+        # W''(0) = a/s^2 is the Hessian peak; no positive convexity bound
+        # exists.  The grid actions scale z^2 by 1/s^2, which must be finite too.
+        try:
+            peak, scale = amplitude / width**2, 1.0 / width**2
+        except (OverflowError, ZeroDivisionError):  # width**2 is not a float
+            peak = scale = math.inf
+        if not (math.isfinite(peak) and math.isfinite(scale)):
+            raise ValueError(
+                "H1 needs a bounded Hessian: gaussian-well amplitude/width**2 and "
+                f"1/width**2 must be finite, got amplitude {amplitude} and width {width}")
+        return _GaussianWell(0.0, peak, (amplitude, width))
 
     @classmethod
     def from_spec(cls, spec: dict) -> "InteractionPotential":

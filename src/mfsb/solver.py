@@ -24,11 +24,13 @@ test_bb_objective_second_order_in_cell_quadrature checks.
 
 solve_ahead starts independent bridges in forked children; solve_mfsb, called
 with the same arguments, then collects a child's result instead of solving.
-A descent that finds a CPU idle at its first line search forks one helper
-(closed-form kernels only), which runs every pass over time rows on half of
-the rows; the kernel's grid actions, the BLAS they call, and the sums over
-the whole stack stay in the process, so the iterates are bitwise the
-one-process ones.
+A descent that finds a CPU idle at its first line search forks one helper,
+which runs every pass over time rows, the kernel's grid actions included, on
+a block of the rows, while BLAS is held to one thread; the sums over the
+whole stack stay in the process.  Each row of a grid action depends only on
+the same row of its argument, and the helper is forked only where the
+products on the two blocks are bitwise those on the whole stack, so the
+iterates are bitwise the one-process ones.
 """
 
 from __future__ import annotations
@@ -206,12 +208,12 @@ class _Buffers:
                            3 the momentum flux, then 1/mu; 4 den^2, then
                            the score flow over mu
       _cell_gradients:     5 dJ/dmu; 4 the score flow into the next cell,
-                           then the weights on the force; 3 the adjoint's
-                           running sum (reads 0 and 2 across)
+                           then the weights on the force; 3 the momentum
+                           adjoint's running sum (reads 0 and 2 across)
       _centered_gradient:  1 the adjoint's time difference (reads 3
                            across); 5 the gradient; 4 gradient * mu; 2 the
                            weights of the descent and its norm
-      _candidate:          0 the heavy-ball pull
+      _candidate:          0 the heavy-ball pull; 5 the candidate's force
     """
 
     def __init__(self, pot: InteractionPotential, sgrid: SpatialGrid,
@@ -411,7 +413,7 @@ def _edge_gradients(ws: _Buffers, mu: np.ndarray, m: np.ndarray, rows) -> None:
 
 
 def _cell_gradients(ws: _Buffers, rows) -> None:
-    """dJ/dmu on rows, but the force's adjoint, from the edge parts; and the
+    """dJ/dmu on rows, from the edge parts and the force's adjoint; and the
     running sum of dJ/dm from the right, the first step of its adjoint."""
     r = slice(*rows)
     half_rho, gm, edge, inv_mu, prod, gmu = ws.scratch
@@ -422,6 +424,7 @@ def _cell_gradients(ws: _Buffers, rows) -> None:
     prod_right *= _cell_pairs(inv_mu, rows)[1]
     gmu_right += prod_right
     _to_cells(half_rho, prod, rows)  # the weights on the force
+    gmu[r] += ws.pot.force_adjoint(prod[r], ws.sgrid)
     q = inv_mu
     np.cumsum(gm[r, ::-1], axis=1, out=q[r, ::-1])
     q[r] *= ws.dx
@@ -437,9 +440,7 @@ def _action_gradients(ws: _Buffers, mu: np.ndarray, m: np.ndarray):
     in ws were taken at, as two of ws's scratch arrays."""
     _edge_gradients(ws, mu, m, ws.all)
     _cell_gradients(ws, ws.all)
-    gmu = ws.scratch[5]
-    gmu += ws.pot.force_adjoint(ws.scratch[4], ws.sgrid)
-    return gmu, ws.scratch[1]
+    return ws.scratch[5], ws.scratch[1]
 
 
 def _as_matrix(flow, m):
@@ -560,12 +561,14 @@ def _projected_gradient(ws: _Buffers, mu: np.ndarray, m: np.ndarray):
 
 # The phases of one descent iteration.  Each runs on a block of rows, with
 # the points named by their index in ws.points, so that a forked helper can
-# run it on its block from a pickled (name, args).
+# run it on its block from a pickled (name, args).  The kernel's grid
+# actions run in the phases too, each on the block's own rows.
 
 
 def _candidate(ws: _Buffers, rows, cur: int, eta: float, restart: bool = False):
-    """The line-search candidate at step eta from the point cur, and its
-    log, into the other point, on rows; restart stops the heavy ball first."""
+    """The line-search candidate at step eta from the point cur, its log and
+    its force, into the other point, on rows; restart stops the heavy ball
+    first."""
     lo, hi = rows
     r = slice(lo, hi)
     mu, cand, velocity = ws.points[cur][r], ws.points[1 - cur][r], ws.velocity[r]
@@ -585,6 +588,7 @@ def _candidate(ws: _Buffers, rows, cur: int, eta: float, restart: bool = False):
         cand[-1] = mu[-1]
     cand /= cand.sum(axis=1, keepdims=True) * ws.dx
     _logs(cand, ws.logs[1 - cur][r])
+    np.copyto(ws.scratch[5][r], ws.pot.force(cand, ws.sgrid))
 
 
 def _evaluate(ws: _Buffers, rows, which: int):
@@ -616,42 +620,50 @@ _PHASES = {phase.__name__: phase for phase in
            (_candidate, _evaluate, _gradient_terms, _cell_gradients, _direction)}
 
 
-def _closed_forms(pot: InteractionPotential) -> bool:
-    """Whether the kernel's force and force adjoint are closed forms of its
-    own, rather than the base class's products with a pair table.
-
-    A table product runs threaded BLAS, whose worker keeps spinning on the
-    idle CPU after each product: a descent on the gaussian well with a
-    helper took 1.4 to 6 times as long as without.
-    """
-    kind = type(pot)
-    return (kind.force is not InteractionPotential.force
-            and kind.force_adjoint is not InteractionPotential.force_adjoint)
-
-
 class _Rows:
     """Runs each phase of one descent on every row; once share has forked a
-    helper, on the first half of the rows while the helper runs it on the
-    second.  A call returns when both halves are done.  The potential's grid
-    actions, and every sum over the whole stack, run here only."""
+    helper, on the rows before a split while the helper runs it on the rest,
+    with BLAS held to one thread.  A call returns when both blocks are done.
+    Every sum over the whole stack runs here only."""
 
     def __init__(self, ws: _Buffers):
         self.ws = ws
         self.rows = ws.all
         self.helper = None
+        self.threads = None  # BLAS's thread count while share holds it at one
         self.tried = False
 
     def share(self):
-        """Fork the helper, at the first call only, if the kernel's grid
-        actions are closed forms and a CPU is idle."""
+        """Fork the helper, at the first call only, if a CPU is idle, the
+        stack has 16 rows or more, and BLAS's thread count can be held at
+        one; where the kernel's grid actions on the two blocks are not
+        bitwise those on the whole stack, fork none and restore the count.
+
+        A split at a multiple of 8 rows keeps the BLAS products on the
+        blocks bitwise on the shipped grids.  It did not on some grids of 32
+        to 100 cells, and the quadratic force on 2049 rows of 256 cells
+        differs between one BLAS thread and two.  The current point shows
+        which: the order of a product's operations depends on its shapes
+        and thread count, not on its values."""
         if self.tried:
             return
         self.tried = True
-        if _closed_forms(self.ws.pot) and _fork.spare_cpus() > 0:
-            n_rows = self.ws.all[1]
-            split = n_rows // 2
-            self.helper = _fork.Child(_serve_rows, self.ws, (split, n_rows))
-            self.rows = (0, split)
+        ws, n_rows = self.ws, self.ws.all[1]
+        if n_rows < 16 or _fork.spare_cpus() == 0 or (blas := _fork.blas_calls()) is None:
+            return
+        split = n_rows // 16 * 8
+        stack = ws.points[0]
+        self.threads = blas[0]()
+        for action in (ws.pot.force, ws.pot.force_adjoint):
+            blas[1](self.threads)
+            whole = action(stack, ws.sgrid)
+            blas[1](1)
+            for block in (slice(0, split), slice(split, n_rows)):
+                if action(stack[block], ws.sgrid).tobytes() != whole[block].tobytes():
+                    self.stop()
+                    return
+        self.helper = _fork.Child(_serve_rows, ws, (split, n_rows))
+        self.rows = (0, split)
 
     def __call__(self, phase, *args):
         if self.helper:
@@ -661,15 +673,17 @@ class _Rows:
             self.helper.answer()
 
     def evaluate(self, which: int) -> float:
-        """J of the point which; its logs are taken."""
-        ws = self.ws
-        np.copyto(ws.scratch[5], ws.pot.force(ws.points[which], ws.sgrid))
+        """J of the point which, whose logs and force are taken."""
         self(_evaluate, which)
-        return _total_action(ws)
+        return _total_action(self.ws)
 
     def stop(self):
+        """Stop the helper, and give BLAS back its thread count."""
         if self.helper:
             self.helper.stop()
+        if self.threads is not None:
+            _fork.blas_calls()[1](self.threads)
+            self.threads = None
 
 
 def _serve_rows(ws: _Buffers, rows, inbox: int, reply):
@@ -698,21 +712,23 @@ def _descend(pot: InteractionPotential, flow0: MarginalFlow, config: SolverConfi
     line-search candidate swap roles on acceptance, and the terms of an
     accepted candidate give the next gradient.
 
-    From the first line search on, a forked helper runs each phase on half
-    of the rows when a CPU is idle and the kernel's grid actions are closed
-    forms; the passes are the same on either block, so the iterates are
-    bitwise the one-process ones.  A descent
+    From the first line search on, a forked helper runs each phase on a
+    block of the rows when a CPU is idle (see _Rows.share); the passes are
+    the same on either block, so the iterates are bitwise the one-process
+    ones.  A descent
     that stalls puts in stall the last step it tried and the Armijo
     decrease that step asked, relative to |J|.
     """
     ws = _Buffers(pot, flow0.grid, flow0.time_grid)
     # mollifier frozen at the initialization's slice peaks
     ws.reg = _KINETIC_REG * flow0.values.max(axis=1, keepdims=True)
-    np.copyto(ws.points[0], flow0.values)
-    _logs(ws.points[0], ws.logs[0])
+    start = ws.points[0]
+    np.copyto(start, flow0.values)
+    # the start's logs and force are taken on every row
+    _edge_terms(ws, start, _momentum(ws, start, ws.m), ws.reg, ws.logs[0])
+    J = _action(ws)
     run = _Rows(ws)
     try:
-        J = run.evaluate(0)
         eta = _ETA0
         pg_norm = np.inf
         iterations = 0
@@ -720,8 +736,6 @@ def _descend(pot: InteractionPotential, flow0: MarginalFlow, config: SolverConfi
         for iterations in range(1, config.max_outer + 1):
             run(_gradient_terms, cur, accepted)
             run(_cell_gradients)
-            gmu = ws.scratch[5]
-            gmu += pot.force_adjoint(ws.scratch[4], ws.sgrid)
             run(_direction, cur, eta)
             descent = float(np.sum(ws.scratch[2]))
             pg_norm = float(np.sqrt(np.sum(ws.tw * ws.sums[1] * ws.dx)))

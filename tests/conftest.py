@@ -18,6 +18,8 @@ from mfsb import (
 )
 from mfsb.solver import heat_interpolation_flow
 
+from mfsb import _fork
+
 # The desk-scale reference configuration: 256 cells on [-8, 8], 128 steps.
 
 
@@ -31,6 +33,16 @@ def time_bound():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def blas_threads():
+    """Set BLAS's thread count with the function this yields; the count is
+    restored after the test."""
+    get, put = _fork.blas_calls()
+    before = get()
+    yield put
+    put(before)
 
 
 @pytest.fixture(scope="session")

@@ -113,6 +113,23 @@ MALFORMED = {
     "infinite-amplitude": (("potential",),
                            {"kind": "gaussian-well", "amplitude": INF, "width": 1.0},
                            "amplitude"),
+    # the gaussian well's a/s^2 or 1/s^2 is not a finite float: s^2
+    # underflows to 0 or to a subnormal, a/s^2 overflows, or s^2 does
+    "underflowing-width": (("potential",),
+                           {"kind": "gaussian-well", "amplitude": 1.0, "width": 1e-200},
+                           "H1 needs a bounded Hessian"),
+    "subnormal-width-squared": (("potential",), {"kind": "gaussian-well",
+                                                 "amplitude": 1.0, "width": 1e-160},
+                                "H1 needs a bounded Hessian"),
+    "overflowing-curvature": (("potential",), {"kind": "gaussian-well",
+                                               "amplitude": 1e300, "width": 1e-10},
+                              "H1 needs a bounded Hessian"),
+    "unscalable-width": (("potential",), {"kind": "gaussian-well",
+                                          "amplitude": 1e-300, "width": 1e-160},
+                         "H1 needs a bounded Hessian"),
+    "overflowing-width": (("potential",),
+                          {"kind": "gaussian-well", "amplitude": 1.0, "width": 1e200},
+                          "H1 needs a bounded Hessian"),
     "dead-solver-option": (("solver", "tol_ce"), 1e-3, "unknown solver options"),
     "removed-solver-option": (("solver", "armijo"), 1e-3, "unknown solver options"),
     "fractional-cells": (("grid", "n_cells"), 64.7, "n_cells"),
@@ -435,7 +452,8 @@ def test_cli_validation_exit_code(tmp_path):
 
 @pytest.mark.parametrize("case", ["infinite-horizon", "histogram-length",
                                   "fractional-cells", "removed-multi_start",
-                                  "overflowing-half-width", "wide-half-width"])
+                                  "overflowing-half-width", "wide-half-width",
+                                  "subnormal-width-squared", "unscalable-width"])
 def test_cli_malformed_scenario_exit_code(tmp_path, case, capsys):
     path, value, message = MALFORMED[case]
     scenario = _write(tmp_path, _with(path, value))

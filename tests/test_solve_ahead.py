@@ -261,7 +261,7 @@ def test_a_bridge_equal_to_the_forward_one_is_solved_once(tmp_path, monkeypatch,
 
 
 def test_a_descent_helper_that_dies_is_an_internal_error(tmp_path, monkeypatch, capsys,
-                                                        cpus, forks):
+                                                        cpus, forks, blas_threads):
     cpus(2)
     parent = os.getpid()
     edge_terms = solver._edge_terms
@@ -273,10 +273,15 @@ def test_a_descent_helper_that_dies_is_an_internal_error(tmp_path, monkeypatch, 
     monkeypatch.setattr(solver, "_edge_terms", dies_in_the_helper)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_small_asymmetric(["conserved"])))
-    assert cli.main(["verify", "--scenario", str(path),
-                     "--out", str(tmp_path / "v")]) == cli.EXIT_INTERNAL
-    assert forks.bodies == ["_serve_rows"]
-    _assert_no_child()
-    assert _fork._RUNNING == set()
-    err = capsys.readouterr().err
-    assert f"child {forks[0]} (_serve_rows) sent no result (exit status 7)" in err
+    # the descent gives BLAS back the thread count it found
+    for count in (2, 3):
+        blas_threads(count)
+        assert cli.main(["verify", "--scenario", str(path),
+                         "--out", str(tmp_path / "v")]) == cli.EXIT_INTERNAL
+        assert forks.bodies[-1:] == ["_serve_rows"]
+        _assert_no_child()
+        assert _fork._RUNNING == set()
+        assert _fork.blas_calls()[0]() == count
+        err = capsys.readouterr().err
+        assert f"child {forks[-1]} (_serve_rows) sent no result (exit status 7)" in err
+    assert len(forks.bodies) == 2

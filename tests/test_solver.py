@@ -1,5 +1,3 @@
-import ast
-import inspect
 import os
 
 import numpy as np
@@ -323,9 +321,7 @@ def test_helper_descent_is_bitwise_the_one_process_one(small, monkeypatch, tmp_p
     monkeypatch.setattr(_fork, "spare_cpus", lambda: 0)
     mu, *rest = _descend(pot, flow0, config)
     assert rest[-1] == ("converged" if max_outer > 5 else "budget")
-    # a helper on every kernel, the pair-table products' too
     monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
-    monkeypatch.setattr(solver, "_closed_forms", lambda pot: True)
     _log_pids(monkeypatch, tmp_path / "evaluations", "_edge_terms")
     helped, *helped_rest = _descend(pot, flow0, config)
     assert len(_pids(tmp_path / "evaluations")) == 2  # the helper evaluated rows
@@ -334,56 +330,160 @@ def test_helper_descent_is_bitwise_the_one_process_one(small, monkeypatch, tmp_p
     _assert_no_child()
 
 
-def test_only_closed_form_kernels_get_a_descent_helper():
-    # the pair-table products run threaded BLAS, whose spinning worker
-    # takes the helper's CPU
-    assert {kind: solver._closed_forms(pot) for kind, pot in KERNELS.items()} == {
-        "zero": True, "quadratic": True, "gaussian-well": False}
+def _rows_of(a: np.ndarray, n_rows: int) -> tuple:
+    """The rows (lo, hi) of the descent's stack that a, a block of rows of
+    one of its shared arrays, holds."""
+    offset = a.__array_interface__["data"][0] - a.base.__array_interface__["data"][0]
+    lo = offset // a.strides[0] % n_rows
+    return lo, lo + len(a)
 
 
-def test_the_descent_helper_calls_no_kernel_action(small, monkeypatch, tmp_path,
-                                                   time_bound):
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_the_descent_helper_calls_kernel_actions_on_its_own_rows(
+        small, monkeypatch, tmp_path, time_bound, kind):
+    grid, tg, mu0, mu1 = small
+    n_rows = tg.n_steps + 1
     calls = tmp_path / "kernel_calls"
 
-    class Logged(type(KERNELS["quadratic"])):
+    def logged(a):
+        with open(calls, "a") as log:  # one appending write
+            log.write("%d %d %d\n" % (os.getpid(), *_rows_of(a, n_rows)))
+
+    class Logged(type(KERNELS[kind])):
         def force(self, mu, grid):
-            _append_pid(calls)
+            logged(mu)
             return super().force(mu, grid)
 
         def force_adjoint(self, rho, grid):
-            _append_pid(calls)
+            logged(rho)
             return super().force_adjoint(rho, grid)
-    pot = Logged(0.7, 0.7)
-    grid, tg, mu0, mu1 = small
+    pot = KERNELS[kind]
+    pot = Logged(pot.kappa, pot.hess_sup, pot.params)
     monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
-    _log_pids(monkeypatch, tmp_path / "evaluations", "_edge_terms")
     *_, status = _descend(pot, heat_interpolation_flow(mu0, mu1, grid, tg),
                           SolverConfig())
     assert status == "converged"
-    assert len(_pids(tmp_path / "evaluations")) == 2
-    assert _pids(calls) == {os.getpid()}
+    rows = {}
+    for line in calls.read_text().split("\n")[:-1]:
+        pid, lo, hi = map(int, line.split())
+        rows.setdefault(pid, []).append((lo, hi))
+    parent = rows.pop(os.getpid())
+    # before the fork the process takes whole stacks, and share checks the
+    # split on both blocks; from the fork on, each process takes its own
+    split = n_rows // 16 * 8
+    forked = len(parent) - parent[::-1].index((split, n_rows))
+    assert set(parent[:forked]) == {(0, n_rows), (0, split), (split, n_rows)}
+    assert set(parent[forked:]) == {(0, split)}
+    assert [set(helper) for helper in rows.values()] == [{(split, n_rows)}]
     _assert_no_child()
 
 
-def test_the_descent_helper_multiplies_no_matrices():
-    # no phase a helper runs, nor a solver function that one calls, takes a
-    # matrix product: those run BLAS, which the helper leaves to this process
-    functions = {node.name: node for node in ast.parse(inspect.getsource(solver)).body
-                 if isinstance(node, ast.FunctionDef)}
-    products = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "linalg"}
-    todo, seen = list(solver._PHASES), set()
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for node in ast.walk(functions[name]):
-            assert not isinstance(node, ast.MatMult), name
-            assert not (isinstance(node, ast.Attribute) and node.attr in products), name
-            if isinstance(node, ast.Name) and node.id in functions:
-                todo.append(node.id)
-    assert {"_momentum", "_edge_terms", "_edge_gradients", "_cell_gradients",
-            "_centered_gradient"} <= seen
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_grid_actions_on_the_helpers_blocks_are_bitwise_the_whole_stacks(kind,
+                                                                         blas_threads):
+    # the split _Rows.share takes, on the shipped grid, with BLAS on one
+    # thread as while a helper lives
+    pot, grid = KERNELS[kind], SpatialGrid(8.0, 256)
+    rng = np.random.default_rng(5)
+    blas_threads(1)
+    for n_rows in [*range(16, 301), 2049]:
+        split = n_rows // 16 * 8
+        stack = rng.random((n_rows, grid.n_cells))
+        for action in (pot.force, pot.force_adjoint):
+            blocks = [action(stack[:split], grid), action(stack[split:], grid)]
+            assert np.concatenate(blocks).tobytes() == action(stack, grid).tobytes(), \
+                (n_rows, action.__name__)
+
+
+def _stalls(monkeypatch):
+    monkeypatch.setattr(solver, "_ARMIJO", 1e300)
+    return "stalled"
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("outcome, max_outer", [("converged", 4000), ("budget", 5),
+                                                (_stalls, 4000)])
+def test_a_descent_restores_the_blas_thread_count(small, monkeypatch, time_bound,
+                                                  blas_threads, count, outcome,
+                                                  max_outer):
+    grid, tg, mu0, mu1 = small
+    if callable(outcome):
+        outcome = outcome(monkeypatch)
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    blas_threads(count)
+    *_, status = _descend(KERNELS["gaussian-well"],
+                          heat_interpolation_flow(mu0, mu1, grid, tg),
+                          SolverConfig(max_outer=max_outer))
+    assert status == outcome
+    assert _fork.blas_calls()[0]() == count
+    _assert_no_child()
+
+
+def test_the_helper_runs_blas_on_one_thread(small, monkeypatch, tmp_path, time_bound,
+                                            blas_threads):
+    grid, tg, mu0, mu1 = small
+    counts = tmp_path / "counts"
+    edge_terms = solver._edge_terms
+
+    def logged(*args):
+        with open(counts, "a") as log:  # one appending write
+            log.write("%d %d\n" % (os.getpid(), _fork.blas_calls()[0]()))
+        return edge_terms(*args)
+    monkeypatch.setattr(solver, "_edge_terms", logged)
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    blas_threads(2)
+    _descend(KERNELS["gaussian-well"], heat_interpolation_flow(mu0, mu1, grid, tg),
+             SolverConfig(max_outer=5))
+    seen = {}
+    for line in counts.read_text().split("\n")[:-1]:
+        pid, count = map(int, line.split())
+        seen.setdefault(pid, []).append(count)
+    parent = seen.pop(os.getpid())
+    # the start is evaluated before the helper is forked
+    assert parent[0] == 2 and set(parent[1:]) == {1}
+    assert [set(helper) for helper in seen.values()] == [{1}]
+    assert _fork.blas_calls()[0]() == 2
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("n_steps, lookup, helpers", [
+    (15, True, 1), (14, True, 0), (15, False, 0)])
+def test_a_descent_forks_a_helper_from_16_rows_with_a_blas_lookup(
+        small, monkeypatch, tmp_path, time_bound, n_steps, lookup, helpers):
+    grid, _, mu0, mu1 = small
+    tg = TimeGrid(1.0, n_steps)
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    if not lookup:
+        monkeypatch.setattr(_fork, "blas_calls", lambda: None)
+    _log_pids(monkeypatch, tmp_path / "evaluations", "_edge_terms")
+    *_, status = _descend(KERNELS["quadratic"],
+                          heat_interpolation_flow(mu0, mu1, grid, tg),
+                          SolverConfig(max_outer=5))
+    assert status == "budget"
+    assert len(_pids(tmp_path / "evaluations")) == 1 + helpers
+    _assert_no_child()
+
+
+def test_no_helper_where_the_blocks_products_are_not_the_whole_stacks(
+        small, monkeypatch, tmp_path, time_bound, blas_threads):
+    class Skewed(type(KERNELS["quadratic"])):
+        """A force whose rows depend on the height of the stack."""
+
+        def force(self, mu, grid):
+            return super().force(mu, grid) + len(mu) * 2.0**-30
+    pot = Skewed(0.7, 0.7)
+    grid, tg, mu0, mu1 = small
+    flow0 = heat_interpolation_flow(mu0, mu1, grid, tg)
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 0)
+    mu, *rest = _descend(pot, flow0, SolverConfig())
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    _log_pids(monkeypatch, tmp_path / "evaluations", "_edge_terms")
+    blas_threads(2)
+    alone, *alone_rest = _descend(pot, flow0, SolverConfig())
+    assert _pids(tmp_path / "evaluations") == {os.getpid()}
+    assert alone.tobytes() == mu.tobytes() and alone_rest == rest
+    assert _fork.blas_calls()[0]() == 2
+    _assert_no_child()
 
 
 def test_bb_gradient_vanishes_at_equilibrium(grid256, pot_quad05, eq05):
