@@ -12,14 +12,15 @@ descent holds it at one while its helper lives: a second BLAS thread gains
 nothing on the descent's products, and it keeps spinning on the CPU the
 helper needs.
 
-A Child runs body(*args, inbox, reply) in a forked process.  The parent
-writes to inbox with send; body answers with reply(value), any number of
-times, and answer reads each value in turn.  A reply is pickled before any
-of it is written, so a value that cannot be pickled raises in body, and an
-exception that escapes body is sent in the same way, as its last answer.
-A wait for an answer, or for a child's next message, first polls its pipe
-for up to _POLL_S: an answer that comes within microseconds is then read
-without the sleep and wake-up of a blocking read, which cost tens of
+A Child is a call server.  Child(body, *state) forks a process that holds
+state; each call(*args) pickles args into its inbox, and _serve, the one
+loop that reads an inbox, runs body(*state, *args) and sends back its value
+for answer to read, one per call in turn.  A value is pickled whole before
+it is written, so one that cannot be pickled raises in the child; an
+exception that escapes body is sent the same way, as the child's last
+answer.  A wait for an answer, or for a child's next call, first polls its
+pipe for up to _POLL_S: an answer that comes within microseconds is then
+read without the sleep and wake-up of a blocking read, which cost tens of
 microseconds on a virtual machine.
 """
 
@@ -86,7 +87,7 @@ def blas_calls():
     return None
 
 
-def poll(fd: int):
+def _poll(fd: int):
     """Return once fd is readable, or after _POLL_S, checking in a loop
     that yields the CPU to any other runnable thread instead of sleeping.
 
@@ -111,15 +112,15 @@ def shared_arrays(*specs) -> list:
 
 
 class Child:
-    """body(*args, inbox, reply) running in a forked child.
+    """body(*state, *args) run in a forked child for each call(*args).
 
     Standard streams are flushed before the fork, so the child never writes
-    this process's buffers again.  os._exit ends the child, with status 0
-    once body returns and 1 if it raises, without the parent's exit
-    handlers.  The caller must call stop.
+    this process's buffers again.  os._exit ends the child, without the
+    parent's exit handlers: with status 0 once its inbox closes, and 1 after
+    body raises.  The caller must call stop.
     """
 
-    def __init__(self, body, *args):
+    def __init__(self, body, *state):
         global _IN_CHILD
         inbox, self._inbox = os.pipe()
         answers, replies = os.pipe()
@@ -139,7 +140,7 @@ class Child:
                 os.close(answers)
                 with open(replies, "wb") as out:
                     try:
-                        body(*args, inbox, lambda value: _send(out, None, value))
+                        _serve(body, state, inbox, out)
                         code = 0
                     except BaseException as exc:  # sent, and it ends the child
                         import traceback
@@ -153,15 +154,15 @@ class Child:
         self.name = body.__name__
         self.status = None  # the exit status, once reaped
 
-    def send(self, data: bytes):
-        """Write data to the child's inbox."""
-        os.write(self._inbox, data)
+    def call(self, *args):
+        """Ask the child to run body(*state, *args); answer reads its value."""
+        os.write(self._inbox, pickle.dumps(args))
 
     def answer(self):
-        """The child's next reply, or the exception it raised, raised here
-        chained to its traceback.  A child that ends without answering is
-        stopped and raises RuntimeError with its exit status."""
-        poll(self._answers.fileno())
+        """The value of the child's next call, or the exception it raised,
+        raised here chained to its traceback.  A child that ends without
+        answering is stopped and raises RuntimeError with its exit status."""
+        _poll(self._answers.fileno())
         try:
             text, value = pickle.load(self._answers)
         except (EOFError, pickle.UnpicklingError):
@@ -184,6 +185,19 @@ class Child:
         _, status = os.waitpid(self.pid, 0)
         _RUNNING.discard(self.pid)
         self.status = os.waitstatus_to_exitcode(status)
+
+
+def _serve(body, state: tuple, inbox: int, out):
+    """The child's loop: for each args read from inbox, send the value of
+    body(*state, *args); return once the inbox closes."""
+    with open(inbox, "rb") as calls:
+        while True:
+            _poll(inbox)
+            try:
+                args = pickle.load(calls)
+            except EOFError:
+                return
+            _send(out, None, body(*state, *args))
 
 
 def _send(out, text, value):

@@ -214,9 +214,9 @@ class _DriftHelper:
     def __init__(self, pot, ys, drift):
         self.queue, self.queue_w = os.pipe()
         os.set_blocking(self.queue, False)
-        self.pot, self.ys, self.drift = pot, ys, drift
+        self.state = (self.queue, pot, ys, drift)  # the body's, in both processes
         try:
-            self.child = _fork.Child(_serve_drifts, pot, ys, drift, self.queue)
+            self.child = _fork.Child(_evaluate_queued, *self.state)
         except BaseException:
             os.close(self.queue)
             os.close(self.queue_w)
@@ -227,8 +227,8 @@ class _DriftHelper:
         for lo in range(0, len(nodes), _QUEUE_BATCH):
             batch = np.array(nodes[lo:lo + _QUEUE_BATCH], dtype="<u4")
             os.write(self.queue_w, batch.tobytes())
-            self.child.send(bytes([cur]))
-            _evaluate_queued(self.queue, self.pot, self.ys[cur], self.drift)
+            self.child.call(cur)
+            _evaluate_queued(*self.state, cur)
             self.child.answer()
 
     def stop(self):
@@ -241,28 +241,16 @@ class _DriftHelper:
 _QUEUE_BATCH = 1024  # 4-byte node tokens per queue write: 4096 bytes
 
 
-def _evaluate_queued(queue: int, pot, y, drift):
-    """Evaluate the drift on y at the nodes taken off the queue, one read at
-    a time, until it is empty."""
+def _evaluate_queued(queue: int, pot, ys, drift, cur: int):
+    """Evaluate the drift on ys[cur] at the nodes taken off the queue, one
+    read at a time, until it is empty; the helper's body too."""
     while True:
         try:
             token = os.read(queue, 4)
         except BlockingIOError:  # empty
             return
         k = int.from_bytes(token, "little")
-        drift[k] = interaction_drift(pot, y[k])
-
-
-def _serve_drifts(pot, ys, drift, queue: int, inbox: int, reply):
-    """The helper's body: per byte cur read from inbox, the drift on
-    ys[cur] at the nodes it takes off the queue, then an answer."""
-    while True:
-        _fork.poll(inbox)
-        go = os.read(inbox, 1)
-        if not go:
-            return
-        _evaluate_queued(queue, pot, ys[go[0]], drift)
-        reply(None)
+        drift[k] = interaction_drift(pot, ys[cur][k])
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:

@@ -176,15 +176,16 @@ def _validate_hypotheses(sc: Scenario):
     pot, grid = sc.potential, sc.grid
     # H1: symmetry and bounded Hessian, sampled across the domain of differences.
     # On a grid so wide that a square of the sample overflows, the kernels
-    # give inf and nan there quietly: its densities have no mass (H2 below).
+    # give inf and nan there quietly: a Hessian sample that is nan is not
+    # bounded, and a quadratic's densities have no mass (H2 below).
     z = np.linspace(-2 * grid.half_width, 2 * grid.half_width, 4097)
     with np.errstate(over="ignore", invalid="ignore"):
         symmetric = np.allclose(pot.w(z), pot.w(-z), rtol=0, atol=1e-12)
-        bounded = not np.any(pot.d2w(z) > pot.hess_sup + 1e-9)
+        bounded = np.all(pot.d2w(z) <= pot.hess_sup + 1e-9)
     if not symmetric:
         raise HypothesisViolation("H1", "potential is not symmetric")
     if not bounded:
-        raise HypothesisViolation("H1", "Hessian exceeds its declared upper bound")
+        raise HypothesisViolation("H1", "Hessian is not within its declared upper bound")
     assumed = {name: CHECKS[name].assumes for name in sc.checks}
     stepped = sorted(name for name, a in assumed.items() if a == "particle-step")
     if stepped and sc.n_particles > THETA_MAX_PARTICLES:

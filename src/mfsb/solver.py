@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import copy
 import math
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -560,9 +559,10 @@ def _projected_gradient(ws: _Buffers, mu: np.ndarray, m: np.ndarray):
 
 
 # The phases of one descent iteration.  Each runs on a block of rows, with
-# the points named by their index in ws.points, so that a forked helper can
-# run it on its block from a pickled (name, args).  The kernel's grid
-# actions run in the phases too, each on the block's own rows.
+# the points named by their index in ws.points, so that the forked helper
+# can be called with a phase's name and its args, and run it on its own
+# block.  The kernel's grid actions run in the phases too, each on the
+# block's own rows.
 
 
 def _candidate(ws: _Buffers, rows, cur: int, eta: float, restart: bool = False):
@@ -616,10 +616,6 @@ def _direction(ws: _Buffers, rows, cur: int, eta: float):
     _candidate(ws, rows, cur, eta)
 
 
-_PHASES = {phase.__name__: phase for phase in
-           (_candidate, _evaluate, _gradient_terms, _cell_gradients, _direction)}
-
-
 class _Rows:
     """Runs each phase of one descent on every row; once share has forked a
     helper, on the rows before a split while the helper runs it on the rest,
@@ -662,12 +658,12 @@ class _Rows:
                 if action(stack[block], ws.sgrid).tobytes() != whole[block].tobytes():
                     self.stop()
                     return
-        self.helper = _fork.Child(_serve_rows, ws, (split, n_rows))
+        self.helper = _fork.Child(_run_phase, ws, (split, n_rows))
         self.rows = (0, split)
 
     def __call__(self, phase, *args):
         if self.helper:
-            self.helper.send(pickle.dumps((phase.__name__, args)))
+            self.helper.call(phase.__name__, *args)
         phase(self.ws, self.rows, *args)
         if self.helper:
             self.helper.answer()
@@ -686,18 +682,11 @@ class _Rows:
             self.threads = None
 
 
-def _serve_rows(ws: _Buffers, rows, inbox: int, reply):
-    """The helper's body: each phase whose (name, args) it reads from inbox,
-    run on rows, then an answer."""
-    with open(inbox, "rb") as commands:
-        while True:
-            _fork.poll(inbox)
-            try:
-                name, args = pickle.load(commands)
-            except EOFError:
-                return
-            _PHASES[name](ws, rows, *args)
-            reply(None)
+def _run_phase(ws: _Buffers, rows, name: str, *args):
+    """The row helper's body: the phase of that name, on rows.  A name
+    costs microseconds less per call than a function sent by reference,
+    which pickle looks up through the import system at both ends."""
+    globals()[name](ws, rows, *args)
 
 
 def _descend(pot: InteractionPotential, flow0: MarginalFlow, config: SolverConfig,
@@ -852,13 +841,10 @@ def solve_ahead(solving, problems):
     for problem in problems:
         key = _problem_key(*problem)
         if key not in _AHEAD:
-            _AHEAD[key] = (_fork.Child(_solve_in_child, problem)
-                           if _fork.spare_cpus() > 0 else None)
-
-
-def _solve_in_child(problem: tuple, inbox: int, reply):
-    """The body of a child of solve_ahead: reply with problem's solution."""
-    reply(_solve(*problem))
+            _AHEAD[key] = None
+            if _fork.spare_cpus() > 0:
+                _AHEAD[key] = _fork.Child(_solve, *problem)
+                _AHEAD[key].call()
 
 
 def cancel_ahead():

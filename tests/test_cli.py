@@ -464,6 +464,20 @@ def test_cli_malformed_scenario_exit_code(tmp_path, case, capsys):
     assert message in err and "Warning" not in err
 
 
+def test_cli_nan_hessian_sample_is_h1(tmp_path, capsys):
+    # a/s^2 = 1e298 is finite, but off the origin (z/s)^2 overflows and the
+    # well's W'' is nan; admitted, the optimality check would fail on nan
+    doc = dict(MINIMAL, checks=["optimality"],
+               potential={"kind": "gaussian-well", "amplitude": 1e-10, "width": 1e-154})
+    scenario = _write(tmp_path, doc)
+    rc = cli.main(["verify", "--scenario", str(scenario),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "H1: Hessian is not within its declared upper bound" in err
+    assert "Warning" not in err
+
+
 def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     scenario = _write(tmp_path, MINIMAL)
     out = tmp_path / "v"

@@ -291,7 +291,7 @@ def test_a_helper_that_dies_without_answering_leaves_no_child(monkeypatch, std_g
     monkeypatch.setattr(dynamics, "interaction_drift",
                         drift_log.wrap(dead, parent_delay=0.01))
     with pytest.raises(RuntimeError,
-                       match=r"child \d+ \(_serve_drifts\) sent no result \(exit status 7\)"):
+                       match=r"child \d+ \(_evaluate_queued\) sent no result \(exit status 7\)"):
         tanaka_theta(pot_well, noise)
     _assert_no_child()
 

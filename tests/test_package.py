@@ -82,6 +82,28 @@ def test_only_the_fork_module_starts_and_ends_processes():
     assert len(calls) > 1 and not any(calls.values()), calls
 
 
+def _wire_uses(path: Path) -> set:
+    """"pickle" if a file imports pickle, and "_poll" if it names _poll."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import) and any(a.name == "pickle" for a in node.names) \
+                or isinstance(node, ast.ImportFrom) and node.module == "pickle":
+            found.add("pickle")
+        if isinstance(node, ast.Name) and node.id == "_poll" \
+                or isinstance(node, ast.Attribute) and node.attr == "_poll":
+            found.add("_poll")
+    return found
+
+
+def test_only_the_fork_module_reads_and_writes_a_child_s_pipes():
+    # the inbox's wire format is _fork's own: a child is reached through call
+    src = ROOT / "src" / "mfsb"
+    assert _wire_uses(src / "_fork.py") == {"pickle", "_poll"}  # the walk finds them
+    uses = {path.name: _wire_uses(path) for path in sorted(src.glob("*.py"))
+            if path.name != "_fork.py"}
+    assert len(uses) > 1 and not any(uses.values()), uses
+
+
 def _run_without_scipy(code: str, *args):
     """Run code in a fresh interpreter in which every import of scipy fails."""
     done = subprocess.run([sys.executable, "-c",

@@ -157,7 +157,7 @@ def test_children_are_capped_by_usable_cpus(tmp_path, cpus, forks):
     # the reverse bridge's child, and once it is collected, the helper of
     # the doubled-horizon descent
     assert forks.live == [0] * len(forks)
-    assert forks.bodies == ["_solve_in_child", "_serve_rows"]
+    assert forks.bodies == ["_solve", "_run_phase"]
     _assert_no_child()
 
 
@@ -205,10 +205,10 @@ def test_a_child_without_a_usable_answer_is_an_internal_error(tmp_path, monkeypa
     _assert_no_child()
     err = capsys.readouterr().err
     if end == "dies":
-        assert f"child {forks[0]} (_solve_in_child) sent no result (exit status 7)" in err
+        assert f"child {forks[0]} (body) sent no result (exit status 7)" in err
     else:
         # raised in the child's reply, and sent back as its exception
-        assert "pickle" in err and "in _solve_in_child" in err
+        assert "pickle" in err and "in _serve" in err
 
 
 @pytest.mark.parametrize("path", ["returns", "forward solve raises", "check raises"])
@@ -250,7 +250,7 @@ def test_a_bridge_equal_to_the_forward_one_is_solved_once(tmp_path, monkeypatch,
     # no child solves the reverse bridge; a spare CPU goes to the forward
     # descent's helper
     assert len(solves) == 1 and forks.live == [0] * len(forks)
-    assert forks.bodies == ["_serve_rows"] * (n_cpus - 1)
+    assert forks.bodies == ["_run_phase"] * (n_cpus - 1)
     # the CLI still asks for each bridge, and each answer is its own copy
     forward, reverse = answers
     assert reverse is not forward and reverse.diagnostics is not forward.diagnostics
@@ -278,10 +278,10 @@ def test_a_descent_helper_that_dies_is_an_internal_error(tmp_path, monkeypatch, 
         blas_threads(count)
         assert cli.main(["verify", "--scenario", str(path),
                          "--out", str(tmp_path / "v")]) == cli.EXIT_INTERNAL
-        assert forks.bodies[-1:] == ["_serve_rows"]
+        assert forks.bodies[-1:] == ["_run_phase"]
         _assert_no_child()
         assert _fork._RUNNING == set()
         assert _fork.blas_calls()[0]() == count
         err = capsys.readouterr().err
-        assert f"child {forks[-1]} (_serve_rows) sent no result (exit status 7)" in err
+        assert f"child {forks[-1]} (_run_phase) sent no result (exit status 7)" in err
     assert len(forks.bodies) == 2
