@@ -6,7 +6,7 @@ The Fokker-Planck stepper uses an implicit exponentially-fitted flux
 flux form, and its stationary state coincides with the discrete Gibbs density
 of the drift, so equilibria stay put to solver roundoff.  Each step solves one
 tridiagonal system with _solve_tridiagonal, a transcription of LAPACK's dgtsv
-in numpy, whose answers are bitwise LAPACK's (see _fp_solve for why).
+in numpy, whose answers are bitwise LAPACK's (see _fp_banded for why).
 """
 
 from __future__ import annotations
@@ -137,43 +137,51 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
     is exact because the drift is a pure function of the positions.  The
     first sweep whose change is not finite raises NoConvergence at once.
 
-    When a CPU is idle, a forked helper shares each sweep's drift
-    evaluations: the nodes that need a new drift go on a queue that both
-    processes take nodes from, the rows go into arrays the two share, and
-    the sweep waits for the helper once.  Each node's drift is the same call
-    on the same positions, so the result is bitwise the serial one.
+    In each sweep, the nodes that need a new drift go on a queue, a pipe
+    read without blocking, one node per read, that the process, and its
+    helper when one was forked, take nodes from until it is empty.  The
+    helper is forked for the whole map when a CPU is idle; the path and the
+    drift rows are arrays the two share, and the sweep waits for the helper
+    once per _QUEUE_BATCH nodes.  Each node's drift is the same call on the
+    same positions in either process, so the result is bitwise the
+    one-process one.
     """
     if ensemble.n_particles > THETA_MAX_PARTICLES:
         raise TooLarge(f"ensemble exceeds the {THETA_MAX_PARTICLES} particle guard")
     omega = ensemble.positions.T  # node-major: row k holds every particle at node k
     dt = ensemble.time_grid.dt
     k_steps = ensemble.time_grid.n_steps
-    ys, drift = _theta_arrays(ensemble.n_particles, k_steps)
+    y, drift = _fork.shared_arrays(((k_steps + 1, ensemble.n_particles), float),
+                                   ((k_steps, ensemble.n_particles), float))
     drift_at = np.full_like(drift, np.nan)  # positions each drift row saw
-    for y in ys:  # y is the update with zero drift; row 0 stays omega's
-        y[:] = omega
-    cur = 0  # y is ys[cur], the update goes to the other one
+    y[:] = omega  # the update with zero drift; row 0 stays omega's
     windows = [(lo, min(lo + _THETA_WINDOW, k_steps))
                for lo in range(0, k_steps, _THETA_WINDOW)]
-    helper = _DriftHelper(pot, ys, drift) if _fork.spare_cpus() > 0 else None
+    queue, queue_w = os.pipe()
+    helper = None
     try:
+        os.set_blocking(queue, False)
+        if _fork.spare_cpus() > 0:
+            helper = _fork.Child(_evaluate_queued, queue, pot, y, drift)
         for lo, hi in windows + [(0, k_steps)]:  # the last one certifies the path
             for sweep in range(1, _THETA_MAX_ITERS + 1):
-                y, update = ys[cur], ys[1 - cur]
                 stale = [k for k in range(lo, hi)
                          if not np.array_equal(y[k], drift_at[k])]
-                if helper and len(stale) > 1:
-                    helper.evaluate(cur, stale)
-                else:
-                    for k in stale:
-                        drift[k] = interaction_drift(pot, y[k])
+                # a batch of tokens fits in any pipe's buffer, so the write returns
+                for first in range(0, len(stale), _QUEUE_BATCH):
+                    batch = np.array(stale[first:first + _QUEUE_BATCH], dtype="<u4")
+                    os.write(queue_w, batch.tobytes())
+                    if helper:
+                        helper.call()
+                    _evaluate_queued(queue, pot, y, drift)
+                    if helper:
+                        helper.answer()
                 drift_at[stale] = y[stale]
-                np.cumsum(drift, axis=0, out=update[1:])
-                update[1:] *= dt
-                update[1:] += omega[1:]
-                delta = float(np.max(np.abs(update[lo + 1:hi + 1]
-                                            - y[lo + 1:hi + 1])))
-                cur = 1 - cur
+                before = y[lo + 1:hi + 1].copy()
+                np.cumsum(drift, axis=0, out=y[1:])
+                y[1:] *= dt
+                y[1:] += omega[1:]
+                delta = float(np.max(np.abs(y[lo + 1:hi + 1] - before)))
                 if delta <= THETA_TOL or not np.isfinite(delta):
                     break
             if not delta <= THETA_TOL:
@@ -187,70 +195,25 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
     finally:
         if helper:
             helper.stop()
-    return PathEnsemble(ensemble.time_grid, ys[cur].T.copy(),
+        os.close(queue)
+        os.close(queue_w)
+    return PathEnsemble(ensemble.time_grid, y.T.copy(),
                         ensemble.increments.copy(), ensemble.seed)
-
-
-def _theta_arrays(n_particles: int, k_steps: int):
-    """The path buffers y and update (k_steps + 1 rows of n_particles each)
-    and the drift (k_steps rows), zeroed, in one mapping that a forked
-    helper shares."""
-    path = ((k_steps + 1, n_particles), float)
-    y, update, drift = _fork.shared_arrays(path, path, ((k_steps, n_particles), float))
-    return (y, update), drift
-
-
-class _DriftHelper:
-    """A forked child that shares the drift evaluations of each sweep.
-
-    evaluate puts the sweep's nodes on a queue, a pipe that both processes
-    read without blocking, one node per read.  It sends the helper the
-    index of the path buffer in ys, evaluates nodes itself until the queue
-    is empty, and then waits once for the helper's answer, which it sends
-    when it finds the queue empty too.  Each process writes the drift rows
-    of the nodes it took into the shared drift.
-    """
-
-    def __init__(self, pot, ys, drift):
-        self.queue, self.queue_w = os.pipe()
-        os.set_blocking(self.queue, False)
-        self.state = (self.queue, pot, ys, drift)  # the body's, in both processes
-        try:
-            self.child = _fork.Child(_evaluate_queued, *self.state)
-        except BaseException:
-            os.close(self.queue)
-            os.close(self.queue_w)
-            raise
-
-    def evaluate(self, cur: int, nodes: list):
-        # a batch of tokens fits in any pipe's buffer, so the write returns
-        for lo in range(0, len(nodes), _QUEUE_BATCH):
-            batch = np.array(nodes[lo:lo + _QUEUE_BATCH], dtype="<u4")
-            os.write(self.queue_w, batch.tobytes())
-            self.child.call(cur)
-            _evaluate_queued(*self.state, cur)
-            self.child.answer()
-
-    def stop(self):
-        """Kill and reap the helper, and close the queue."""
-        os.close(self.queue)
-        os.close(self.queue_w)
-        self.child.stop()
 
 
 _QUEUE_BATCH = 1024  # 4-byte node tokens per queue write: 4096 bytes
 
 
-def _evaluate_queued(queue: int, pot, ys, drift, cur: int):
-    """Evaluate the drift on ys[cur] at the nodes taken off the queue, one
-    read at a time, until it is empty; the helper's body too."""
+def _evaluate_queued(queue: int, pot, y, drift):
+    """Evaluate the drift on y at the nodes taken off the queue, one read
+    at a time, until it is empty; the helper's body too."""
     while True:
         try:
             token = os.read(queue, 4)
         except BlockingIOError:  # empty
             return
         k = int.from_bytes(token, "little")
-        drift[k] = interaction_drift(pot, ys[cur][k])
+        drift[k] = interaction_drift(pot, y[k])
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:
@@ -264,7 +227,13 @@ def _bernoulli(w: np.ndarray) -> np.ndarray:
 
 
 def _fp_banded(b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
-    """Banded matrix of one implicit Fokker-Planck step, no-flux boundaries."""
+    """Banded matrix of one implicit Fokker-Planck step, no-flux boundaries.
+
+    The matrix has unit column sums, a positive diagonal and nonpositive
+    off-diagonals, so it is column diagonally dominant: LAPACK's dgtsv never
+    interchanges rows on it, and _solve_tridiagonal, which is dgtsv without
+    interchanges, returns dgtsv's answer bitwise.
+    """
     b_edges = 0.5 * (b_cells[:-1] + b_cells[1:])
     w = b_edges * dx / _DIFFUSIVITY
     bm = _bernoulli(-w)  # weight of the left cell in the edge flux
@@ -322,23 +291,6 @@ def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array(x[:-1])
 
 
-def _fp_solve(b_cells: np.ndarray, dx: float, dt: float,
-              rhs: np.ndarray) -> np.ndarray:
-    """Solve one implicit Fokker-Planck step against the vector rhs.
-
-    The step matrix has unit column sums, a positive diagonal and nonpositive
-    off-diagonals, so it is column diagonally dominant: LAPACK's dgtsv never
-    interchanges rows on it, and _solve_tridiagonal, which is dgtsv without
-    interchanges, returns dgtsv's answer bitwise.
-    """
-    return _solve_tridiagonal(_fp_banded(b_cells, dx, dt), rhs)
-
-
-def _fp_step(p: np.ndarray, b_cells: np.ndarray, dx: float, dt: float) -> np.ndarray:
-    """One implicit Fokker-Planck step applied to the density p."""
-    return np.maximum(_fp_solve(b_cells, dx, dt, p), 0.0)
-
-
 def _check_drift_resolution(b: np.ndarray, dx: float, dt: float):
     ratio = float(np.max(np.abs(b)) * dt / dx)
     if ratio > _DRIFT_RESOLUTION_LIMIT:
@@ -364,5 +316,6 @@ def mkv_flow(pot: InteractionPotential, mu_in: Density,
     for k in range(time_grid.n_steps):
         b = -conv_force(pot, Density(grid, values[k]))
         _check_drift_resolution(b, dx, dt)
-        values[k + 1] = _fp_step(values[k], b, dx, dt)
+        values[k + 1] = np.maximum(
+            _solve_tridiagonal(_fp_banded(b, dx, dt), values[k]), 0.0)
     return MarginalFlow(time_grid, grid, values)

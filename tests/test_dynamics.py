@@ -23,8 +23,7 @@ from mfsb import (
 )
 from mfsb import _fork, cli, dynamics
 from mfsb.dynamics import (_DRIFT_RESOLUTION_LIMIT, _THETA_WINDOW, THETA_TOL,
-                           _fp_banded, _fp_solve, _solve_tridiagonal,
-                           interaction_drift)
+                           _fp_banded, _solve_tridiagonal, interaction_drift)
 from mfsb.errors import NoConvergence
 from mfsb.scenario import load_scenario
 from oracles import (dense_drift, empirical_density_w1, kernel_derivative,
@@ -296,6 +295,30 @@ def test_a_helper_that_dies_without_answering_leaves_no_child(monkeypatch, std_g
     _assert_no_child()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("mode, ending", [
+    ("serial", "returns"), ("helper", "returns"), ("serial", "nan drift"),
+    ("helper", "nan drift"), ("helper", "helper dies")])
+def test_theta_closes_every_descriptor_it_opens(monkeypatch, std_gaussian, tg, pot_well,
+                                                drift_log, time_bound, mode, ending):
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: {"serial": 0, "helper": 1}[mode])
+    noise = noise_ensemble(simulate_particles(pot_well, std_gaussian, tg, 8, seed=5))
+    drift = {"returns": interaction_drift,
+             "nan drift": lambda pot, x: np.full_like(x, np.nan),
+             "helper dies": _in_helper(interaction_drift, lambda pot, x: os._exit(7))}
+    monkeypatch.setattr(dynamics, "interaction_drift",
+                        drift_log.wrap(drift[ending], parent_delay=1e-3))
+    before = sorted(os.listdir("/proc/self/fd"))
+    if ending == "returns":
+        tanaka_theta(pot_well, noise)
+    else:
+        with pytest.raises(NoConvergence if ending == "nan drift" else RuntimeError):
+            tanaka_theta(pot_well, noise)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(set(drift_log.pids())) == {"serial": 1, "helper": 2}[mode]
+    _assert_no_child()
+
+
 @pytest.mark.parametrize("busy", ["one cpu", "no fork", "a running child",
                                   "in a child"])
 def test_theta_forks_nothing_without_an_idle_cpu(monkeypatch, std_gaussian, pot_well,
@@ -492,7 +515,7 @@ def test_fp_solve_of_a_nan_drift_raises():
     b = np.zeros(32)
     b[7] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        _fp_solve(b, 0.5, 1 / 16, np.ones(32))
+        _solve_tridiagonal(_fp_banded(b, 0.5, 1 / 16), np.ones(32))
 
 
 def test_nan_drift_exits_4_through_the_cli(tmp_path, monkeypatch, capsys):
