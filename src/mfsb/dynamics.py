@@ -96,9 +96,10 @@ def simulate_particles(pot: InteractionPotential, mu_in: Density,
         quantiles = np.array([g.uniform() for g in streams])
     x0 = np.interp(quantiles, cdf / cdf[-1], edges)
 
-    increments = np.stack([
-        g.normal(0.0, np.sqrt(dt), size=k_steps) for g in streams
-    ])
+    increments = np.empty((n_particles, k_steps))
+    for row, g in zip(increments, streams):
+        row[:] = g.normal(0.0, np.sqrt(dt), size=k_steps)
+    increments.setflags(write=False)  # the noise paths and the theta map share it
 
     positions = np.empty((n_particles, k_steps + 1))
     positions[:, 0] = x0
@@ -110,13 +111,12 @@ def simulate_particles(pot: InteractionPotential, mu_in: Density,
 
 def noise_ensemble(ensemble: PathEnsemble) -> PathEnsemble:
     """Driving noise paths started at the initial positions: omega_t = X_0 + B_t."""
-    cum = np.cumsum(ensemble.increments, axis=1)
-    positions = np.concatenate([
-        ensemble.positions[:, :1],
-        ensemble.positions[:, :1] + cum,
-    ], axis=1)
-    return PathEnsemble(ensemble.time_grid, positions,
-                        ensemble.increments.copy(), ensemble.seed)
+    x0 = ensemble.positions[:, 0]
+    positions = np.empty_like(ensemble.positions)
+    positions[:, 0] = x0
+    np.cumsum(ensemble.increments, axis=1, out=positions[:, 1:])
+    positions[:, 1:] += x0[:, None]
+    return PathEnsemble(ensemble.time_grid, positions, ensemble.increments, ensemble.seed)
 
 
 def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsemble:
@@ -132,10 +132,11 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
     its nodes by at most THETA_TOL.  Global sweeps then certify the whole
     path: the result is returned once one sweep over all nodes moves it by at
     most THETA_TOL, so it is a global fixed point to the same test as plain
-    Picard iteration.  A node's drift is evaluated again only when its
-    positions differ bitwise from the ones it was last evaluated at, which
-    is exact because the drift is a pure function of the positions.  The
-    first sweep whose change is not finite raises NoConvergence at once.
+    Picard iteration.  A node's drift is evaluated again only when an update
+    has changed its positions since it was last evaluated (-0 equals +0, a
+    NaN equals nothing), which is exact because the drift is a pure function
+    of the positions; one flag per node records it.  The first sweep whose
+    change is not finite raises NoConvergence at once.
 
     In each sweep, the nodes that need a new drift go on a queue, a pipe
     read without blocking, one node per read, that the process, and its
@@ -153,7 +154,7 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
     k_steps = ensemble.time_grid.n_steps
     y, drift = _fork.shared_arrays(((k_steps + 1, ensemble.n_particles), float),
                                    ((k_steps, ensemble.n_particles), float))
-    drift_at = np.full_like(drift, np.nan)  # positions each drift row saw
+    fresh = np.zeros(k_steps + 1, dtype=bool)  # drift[k] was evaluated at y[k]
     y[:] = omega  # the update with zero drift; row 0 stays omega's
     windows = [(lo, min(lo + _THETA_WINDOW, k_steps))
                for lo in range(0, k_steps, _THETA_WINDOW)]
@@ -165,8 +166,7 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
             helper = _fork.Child(_evaluate_queued, queue, pot, y, drift)
         for lo, hi in windows + [(0, k_steps)]:  # the last one certifies the path
             for sweep in range(1, _THETA_MAX_ITERS + 1):
-                stale = [k for k in range(lo, hi)
-                         if not np.array_equal(y[k], drift_at[k])]
+                stale = [k for k in range(lo, hi) if not fresh[k]]
                 # a batch of tokens fits in any pipe's buffer, so the write returns
                 for first in range(0, len(stale), _QUEUE_BATCH):
                     batch = np.array(stale[first:first + _QUEUE_BATCH], dtype="<u4")
@@ -176,12 +176,17 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
                     _evaluate_queued(queue, pot, y, drift)
                     if helper:
                         helper.answer()
-                drift_at[stale] = y[stale]
+                fresh[stale] = True
                 before = y[lo + 1:hi + 1].copy()
                 np.cumsum(drift, axis=0, out=y[1:])
                 y[1:] *= dt
                 y[1:] += omega[1:]
-                delta = float(np.max(np.abs(y[lo + 1:hi + 1] - before)))
+                change = np.subtract(y[lo + 1:hi + 1], before, out=before)
+                row_change = np.max(np.abs(change, out=change), axis=1)
+                # rows up to lo are recomputed bitwise; a row that moved, or
+                # is NaN, needs its drift again
+                fresh[lo + 1:hi + 1] &= row_change == 0.0
+                delta = float(np.max(row_change))
                 if delta <= THETA_TOL or not np.isfinite(delta):
                     break
             if not delta <= THETA_TOL:
@@ -197,8 +202,7 @@ def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsem
             helper.stop()
         os.close(queue)
         os.close(queue_w)
-    return PathEnsemble(ensemble.time_grid, y.T.copy(),
-                        ensemble.increments.copy(), ensemble.seed)
+    return PathEnsemble(ensemble.time_grid, y.T.copy(), ensemble.increments, ensemble.seed)
 
 
 _QUEUE_BATCH = 1024  # 4-byte node tokens per queue write: 4096 bytes

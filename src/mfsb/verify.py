@@ -445,7 +445,8 @@ def check_time_reversal(sol_forward: BridgeSolution, sol_reverse: BridgeSolution
 def check_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> CheckEntry:
     """Noise-to-trajectory map reproduces the simulated particle paths."""
     mapped = tanaka_theta(pot, noise_ensemble(ensemble))
-    gap = np.abs(mapped.positions - ensemble.positions)
+    gap = np.subtract(mapped.positions, ensemble.positions)
+    np.abs(gap, out=gap)
     k = int(np.unravel_index(np.argmax(gap), gap.shape)[1])
     return CheckEntry(
         "theta",

@@ -1,6 +1,7 @@
 import inspect
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,10 @@ from mfsb.dynamics import (_DRIFT_RESOLUTION_LIMIT, _THETA_WINDOW, THETA_TOL,
                            _fp_banded, _solve_tridiagonal, interaction_drift)
 from mfsb.errors import NoConvergence
 from mfsb.scenario import load_scenario
+from mfsb.verify import check_theta
 from oracles import (dense_drift, empirical_density_w1, kernel_derivative,
                      mkv_gaussian_variance, path_distance, reference_theta,
-                     theta_sweep)
+                     reference_windowed_theta, theta_sweep)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -216,20 +218,73 @@ def test_helper_theta_is_bitwise_the_serial_one(std_gaussian, spec, monkeypatch,
     _assert_no_child()
 
 
+def _shipped_particles():
+    sc = load_scenario(SCENARIOS / "gaussian_well_particles.json")
+    return sc.potential, simulate_particles(sc.potential, sc.mu_in(), sc.time_grid,
+                                            sc.n_particles, sc.seed)
+
+
 def test_theta_drift_calls_on_the_shipped_particle_scenario(monkeypatch, tmp_path,
                                                             time_bound):
-    sc = load_scenario(SCENARIOS / "gaussian_well_particles.json")
-    noise = noise_ensemble(simulate_particles(
-        sc.potential, sc.mu_in(), sc.time_grid, sc.n_particles, sc.seed))
+    pot, ens = _shipped_particles()
+    noise = noise_ensemble(ens)
     calls = {}
     for mode in _each_theta_mode(monkeypatch):
         log = DriftLog(tmp_path / mode)
         monkeypatch.setattr(dynamics, "interaction_drift", log.wrap(interaction_drift))
-        tanaka_theta(sc.potential, noise)
+        tanaka_theta(pot, noise)
         calls[mode] = len(log.pids())
     # the helper's calls count too; plain Picard over the whole horizon
     # makes 10 sweeps of 128 calls here
     assert calls["helper"] == calls["serial"] <= 600
+
+
+@pytest.mark.parametrize("case", ["shipped scenario", "16 particles"])
+def test_theta_stale_flags_keep_the_copy_rule(monkeypatch, tmp_path, std_gaussian, tg,
+                                              pot_well, time_bound, case):
+    if case == "shipped scenario":
+        pot, ens = _shipped_particles()
+    else:
+        pot, ens = pot_well, simulate_particles(pot_well, std_gaussian, tg, 16, seed=11)
+    noise = noise_ensemble(ens)
+    log = DriftLog(tmp_path / "reference")
+    monkeypatch.setattr(dynamics, "interaction_drift", log.wrap(interaction_drift))
+    reference = reference_windowed_theta(pot, noise).positions
+    reference_calls = len(log.pids())
+    for mode in _each_theta_mode(monkeypatch):
+        log = DriftLog(tmp_path / mode)
+        monkeypatch.setattr(dynamics, "interaction_drift", log.wrap(interaction_drift))
+        mapped = tanaka_theta(pot, noise).positions
+        assert mapped.tobytes() == reference.tobytes(), mode
+        assert len(log.pids()) == reference_calls, mode
+        _assert_no_child()
+
+
+def test_theta_check_stays_within_its_memory_budget(monkeypatch, time_bound):
+    pot, ens = _shipped_particles()
+    for mode in _each_theta_mode(monkeypatch):
+        tracemalloc.start()
+        try:
+            check_theta(pot, ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the noise paths, the certifying sweep's change and the map's result,
+        # or the noise paths and numpy's ufunc buffers (3 x 64 KiB, about
+        # three path arrays at 64 particles); the shared mapping is not traced
+        assert peak <= 4.5 * ens.positions.nbytes, (mode, peak / ens.positions.nbytes)
+
+
+def test_noise_paths_and_the_map_share_the_read_only_increments(pot_well, std_gaussian,
+                                                                tg):
+    ens = simulate_particles(pot_well, std_gaussian, tg, 16, seed=11)
+    noise = noise_ensemble(ens)
+    for shared in (noise.increments, tanaka_theta(pot_well, noise).increments):
+        assert np.shares_memory(shared, ens.increments)
+    assert not ens.increments.flags.writeable
+    x0 = ens.positions[:, :1]
+    expected = np.concatenate([x0, x0 + np.cumsum(ens.increments, axis=1)], axis=1)
+    assert noise.positions.tobytes() == expected.tobytes()
 
 
 def test_theta_stall_names_its_window(monkeypatch, std_gaussian, tg, pot_zero,
