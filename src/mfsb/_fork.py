@@ -1,11 +1,10 @@
 """Forked children: how many may run, the one way to run one, and the
 arrays a child shares with its parent.
 
-solver.solve_ahead starts one Child per bridge it solves ahead,
-solver._descend one helper that takes a block of each iteration's rows, and
-dynamics.tanaka_theta one drift helper.  All count their children here, so
-none starts one while the others' hold the idle CPUs, and a forked child
-starts none of its own.
+solver.solve_ahead starts one Child per bridge it solves ahead, and
+solver._descend one helper that takes a block of each iteration's rows.
+Both count their children here, so neither starts one while the other's
+hold the idle CPUs, and a forked child starts none of its own.
 
 blas_calls reads and sets the thread count of numpy's OpenBLAS.  The
 descent holds it at one while its helper lives: a second BLAS thread gains

@@ -83,6 +83,10 @@ class _Run:
         return V.FreeEnergyGauge(self.pot, self.scenario.grid,
                                  self.sol.flow.density(0).mean())
 
+    @cached_property
+    def energies(self):
+        return V.flow_relative_energies(self.sol, self.gauge)
+
     @property
     def mkv(self):
         return self.scenario.mkv
@@ -206,7 +210,7 @@ def _verify(run: _Run, out: Path, fmt: str) -> int:
 def _cmd_report(run: _Run, out: Path, fmt: str) -> int:
     sol = run.sol
     ts = run.scenario.time_grid.nodes
-    f_rel, envelope = V.entropy_envelope(sol, run.pot, run.gauge)
+    f_rel, envelope = V.entropy_envelope(sol, run.pot, run.gauge, energies=run.energies)
     energy = V.corrector_energy(sol)
     cumulative = np.concatenate([[0.0], np.cumsum(
         0.5 * (energy[1:] + energy[:-1]) * run.scenario.time_grid.dt)])

@@ -11,20 +11,16 @@ in numpy, whose answers are bitwise LAPACK's (see _fp_banded for why).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fork
 from .errors import CFLViolation, NoConvergence, TooLarge
 from .grids import BOUNDARY_MASS_TOL, Density, MarginalFlow, TimeGrid
 from .potentials import InteractionPotential, conv_force
 
 _DIFFUSIVITY = 0.5  # unit Brownian noise: d mu = (1/2) mu'' + ...
-THETA_TOL = 1e-10   # sup change of the theta iteration that counts as converged
-_THETA_MAX_ITERS = 200  # Picard sweeps per window, and for the certificate
-_THETA_WINDOW = 8       # time steps per Picard window
+THETA_TOL = 1e-10   # the theta check allows 5 THETA_TOL of mapped-to-simulated gap
 THETA_MAX_PARTICLES = 10_000  # largest ensemble the theta map accepts
 _DRIFT_RESOLUTION_LIMIT = 8.0  # cells the drift may move mass in one step
 
@@ -120,104 +116,39 @@ def noise_ensemble(ensemble: PathEnsemble) -> PathEnsemble:
 
 
 def tanaka_theta(pot: InteractionPotential, ensemble: PathEnsemble) -> PathEnsemble:
-    """Map noise paths to interacting trajectories by fixed-point iteration.
+    """Map noise paths to interacting trajectories by forward substitution.
 
-    The trajectories are the fixed point of
-    Y <- omega + int_0^t (ensemble-average drift of Y) ds, with left-endpoint
-    quadrature matching the Euler-Maruyama stepping.  Picard sweeps run on
-    consecutive windows of _THETA_WINDOW time steps, where they contract much
-    faster than on the whole horizon.  A sweep evaluates the drift on the
-    window's nodes and applies the update to the whole path, so the later
-    nodes carry the newest prediction; the window is done once a sweep moves
-    its nodes by at most THETA_TOL.  Global sweeps then certify the whole
-    path: the result is returned once one sweep over all nodes moves it by at
-    most THETA_TOL, so it is a global fixed point to the same test as plain
-    Picard iteration.  A node's drift is evaluated again only when an update
-    has changed its positions since it was last evaluated (-0 equals +0, a
-    NaN equals nothing), which is exact because the drift is a pure function
-    of the positions; one flag per node records it.  The first sweep whose
-    change is not finite raises NoConvergence at once.
-
-    In each sweep, the nodes that need a new drift go on a queue, a pipe
-    read without blocking, one node per read, that the process, and its
-    helper when one was forked, take nodes from until it is empty.  The
-    helper is forked for the whole map when a CPU is idle; the path and the
-    drift rows are arrays the two share, and the sweep waits for the helper
-    once per _QUEUE_BATCH nodes.  Each node's drift is the same call on the
-    same positions in either process, so the result is bitwise the
-    one-process one.
+    The trajectories solve Y_{k+1} = omega_{k+1} + dt sum_{j<=k} b(Y_j), with
+    b the ensemble-average drift: left-endpoint quadrature, matching the
+    Euler-Maruyama stepping.  Node k+1 depends only on the nodes before it,
+    so the map is lower triangular and its unique fixed point is computed in
+    one pass of n_steps drift calls: the drift at node k is added into a
+    running sum S, and Y_{k+1} = S dt + omega_{k+1}.  np.cumsum along the
+    time axis is the same sequential sum, started from the first drift row
+    (so a -0 drift stays -0), hence the result is bitwise a fixed point of
+    the Picard update Y <- omega + dt cumsum(b(Y)).  The first node that is
+    not finite raises NoConvergence at once.
     """
     if ensemble.n_particles > THETA_MAX_PARTICLES:
         raise TooLarge(f"ensemble exceeds the {THETA_MAX_PARTICLES} particle guard")
     omega = ensemble.positions.T  # node-major: row k holds every particle at node k
     dt = ensemble.time_grid.dt
     k_steps = ensemble.time_grid.n_steps
-    y, drift = _fork.shared_arrays(((k_steps + 1, ensemble.n_particles), float),
-                                   ((k_steps, ensemble.n_particles), float))
-    fresh = np.zeros(k_steps + 1, dtype=bool)  # drift[k] was evaluated at y[k]
-    y[:] = omega  # the update with zero drift; row 0 stays omega's
-    windows = [(lo, min(lo + _THETA_WINDOW, k_steps))
-               for lo in range(0, k_steps, _THETA_WINDOW)]
-    queue, queue_w = os.pipe()
-    helper = None
-    try:
-        os.set_blocking(queue, False)
-        if _fork.spare_cpus() > 0:
-            helper = _fork.Child(_evaluate_queued, queue, pot, y, drift)
-        for lo, hi in windows + [(0, k_steps)]:  # the last one certifies the path
-            for sweep in range(1, _THETA_MAX_ITERS + 1):
-                stale = [k for k in range(lo, hi) if not fresh[k]]
-                # a batch of tokens fits in any pipe's buffer, so the write returns
-                for first in range(0, len(stale), _QUEUE_BATCH):
-                    batch = np.array(stale[first:first + _QUEUE_BATCH], dtype="<u4")
-                    os.write(queue_w, batch.tobytes())
-                    if helper:
-                        helper.call()
-                    _evaluate_queued(queue, pot, y, drift)
-                    if helper:
-                        helper.answer()
-                fresh[stale] = True
-                before = y[lo + 1:hi + 1].copy()
-                np.cumsum(drift, axis=0, out=y[1:])
-                y[1:] *= dt
-                y[1:] += omega[1:]
-                change = np.subtract(y[lo + 1:hi + 1], before, out=before)
-                row_change = np.max(np.abs(change, out=change), axis=1)
-                # rows up to lo are recomputed bitwise; a row that moved, or
-                # is NaN, needs its drift again
-                fresh[lo + 1:hi + 1] &= row_change == 0.0
-                delta = float(np.max(row_change))
-                if delta <= THETA_TOL or not np.isfinite(delta):
-                    break
-            if not delta <= THETA_TOL:
-                cause = ("the drift may violate its Lipschitz bound" if np.isfinite(delta)
-                         else "the drift or the path is not finite")
-                raise NoConvergence(
-                    f"theta iteration stopped on the time window "
-                    f"[{lo * dt:.6g}, {hi * dt:.6g}] (steps {lo}..{hi}) at sweep "
-                    f"{sweep} of {_THETA_MAX_ITERS}, last sweep change {delta:.3e}; {cause}"
-                )
-    finally:
-        if helper:
-            helper.stop()
-        os.close(queue)
-        os.close(queue_w)
+    y = np.empty(omega.shape)
+    y[0] = omega[0]
+    for k in range(k_steps):
+        drift = interaction_drift(pot, y[k])
+        if k == 0:
+            total = np.array(drift, dtype=float)
+        else:
+            total += drift
+        np.multiply(total, dt, out=y[k + 1])
+        y[k + 1] += omega[k + 1]
+        if not np.all(np.isfinite(y[k + 1])):
+            raise NoConvergence(
+                f"theta map stopped at step {k} of {k_steps} (time {k * dt:.6g}): "
+                "the drift or the path is not finite")
     return PathEnsemble(ensemble.time_grid, y.T.copy(), ensemble.increments, ensemble.seed)
-
-
-_QUEUE_BATCH = 1024  # 4-byte node tokens per queue write: 4096 bytes
-
-
-def _evaluate_queued(queue: int, pot, y, drift):
-    """Evaluate the drift on y at the nodes taken off the queue, one read
-    at a time, until it is empty; the helper's body too."""
-    while True:
-        try:
-            token = os.read(queue, 4)
-        except BlockingIOError:  # empty
-            return
-        k = int.from_bytes(token, "little")
-        drift[k] = interaction_drift(pot, y[k])
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:

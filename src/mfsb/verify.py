@@ -203,7 +203,8 @@ def check_conserved_bound(sol: BridgeSolution, pot: InteractionPotential,
     )
 
 
-def _flow_relative_energies(sol: BridgeSolution, gauge: FreeEnergyGauge) -> np.ndarray:
+def flow_relative_energies(sol: BridgeSolution, gauge: FreeEnergyGauge) -> np.ndarray:
+    """Relative free energy of the flow at each time node."""
     return np.array([
         gauge.relative(sol.flow.density(k))
         for k in range(sol.flow.time_grid.n_steps + 1)
@@ -211,20 +212,24 @@ def _flow_relative_energies(sol: BridgeSolution, gauge: FreeEnergyGauge) -> np.n
 
 
 def entropy_envelope(sol: BridgeSolution, pot: InteractionPotential,
-                     gauge: FreeEnergyGauge):
-    """Relative free energy at each time node, and its exponential envelope."""
+                     gauge: FreeEnergyGauge, *, energies: np.ndarray | None = None):
+    """Relative free energy at each time node, and its exponential envelope.
+
+    energies, when given, is flow_relative_energies(sol, gauge), computed once
+    for every check that reads it."""
     tg = sol.flow.time_grid
-    f = _flow_relative_energies(sol, gauge)
+    f = flow_relative_energies(sol, gauge) if energies is None else energies
     c1 = np.array([_exp_coeff_start(pot.kappa, tg.horizon, t) for t in tg.nodes])
     c3 = np.array([_exp_coeff_cost(pot.kappa, tg.horizon, t) for t in tg.nodes])
     return f, c1 * f[0] + (1.0 - c1) * f[-1] - c3 * sol.cost
 
 
 def check_entropy_bound(sol: BridgeSolution, pot: InteractionPotential,
-                        gauge: FreeEnergyGauge) -> CheckEntry:
+                        gauge: FreeEnergyGauge, *,
+                        energies: np.ndarray | None = None) -> CheckEntry:
     """Free energy along the flow under its exponential convex envelope."""
     ts = sol.flow.time_grid.nodes
-    f, rhs = entropy_envelope(sol, pot, gauge)
+    f, rhs = entropy_envelope(sol, pot, gauge, energies=energies)
     slack = rhs - f
     k = int(np.argmin(slack[1:-1])) + 1
     return CheckEntry(
@@ -238,12 +243,13 @@ def check_entropy_bound(sol: BridgeSolution, pot: InteractionPotential,
 
 
 def check_turnpike(sol: BridgeSolution, pot: InteractionPotential,
-                   gauge: FreeEnergyGauge) -> CheckEntry:
+                   gauge: FreeEnergyGauge, *,
+                   energies: np.ndarray | None = None) -> CheckEntry:
     """Hyperbolic-sine envelope built from the conserved quantity."""
     _require_convex(pot, "turnpike")
     tg = sol.flow.time_grid
     ts, horizon, kap = tg.nodes, tg.horizon, pot.kappa
-    f = _flow_relative_energies(sol, gauge)
+    f = flow_relative_energies(sol, gauge) if energies is None else energies
     e_const = conserved_profile(sol, pot).mean
     sh = np.sinh
     base = e_const / (2.0 * kap)
@@ -482,8 +488,9 @@ class Check(NamedTuple):
     hess_sup*dt).  bridges names every bridge beyond the forward one that
     its entries read ("reverse", "doubled-horizon"), so that verify can
     start solving them before the first check runs.  entries maps a run,
-    which computes sol, sol_reverse, sol_double, residual, gauge, mkv and
-    ensemble on first use, to the check's entries.
+    which computes sol, sol_reverse, sol_double, residual, gauge, energies
+    (flow_relative_energies of sol), mkv and ensemble on first use, to the
+    check's entries.
     """
 
     assumes: str | None
@@ -497,9 +504,9 @@ CHECKS = {
     "conserved-bound": Check("convexity", ("reverse",), lambda r: [
         check_conserved_bound(r.sol, r.pot, r.gauge, cost_reverse=r.sol_reverse.cost)]),
     "entropy-bound": Check("classical-limit", (), lambda r: [
-        check_entropy_bound(r.sol, r.pot, r.gauge)]),
+        check_entropy_bound(r.sol, r.pot, r.gauge, energies=r.energies)]),
     "turnpike": Check("convexity", (), lambda r: [
-        check_turnpike(r.sol, r.pot, r.gauge)]),
+        check_turnpike(r.sol, r.pot, r.gauge, energies=r.energies)]),
     "turnpike-rate": Check("convexity", ("doubled-horizon",), lambda r: [
         turnpike_rate(r.sol, r.sol_double, r.pot, r.gauge)]),
     "talagrand": Check("convexity", (), lambda r: [

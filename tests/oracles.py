@@ -3,15 +3,12 @@
 Everything here is deliberately written against first principles (kernel
 matrices, brute-force enumeration, closed-form Gaussians) rather than through
 the package's solver machinery, so the tests compare two genuinely different
-routes to the same quantity.  Three exceptions keep earlier versions of
+routes to the same quantity.  Two exceptions keep earlier versions of
 package routines: reference_descend, the solver's descent as it was before
 it wrote into preallocated buffers, kept so that the buffered descent can be
-required to reproduce it bit for bit; reference_theta, the noise-to-path
-map by Picard sweeps over the whole horizon, kept so that the windowed map
-can be required to reach the same fixed point; and reference_windowed_theta,
-the windowed map in one process as it was when each drift row kept a copy of
-the positions it saw, kept so that the map's one flag per node can be
-required to reproduce its paths and its drift calls bit for bit.
+required to reproduce it bit for bit; and reference_theta, the noise-to-path
+map by Picard sweeps over the whole horizon, kept so that the map by forward
+substitution can be required to reach the same fixed point.
 """
 
 import itertools
@@ -21,9 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from mfsb import dynamics
-from mfsb.dynamics import (_THETA_MAX_ITERS, _THETA_WINDOW, THETA_TOL, PathEnsemble,
-                           interaction_drift)
+from mfsb.dynamics import THETA_TOL, PathEnsemble, interaction_drift
 from mfsb.errors import NoConvergence, TooLarge
 from mfsb.grids import LOG_FLOOR, MASS_FLOOR_REL, time_derivative
 from mfsb.solver import (
@@ -328,7 +323,7 @@ def theta_sweep(pot, noise, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_theta(pot, ensemble):
+def reference_theta(pot, ensemble, *, max_sweeps: int = 200):
     """Map noise paths to interacting trajectories by fixed-point iteration.
 
     Iterates Y <- omega + int_0^t (ensemble-average drift of Y) ds with
@@ -341,7 +336,7 @@ def reference_theta(pot, ensemble):
     dt = ensemble.time_grid.dt
     k_steps = ensemble.time_grid.n_steps
     y = np.repeat(omega[:, :1], k_steps + 1, axis=1)
-    for _ in range(_THETA_MAX_ITERS):
+    for _ in range(max_sweeps):
         drift = np.empty((ensemble.n_particles, k_steps))
         for k in range(k_steps):
             drift[:, k] = interaction_drift(pot, y[:, k])
@@ -357,38 +352,4 @@ def reference_theta(pot, ensemble):
             "the drift may violate its Lipschitz bound"
         )
     return PathEnsemble(ensemble.time_grid, y, ensemble.increments.copy(),
-                        ensemble.seed)
-
-
-def reference_windowed_theta(pot, ensemble):
-    """The windowed theta map in one process, with the stale rule it had when
-    each drift row kept a copy of the positions it was evaluated at: a node's
-    drift is evaluated again unless np.array_equal finds its positions equal
-    to that copy.  Drifts are called as dynamics.interaction_drift, so that a
-    test can count them."""
-    omega = ensemble.positions.T
-    dt = ensemble.time_grid.dt
-    k_steps = ensemble.time_grid.n_steps
-    y = omega.copy()
-    drift = np.zeros((k_steps, ensemble.n_particles))
-    drift_at = np.full_like(drift, np.nan)  # positions each drift row saw
-    windows = [(lo, min(lo + _THETA_WINDOW, k_steps))
-               for lo in range(0, k_steps, _THETA_WINDOW)]
-    for lo, hi in windows + [(0, k_steps)]:
-        for _ in range(_THETA_MAX_ITERS):
-            for k in range(lo, hi):
-                if not np.array_equal(y[k], drift_at[k]):
-                    drift[k] = dynamics.interaction_drift(pot, y[k])
-                    drift_at[k] = y[k]
-            before = y[lo + 1:hi + 1].copy()
-            np.cumsum(drift, axis=0, out=y[1:])
-            y[1:] *= dt
-            y[1:] += omega[1:]
-            delta = float(np.max(np.abs(y[lo + 1:hi + 1] - before)))
-            if delta <= THETA_TOL or not np.isfinite(delta):
-                break
-        if not delta <= THETA_TOL:
-            raise NoConvergence(f"windowed theta iteration stopped at {delta:.3e} "
-                                f"on steps {lo}..{hi}")
-    return PathEnsemble(ensemble.time_grid, y.T.copy(), ensemble.increments,
                         ensemble.seed)

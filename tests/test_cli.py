@@ -25,6 +25,7 @@ from mfsb import (
     scenario_from_dict,
 )
 from mfsb import _fork, cli, solver
+from mfsb import verify as V
 from mfsb.flowio import FLOW_MAGIC
 from mfsb.dynamics import THETA_MAX_PARTICLES
 from mfsb.scenario import MAX_N_CELLS, MAX_N_STEPS, PARTICLE_STEP_LIMIT
@@ -263,7 +264,8 @@ def _stiff_particles(amplitude, width):
 
 
 def test_stiff_well_rejected_before_particles(tmp_path, capsys, monkeypatch):
-    # hess_sup*dt = 1e10/128: unguarded, theta would miss 5e-10 (exit 1), not exit 2
+    # hess_sup*dt = 1e10/128: unguarded, theta's gap would read 2.1e-5 against
+    # its 5e-10 (exit 1), not exit 2
     monkeypatch.setattr(cli, "simulate_particles", None)  # must not be reached
     scenario = _write(tmp_path, _stiff_particles(1e6, 0.01))
     rc = cli.main(["verify", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
@@ -568,6 +570,24 @@ def test_cli_verify_solves_each_bridge_once_on_demand(tmp_path, monkeypatch,
     assert len(calls) == solves
     report = json.loads((out / "report.json").read_text())
     assert ("solver" in report["environment"]) == (solves > 0)
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_cli_computes_the_relative_energy_profile_once(tmp_path, monkeypatch, command):
+    calls = []
+    relative = V.FreeEnergyGauge.relative
+
+    def counted(self, mu):
+        calls.append(mu)
+        return relative(self, mu)
+
+    monkeypatch.setattr(V.FreeEnergyGauge, "relative", counted)
+    doc = {**MINIMAL, "checks": ["entropy-bound", "turnpike"]}
+    out = tmp_path / "v"
+    assert cli.main([command, "--scenario", str(_write(tmp_path, doc)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    # one call per time node: the checks, or the report, share one profile
+    assert len(calls) == MINIMAL["time"]["n_steps"] + 1
 
 
 @pytest.mark.parametrize("checks, bridge", [(["time-reversal"], "reverse"),

@@ -1,6 +1,5 @@
 import inspect
 import os
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -23,14 +22,13 @@ from mfsb import (
     wasserstein1,
 )
 from mfsb import _fork, cli, dynamics
-from mfsb.dynamics import (_DRIFT_RESOLUTION_LIMIT, _THETA_WINDOW, THETA_TOL,
-                           _fp_banded, _solve_tridiagonal, interaction_drift)
+from mfsb.dynamics import (_DRIFT_RESOLUTION_LIMIT, THETA_TOL, _fp_banded,
+                           _solve_tridiagonal, interaction_drift)
 from mfsb.errors import NoConvergence
 from mfsb.scenario import load_scenario
 from mfsb.verify import check_theta
 from oracles import (dense_drift, empirical_density_w1, kernel_derivative,
-                     mkv_gaussian_variance, path_distance, reference_theta,
-                     reference_windowed_theta, theta_sweep)
+                     mkv_gaussian_variance, path_distance, reference_theta, theta_sweep)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -138,22 +136,16 @@ def test_theta_push_forward_identity(grid256, std_gaussian, tg, pot_name):
 
 
 class DriftLog:
-    """Wraps drifts so that each call appends its process id to a file, from
-    this process and from a forked drift helper alike."""
+    """Wraps drifts so that each call appends its process id to a file, so
+    that a call from any forked process would be counted too."""
 
     def __init__(self, path):
         self.path = path
 
-    def wrap(self, drift, parent_delay=0.0):
-        """drift, logged; in this process each call first sleeps parent_delay
-        seconds, so that a helper takes nodes meanwhile."""
-        parent = os.getpid()
-
+    def wrap(self, drift):
         def logged(pot, x):
             with open(self.path, "ab", buffering=0) as log:  # one appending write
                 log.write(b"%d\n" % os.getpid())
-            if os.getpid() == parent:
-                time.sleep(parent_delay)
             return drift(pot, x)
         return logged
 
@@ -164,14 +156,6 @@ class DriftLog:
 @pytest.fixture
 def drift_log(tmp_path):
     return DriftLog(tmp_path / "drift_calls")
-
-
-def _each_theta_mode(monkeypatch):
-    """Make tanaka_theta see no idle CPU, then one, which it gives a drift
-    helper; yields the name of each mode."""
-    for mode, spare in (("serial", 0), ("helper", 1)):
-        monkeypatch.setattr(_fork, "spare_cpus", lambda spare=spare: spare)
-        yield mode
 
 
 def _assert_no_child():
@@ -186,33 +170,41 @@ def _in_helper(drift, substitute):
     return lambda pot, x: (drift if os.getpid() == parent else substitute)(pot, x)
 
 
+def _refuse_to_fork(monkeypatch):
+    """Give the map an idle CPU, and make every way to fork a child raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("tanaka_theta forked")
+    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+    monkeypatch.setattr(_fork, "Child", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+
+
 @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s["kind"])
-def test_windowed_theta_is_the_global_picard_fixed_point(std_gaussian, tg, spec,
-                                                         monkeypatch, time_bound):
+def test_windowed_theta_is_the_global_picard_fixed_point(std_gaussian, tg, spec):
+    # forward substitution is Picard iteration on windows of one step, each
+    # settled by its first sweep: the result is the global fixed point bitwise
     pot = InteractionPotential.from_spec(spec)
     noise = noise_ensemble(simulate_particles(pot, std_gaussian, tg, 64, seed=17))
+    mapped = tanaka_theta(pot, noise).positions
+    assert theta_sweep(pot, noise, mapped).tobytes() == mapped.tobytes()
     reference = reference_theta(pot, noise).positions
-    for _ in _each_theta_mode(monkeypatch):
-        mapped = tanaka_theta(pot, noise).positions
-        assert np.max(np.abs(mapped - reference)) <= 2 * THETA_TOL
-        # the global stopping test of plain Picard iteration holds at the result
-        assert np.max(np.abs(theta_sweep(pot, noise, mapped) - mapped)) <= THETA_TOL
-        _assert_no_child()
+    assert np.max(np.abs(mapped - reference)) <= 2 * THETA_TOL
 
 
 @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s["kind"])
 def test_helper_theta_is_bitwise_the_serial_one(std_gaussian, spec, monkeypatch,
-                                                drift_log, time_bound):
+                                                drift_log):
+    # an idle CPU, which a drift helper could take, changes nothing: the map
+    # forks no process and returns the bytes it returns without one
     pot = InteractionPotential.from_spec(spec)
     noise = noise_ensemble(simulate_particles(pot, std_gaussian, TimeGrid(1.0, 24),
                                               48, seed=29))
     monkeypatch.setattr(_fork, "spare_cpus", lambda: 0)
     serial = tanaka_theta(pot, noise).positions
-    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
-    monkeypatch.setattr(dynamics, "interaction_drift",
-                        drift_log.wrap(interaction_drift, parent_delay=1e-3))
+    _refuse_to_fork(monkeypatch)
+    monkeypatch.setattr(dynamics, "interaction_drift", drift_log.wrap(interaction_drift))
     helped = tanaka_theta(pot, noise).positions
-    assert len(set(drift_log.pids())) == 2  # the helper evaluated nodes
+    assert drift_log.pids() == [os.getpid()] * 24
     assert helped.shape == serial.shape and helped.flags.c_contiguous
     assert helped.tobytes() == serial.tobytes()
     _assert_no_child()
@@ -224,55 +216,27 @@ def _shipped_particles():
                                             sc.n_particles, sc.seed)
 
 
-def test_theta_drift_calls_on_the_shipped_particle_scenario(monkeypatch, tmp_path,
-                                                            time_bound):
+def test_theta_drift_calls_on_the_shipped_particle_scenario(monkeypatch, drift_log):
     pot, ens = _shipped_particles()
-    noise = noise_ensemble(ens)
-    calls = {}
-    for mode in _each_theta_mode(monkeypatch):
-        log = DriftLog(tmp_path / mode)
-        monkeypatch.setattr(dynamics, "interaction_drift", log.wrap(interaction_drift))
-        tanaka_theta(pot, noise)
-        calls[mode] = len(log.pids())
-    # the helper's calls count too; plain Picard over the whole horizon
-    # makes 10 sweeps of 128 calls here
-    assert calls["helper"] == calls["serial"] <= 600
+    monkeypatch.setattr(dynamics, "interaction_drift", drift_log.wrap(interaction_drift))
+    tanaka_theta(pot, noise_ensemble(ens))
+    # one call per step, all in this process
+    assert ens.time_grid.n_steps == 128
+    assert drift_log.pids() == [os.getpid()] * 128
 
 
-@pytest.mark.parametrize("case", ["shipped scenario", "16 particles"])
-def test_theta_stale_flags_keep_the_copy_rule(monkeypatch, tmp_path, std_gaussian, tg,
-                                              pot_well, time_bound, case):
-    if case == "shipped scenario":
-        pot, ens = _shipped_particles()
-    else:
-        pot, ens = pot_well, simulate_particles(pot_well, std_gaussian, tg, 16, seed=11)
-    noise = noise_ensemble(ens)
-    log = DriftLog(tmp_path / "reference")
-    monkeypatch.setattr(dynamics, "interaction_drift", log.wrap(interaction_drift))
-    reference = reference_windowed_theta(pot, noise).positions
-    reference_calls = len(log.pids())
-    for mode in _each_theta_mode(monkeypatch):
-        log = DriftLog(tmp_path / mode)
-        monkeypatch.setattr(dynamics, "interaction_drift", log.wrap(interaction_drift))
-        mapped = tanaka_theta(pot, noise).positions
-        assert mapped.tobytes() == reference.tobytes(), mode
-        assert len(log.pids()) == reference_calls, mode
-        _assert_no_child()
-
-
-def test_theta_check_stays_within_its_memory_budget(monkeypatch, time_bound):
+def test_theta_check_stays_within_its_memory_budget():
     pot, ens = _shipped_particles()
-    for mode in _each_theta_mode(monkeypatch):
-        tracemalloc.start()
-        try:
-            check_theta(pot, ens)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the noise paths, the certifying sweep's change and the map's result,
-        # or the noise paths and numpy's ufunc buffers (3 x 64 KiB, about
-        # three path arrays at 64 particles); the shared mapping is not traced
-        assert peak <= 4.5 * ens.positions.nbytes, (mode, peak / ens.positions.nbytes)
+    tracemalloc.start()
+    try:
+        check_theta(pot, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the noise paths, the map's node-major paths and their particle-major
+    # copy, and the gap; or the noise paths and numpy's ufunc buffers
+    # (3 x 64 KiB, about three path arrays at 64 particles)
+    assert peak <= 4.5 * ens.positions.nbytes, peak / ens.positions.nbytes
 
 
 def test_noise_paths_and_the_map_share_the_read_only_increments(pot_well, std_gaussian,
@@ -287,65 +251,32 @@ def test_noise_paths_and_the_map_share_the_read_only_increments(pot_well, std_ga
     assert noise.positions.tobytes() == expected.tobytes()
 
 
-def test_theta_stall_names_its_window(monkeypatch, std_gaussian, tg, pot_zero,
-                                      tmp_path, time_bound):
-    noise = noise_ensemble(simulate_particles(pot_zero, std_gaussian, tg, 4, seed=5))
-    for mode in _each_theta_mode(monkeypatch):
-        log = DriftLog(tmp_path / mode)
-        monkeypatch.setattr(dynamics, "interaction_drift",
-                            log.wrap(lambda pot, x: np.full_like(x, np.nan)))
-        with pytest.raises(NoConvergence,
-                           match=r"window \[0, 0\.0625\].*last sweep change nan"):
-            tanaka_theta(pot_zero, noise)
-        assert len(log.pids()) <= _THETA_WINDOW
-        _assert_no_child()
+@pytest.mark.parametrize("step", [0, 5, 127])
+def test_theta_stall_names_its_step(monkeypatch, std_gaussian, tg, pot_well, drift_log,
+                                    step):
+    noise = noise_ensemble(simulate_particles(pot_well, std_gaussian, tg, 4, seed=5))
+    calls = []
 
-
-def test_theta_stall_on_a_nan_drift_from_the_helper(monkeypatch, std_gaussian, tg,
-                                                    pot_zero, drift_log, time_bound):
-    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
-    noise = noise_ensemble(simulate_particles(pot_zero, std_gaussian, tg, 4, seed=5))
-    nan_in_helper = _in_helper(interaction_drift, lambda pot, x: np.full_like(x, np.nan))
-    monkeypatch.setattr(dynamics, "interaction_drift",
-                        drift_log.wrap(nan_in_helper, parent_delay=0.05))
+    def nan_from_step(pot, x):
+        calls.append(None)
+        drift = interaction_drift(pot, x)
+        return np.full_like(x, np.nan) if len(calls) > step else drift
+    monkeypatch.setattr(dynamics, "interaction_drift", drift_log.wrap(nan_from_step))
     with pytest.raises(NoConvergence,
-                       match=r"window \[0, 0\.0625\].*last sweep change nan"):
-        tanaka_theta(pot_zero, noise)
-    pids = drift_log.pids()
-    assert len(pids) == _THETA_WINDOW and len(set(pids)) == 2
-    _assert_no_child()
+                       match=rf"step {step} of 128 \(time {step * tg.dt:.6g}\): "
+                             "the drift or the path is not finite"):
+        tanaka_theta(pot_well, noise)
+    assert len(drift_log.pids()) == step + 1
 
 
-@pytest.mark.parametrize("where", ["helper", "parent"])
-def test_a_drift_exception_leaves_no_helper(monkeypatch, std_gaussian, tg, pot_well,
-                                            drift_log, time_bound, where):
-    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
+def test_a_drift_exception_leaves_no_helper(monkeypatch, std_gaussian, tg, pot_well):
     noise = noise_ensemble(simulate_particles(pot_well, std_gaussian, tg, 8, seed=5))
+    _refuse_to_fork(monkeypatch)
 
     def broken(pot, x):
-        raise ValueError(f"drift broke in the {where}")
-    drift = (_in_helper(interaction_drift, broken) if where == "helper"
-             else _in_helper(broken, interaction_drift))
-    monkeypatch.setattr(dynamics, "interaction_drift",
-                        drift_log.wrap(drift, parent_delay=0.01))
-    with pytest.raises(ValueError, match=f"drift broke in the {where}") as raised:
-        tanaka_theta(pot_well, noise)
-    if where == "helper":
-        # raised here, chained to the helper's traceback
-        assert "raise ValueError" in str(raised.value.__cause__)
-    _assert_no_child()
-
-
-def test_a_helper_that_dies_without_answering_leaves_no_child(monkeypatch, std_gaussian,
-                                                             tg, pot_well, drift_log,
-                                                             time_bound):
-    monkeypatch.setattr(_fork, "spare_cpus", lambda: 1)
-    noise = noise_ensemble(simulate_particles(pot_well, std_gaussian, tg, 8, seed=5))
-    dead = _in_helper(interaction_drift, lambda pot, x: os._exit(7))
-    monkeypatch.setattr(dynamics, "interaction_drift",
-                        drift_log.wrap(dead, parent_delay=0.01))
-    with pytest.raises(RuntimeError,
-                       match=r"child \d+ \(_evaluate_queued\) sent no result \(exit status 7\)"):
+        raise ValueError("drift broke")
+    monkeypatch.setattr(dynamics, "interaction_drift", broken)
+    with pytest.raises(ValueError, match="drift broke"):
         tanaka_theta(pot_well, noise)
     _assert_no_child()
 
@@ -355,22 +286,23 @@ def test_a_helper_that_dies_without_answering_leaves_no_child(monkeypatch, std_g
     ("serial", "returns"), ("helper", "returns"), ("serial", "nan drift"),
     ("helper", "nan drift"), ("helper", "helper dies")])
 def test_theta_closes_every_descriptor_it_opens(monkeypatch, std_gaussian, tg, pot_well,
-                                                drift_log, time_bound, mode, ending):
+                                                drift_log, mode, ending):
+    # "helper" gives the map an idle CPU; "helper dies" is a drift that ends
+    # every process but this one, so the map returns because it forks none
     monkeypatch.setattr(_fork, "spare_cpus", lambda: {"serial": 0, "helper": 1}[mode])
     noise = noise_ensemble(simulate_particles(pot_well, std_gaussian, tg, 8, seed=5))
     drift = {"returns": interaction_drift,
              "nan drift": lambda pot, x: np.full_like(x, np.nan),
              "helper dies": _in_helper(interaction_drift, lambda pot, x: os._exit(7))}
-    monkeypatch.setattr(dynamics, "interaction_drift",
-                        drift_log.wrap(drift[ending], parent_delay=1e-3))
+    monkeypatch.setattr(dynamics, "interaction_drift", drift_log.wrap(drift[ending]))
     before = sorted(os.listdir("/proc/self/fd"))
-    if ending == "returns":
-        tanaka_theta(pot_well, noise)
-    else:
-        with pytest.raises(NoConvergence if ending == "nan drift" else RuntimeError):
+    if ending == "nan drift":
+        with pytest.raises(NoConvergence):
             tanaka_theta(pot_well, noise)
+    else:
+        tanaka_theta(pot_well, noise)
     assert sorted(os.listdir("/proc/self/fd")) == before
-    assert len(set(drift_log.pids())) == {"serial": 1, "helper": 2}[mode]
+    assert set(drift_log.pids()) == {os.getpid()}
     _assert_no_child()
 
 
