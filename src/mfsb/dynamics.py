@@ -52,9 +52,11 @@ def interaction_drift(pot: InteractionPotential, x: np.ndarray,
                       chunk: int = 64) -> np.ndarray:
     """Empirical drift -(1/N) sum_j W'(x_i - x_j) for every particle.
 
-    Each pair is summed once, in blocks of chunk rows.
+    x is copied to a contiguous array first: the simulator passes a strided
+    column of its path array.  A dense kernel evaluates each pair once, in
+    blocks of chunk rows, and applies its amplitude once to the total.
     """
-    return pot.drift(np.asarray(x, dtype=float), chunk)
+    return pot.drift(np.ascontiguousarray(x, dtype=float), chunk)
 
 
 def _particle_streams(seed: int, n_particles: int):

@@ -10,12 +10,13 @@ density or a stack of density rows and are direct double sums over pairwise
 tables of w, dw and d2w; at the grid sizes used here that is cheap and
 avoids periodic wrap-around artifacts on the truncated domain.  ``drift``
 is the empirical particle counterpart of ``force``: the self-interaction of
-one particle cloud, with each pair's W' evaluated once in cache-sized row
-blocks, since W' is odd.
+one particle cloud.  The quadratic kernel's drift is closed form; the
+gaussian well evaluates each pair's z*exp(-z^2/2s^2) once, in cache-sized
+row blocks since W' is odd, and applies a/s^2 once to the total.
 
-To add a potential, write one subclass that supplies ``w``, ``dw``, ``d2w``
-and ``to_spec``, plus a constructor and its ``from_spec`` entry.  Closed
-forms are optional: a subclass may override any grid action, as the
+To add a potential, write one subclass that supplies ``w``, ``dw``, ``d2w``,
+``drift`` and ``to_spec``, plus a constructor and its ``from_spec`` entry.
+Closed forms are optional: a subclass may override any grid action, as the
 quadratic kernel does where its double sums telescope.
 """
 
@@ -124,18 +125,10 @@ class InteractionPotential:
     def drift(self, x: np.ndarray, block: int) -> np.ndarray:
         """Empirical drift -(1/N) sum_j W'(x_i - x_j) of the cloud x on itself.
 
-        Row block [lo, hi) evaluates W' once on x[lo:hi] - x[lo:]: its row
-        sums go to rows lo:hi and, W' being odd, its column sums past hi are
-        subtracted from rows hi:.
+        x is contiguous; block is the number of rows a dense pair sum may
+        evaluate at once.
         """
-        total = np.zeros_like(x)
-        for lo in range(0, x.size, block):
-            hi = min(lo + block, x.size)
-            pairs = self.dw(x[lo:hi, None] - x[None, lo:])
-            total[lo:hi] += pairs.sum(axis=1)
-            total[hi:] -= pairs[:, hi - lo:].sum(axis=0)
-        total *= -1.0 / x.size
-        return total
+        raise NotImplementedError
 
 
 class _Quadratic(InteractionPotential):
@@ -197,15 +190,37 @@ class _GaussianWell(InteractionPotential):
         return a * (1.0 - np.exp(-(z**2) / (2.0 * s**2)))
 
     def dw(self, z):
-        # in place in one buffer: the particle drift calls this on every block
         z = np.asarray(z, dtype=float)
         a, s = self.params
-        t = np.multiply(z, z, out=np.empty_like(z))  # an array even for 0-d z
-        t *= -0.5 / s**2
-        np.exp(t, out=t)
-        t *= z
-        t *= a / s**2
-        return t
+        return np.exp(z * z * (-0.5 / s**2)) * z * (a / s**2)
+
+    def drift(self, x, block):
+        """Each pair's z*exp(-z^2/2s^2) is evaluated once; a/s^2 is applied once.
+
+        Row block [lo, hi) evaluates the pairs x[lo:hi] - x[lo:] in views of
+        two buffers allocated once per call: their row sums go to rows lo:hi
+        and, W' being odd, their column sums past hi are subtracted from
+        rows hi:.  The total is scaled by -(a/s^2)/N at the end.
+        """
+        a, s = self.params
+        n = x.size
+        z_buf = np.empty(min(block, n) * n)
+        t_buf = np.empty_like(z_buf)
+        total = np.zeros_like(x)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            z = z_buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+            t = t_buf[:z.size].reshape(z.shape)
+            np.copyto(z, x[lo:hi, None])
+            z -= x[None, lo:]
+            np.multiply(z, z, out=t)
+            t *= -0.5 / s**2
+            np.exp(t, out=t)
+            t *= z
+            total[lo:hi] += t.sum(axis=1)
+            total[hi:] -= t[:, hi - lo:].sum(axis=0)
+        total *= -(a / s**2) / n
+        return total
 
     def d2w(self, z):
         z = np.asarray(z, dtype=float)

@@ -50,11 +50,15 @@ BLOCK = inspect.signature(interaction_drift).parameters["chunk"].default
 @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 600])
 def test_interaction_drift_matches_dense_pair_sum(spec, n):
     pot = InteractionPotential.from_spec(spec)
-    x = np.random.default_rng(n).normal(0.0, 1.5, n)
-    expected = dense_drift(spec, x)
-    for chunk in (1, 7, BLOCK - 1, BLOCK, n + 5):
-        assert np.allclose(interaction_drift(pot, x, chunk=chunk), expected,
-                           rtol=0, atol=1e-13)
+    rng = np.random.default_rng(n)
+    # the second input is a strided column, as the simulator passes positions[:, k]
+    for x in (rng.normal(0.0, 1.5, n), rng.normal(0.0, 1.5, (n, 3))[:, 1]):
+        expected = dense_drift(spec, x)
+        for chunk in (1, 7, BLOCK - 1, BLOCK, n + 5):
+            drift = interaction_drift(pot, x, chunk=chunk)
+            assert np.allclose(drift, expected, rtol=0, atol=1e-13)
+            assert np.array_equal(
+                drift, interaction_drift(pot, np.ascontiguousarray(x), chunk=chunk))
 
 
 @settings(max_examples=40, deadline=None)
