@@ -21,6 +21,7 @@ from . import __version__
 # importable as mfsb.cli.mkv_flow, a name bench/spans.py wraps
 from .dynamics import mkv_flow, simulate_particles  # noqa: F401
 from .errors import MFSBError, NoConvergence, ScenarioError
+from .functionals import corrector_energy
 from .grids import TimeGrid
 from .scenario import Scenario, load_scenario
 from .solver import cancel_ahead, optimality_residual, solve_ahead, solve_mfsb
@@ -86,6 +87,10 @@ class _Run:
     @cached_property
     def energies(self):
         return V.flow_relative_energies(self.sol, self.gauge)
+
+    @cached_property
+    def conserved(self):
+        return V.conserved_profile(self.sol, self.pot)
 
     @property
     def mkv(self):
@@ -210,20 +215,20 @@ def _verify(run: _Run, out: Path, fmt: str) -> int:
 def _cmd_report(run: _Run, out: Path, fmt: str) -> int:
     sol = run.sol
     ts = run.scenario.time_grid.nodes
-    f_rel, envelope = V.entropy_envelope(sol, run.pot, run.gauge, energies=run.energies)
-    energy = V.corrector_energy(sol)
+    envelope = V.entropy_envelope(sol, run.pot, run.energies)
+    energy = corrector_energy(sol.corrector, sol.flow)
     cumulative = np.concatenate([[0.0], np.cumsum(
         0.5 * (energy[1:] + energy[:-1]) * run.scenario.time_grid.dt)])
     flowio.save_matrix(out / "free_energy_profile.csv", "free_energy",
-                       np.column_stack([ts, f_rel, envelope]), "csv")
+                       np.column_stack([ts, run.energies, envelope]), "csv")
     flowio.save_matrix(out / "corrector_energy.csv", "corrector_energy",
                        np.column_stack([ts, energy, cumulative]), "csv")
-    prof = V.conserved_profile(sol, run.pot)
+    prof = run.conserved
     flowio.save_matrix(out / "conserved_profile.csv", "conserved",
                        np.column_stack([prof.times, prof.values]), "csv")
 
     if run.plots:
-        _write_plots(out, ts, f_rel, envelope, energy, prof)
+        _write_plots(out, ts, run.energies, envelope, energy, prof)
     _write_manifest(out, run.scenario, "report", fmt, extra={"cost": sol.cost})
     return EXIT_OK if sol.diagnostics["converged"] else EXIT_NO_CONVERGENCE
 

@@ -165,13 +165,16 @@ def corrector(flow: MarginalFlow, velocity: GridField,
     return GridField(flow.time_grid, flow.grid, velocity.values + 0.5 * score + force)
 
 
-def entropic_cost(psi: GridField, flow: MarginalFlow) -> float:
-    """Cost (1/2) int int |Psi|^2 dmu dt, trapezoidal in time, midpoint in space."""
+def corrector_energy(psi: GridField, flow: MarginalFlow) -> np.ndarray:
+    """Slicewise (1/2) int |Psi|^2 dmu, midpoint in space."""
     if psi.values.shape != flow.values.shape:
         raise GridMismatch("corrector and flow shapes differ")
-    tw = flow.time_grid.trapezoid_weights
-    slicewise = 0.5 * np.sum(psi.values**2 * flow.values, axis=1) * flow.grid.dx
-    return float(np.sum(tw * slicewise))
+    return 0.5 * np.sum(psi.values**2 * flow.values, axis=1) * flow.grid.dx
+
+
+def entropic_cost(psi: GridField, flow: MarginalFlow) -> float:
+    """Cost (1/2) int int |Psi|^2 dmu dt, trapezoidal in time, midpoint in space."""
+    return float(np.sum(flow.time_grid.trapezoid_weights * corrector_energy(psi, flow)))
 
 
 def backward_corrector(psi: GridField, flow: MarginalFlow,

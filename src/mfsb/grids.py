@@ -69,8 +69,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
+        # 2·horizon, the doubled horizon of turnpike-rate, is finite too
+        if not 0 < self.horizon <= sys.float_info.max / 2:
+            raise ValueError(f"horizon must be positive with 2*horizon finite, "
+                             f"got {self.horizon}")
         if self.n_steps < 4:
             raise ValueError(f"n_steps must be at least 4, got {self.n_steps}")
 

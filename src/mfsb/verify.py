@@ -17,8 +17,10 @@ import numpy as np
 from .dynamics import THETA_TOL, PathEnsemble, noise_ensemble, tanaka_theta
 from .functionals import (
     BridgeSolution,
+    ConservedProfile,
     backward_corrector,
     conserved_quantity_profile,
+    corrector_energy,
     equilibrium,
     fisher_information,
     free_energy,
@@ -148,12 +150,6 @@ def _pointwise_cost_coeff(kappa: float, horizon: float, t: float) -> float:
     return 2.0 * kappa / np.expm1(2.0 * kappa * (horizon - t))
 
 
-def corrector_energy(sol: BridgeSolution) -> np.ndarray:
-    """Slicewise (1/2) integral of |Psi|^2 dmu."""
-    return 0.5 * np.sum(sol.corrector.values**2 * sol.flow.values, axis=1) \
-        * sol.flow.grid.dx
-
-
 def _require_convex(pot: InteractionPotential, check: str):
     if pot.kappa <= 0:
         raise ValueError(f"{check} requires a uniformly convex potential (kappa > 0)")
@@ -164,9 +160,8 @@ def conserved_profile(sol: BridgeSolution, pot: InteractionPotential):
     return conserved_quantity_profile(sol.corrector, psi_hat, sol.flow)
 
 
-def check_conserved(sol: BridgeSolution, pot: InteractionPotential) -> CheckEntry:
+def check_conserved(prof: ConservedProfile) -> CheckEntry:
     """Interior spread of the forward-backward corrector pairing."""
-    prof = conserved_profile(sol, pot)
     return CheckEntry(
         "conserved",
         lhs=prof.spread,
@@ -177,11 +172,10 @@ def check_conserved(sol: BridgeSolution, pot: InteractionPotential) -> CheckEntr
 
 
 def check_conserved_bound(sol: BridgeSolution, pot: InteractionPotential,
-                          gauge: FreeEnergyGauge, *,
+                          gauge: FreeEnergyGauge, prof: ConservedProfile, *,
                           cost_reverse: float | None = None) -> CheckEntry:
     """|E| against the two-directional cost geometric mean, decayed in T."""
     _require_convex(pot, "conserved-bound")
-    prof = conserved_profile(sol, pot)
     horizon = sol.flow.time_grid.horizon
     if cost_reverse is None:
         # reverse cost from the time-reversal identity
@@ -212,54 +206,47 @@ def flow_relative_energies(sol: BridgeSolution, gauge: FreeEnergyGauge) -> np.nd
 
 
 def entropy_envelope(sol: BridgeSolution, pot: InteractionPotential,
-                     gauge: FreeEnergyGauge, *, energies: np.ndarray | None = None):
-    """Relative free energy at each time node, and its exponential envelope.
-
-    energies, when given, is flow_relative_energies(sol, gauge), computed once
-    for every check that reads it."""
+                     energies: np.ndarray) -> np.ndarray:
+    """Exponential envelope of the relative free energies at the time nodes."""
     tg = sol.flow.time_grid
-    f = flow_relative_energies(sol, gauge) if energies is None else energies
     c1 = np.array([_exp_coeff_start(pot.kappa, tg.horizon, t) for t in tg.nodes])
     c3 = np.array([_exp_coeff_cost(pot.kappa, tg.horizon, t) for t in tg.nodes])
-    return f, c1 * f[0] + (1.0 - c1) * f[-1] - c3 * sol.cost
+    return c1 * energies[0] + (1.0 - c1) * energies[-1] - c3 * sol.cost
 
 
 def check_entropy_bound(sol: BridgeSolution, pot: InteractionPotential,
-                        gauge: FreeEnergyGauge, *,
-                        energies: np.ndarray | None = None) -> CheckEntry:
+                        energies: np.ndarray) -> CheckEntry:
     """Free energy along the flow under its exponential convex envelope."""
     ts = sol.flow.time_grid.nodes
-    f, rhs = entropy_envelope(sol, pot, gauge, energies=energies)
-    slack = rhs - f
+    rhs = entropy_envelope(sol, pot, energies)
+    slack = rhs - energies
     k = int(np.argmin(slack[1:-1])) + 1
     return CheckEntry(
         "entropy-bound",
-        lhs=f[k],
+        lhs=energies[k],
         rhs=rhs[k],
         tolerance=CHECK_TOL,
         detail={"worst_node": k, "time": float(ts[k]),
-                "f_start": f[0], "f_end": f[-1], "cost": sol.cost},
+                "f_start": energies[0], "f_end": energies[-1], "cost": sol.cost},
     )
 
 
 def check_turnpike(sol: BridgeSolution, pot: InteractionPotential,
-                   gauge: FreeEnergyGauge, *,
-                   energies: np.ndarray | None = None) -> CheckEntry:
+                   energies: np.ndarray, prof: ConservedProfile) -> CheckEntry:
     """Hyperbolic-sine envelope built from the conserved quantity."""
     _require_convex(pot, "turnpike")
     tg = sol.flow.time_grid
     ts, horizon, kap = tg.nodes, tg.horizon, pot.kappa
-    f = flow_relative_energies(sol, gauge) if energies is None else energies
-    e_const = conserved_profile(sol, pot).mean
+    e_const = prof.mean
     sh = np.sinh
     base = e_const / (2.0 * kap)
-    rhs = (sh(2 * kap * (horizon - ts)) / sh(2 * kap * horizon) * (f[0] - base)
-           + sh(2 * kap * ts) / sh(2 * kap * horizon) * (f[-1] - base) + base)
-    slack = rhs - f
+    rhs = (sh(2 * kap * (horizon - ts)) / sh(2 * kap * horizon) * (energies[0] - base)
+           + sh(2 * kap * ts) / sh(2 * kap * horizon) * (energies[-1] - base) + base)
+    slack = rhs - energies
     k = int(np.argmin(slack[1:-1])) + 1
     return CheckEntry(
         "turnpike",
-        lhs=f[k],
+        lhs=energies[k],
         rhs=rhs[k],
         tolerance=CHECK_TOL,
         detail={"worst_node": k, "time": float(ts[k]), "conserved": e_const},
@@ -333,7 +320,7 @@ def check_talagrand_equilibrium(sol: BridgeSolution, pot: InteractionPotential,
 
 
 def check_hwi(sol: BridgeSolution, pot: InteractionPotential,
-              gauge: FreeEnergyGauge) -> CheckEntry:
+              gauge: FreeEnergyGauge, prof: ConservedProfile) -> CheckEntry:
     """Free energy against Fisher information, conserved quantity and cost.
 
     Requires the final density to be the equilibrium.  The Fisher information
@@ -346,7 +333,7 @@ def check_hwi(sol: BridgeSolution, pot: InteractionPotential,
     mu_in = sol.flow.density(0)
     f_in = gauge.relative(mu_in)
     fisher = fisher_information(pot, mu_in)
-    e_const = conserved_profile(sol, pot).mean
+    e_const = prof.mean
     inner = fisher * (0.25 * fisher - e_const)
     damp = -np.expm1(-2.0 * kap * horizon)
     rhs = damp / (2.0 * kap) * np.sqrt(max(inner, 0.0)) - damp * sol.cost
@@ -413,7 +400,7 @@ def check_corrector_bounds(sol: BridgeSolution, pot: InteractionPotential):
     """Partial-time and pointwise-in-time corrector energy bounds."""
     tg = sol.flow.time_grid
     kap, horizon = pot.kappa, tg.horizon
-    energy = corrector_energy(sol)
+    energy = corrector_energy(sol.corrector, sol.flow)
     tw = tg.trapezoid_weights
     worst_partial = None
     worst_point = None
@@ -489,8 +476,8 @@ class Check(NamedTuple):
     its entries read ("reverse", "doubled-horizon"), so that verify can
     start solving them before the first check runs.  entries maps a run,
     which computes sol, sol_reverse, sol_double, residual, gauge, energies
-    (flow_relative_energies of sol), mkv and ensemble on first use, to the
-    check's entries.
+    (flow_relative_energies of sol), conserved (conserved_profile of sol),
+    mkv and ensemble on first use, to the check's entries.
     """
 
     assumes: str | None
@@ -500,20 +487,22 @@ class Check(NamedTuple):
 
 # Check functions are looked up by name at call time.
 CHECKS = {
-    "conserved": Check("convexity", (), lambda r: [check_conserved(r.sol, r.pot)]),
+    "conserved": Check("convexity", (), lambda r: [check_conserved(r.conserved)]),
     "conserved-bound": Check("convexity", ("reverse",), lambda r: [
-        check_conserved_bound(r.sol, r.pot, r.gauge, cost_reverse=r.sol_reverse.cost)]),
+        check_conserved_bound(r.sol, r.pot, r.gauge, r.conserved,
+                              cost_reverse=r.sol_reverse.cost)]),
     "entropy-bound": Check("classical-limit", (), lambda r: [
-        check_entropy_bound(r.sol, r.pot, r.gauge, energies=r.energies)]),
+        check_entropy_bound(r.sol, r.pot, r.energies)]),
     "turnpike": Check("convexity", (), lambda r: [
-        check_turnpike(r.sol, r.pot, r.gauge, energies=r.energies)]),
+        check_turnpike(r.sol, r.pot, r.energies, r.conserved)]),
     "turnpike-rate": Check("convexity", ("doubled-horizon",), lambda r: [
         turnpike_rate(r.sol, r.sol_double, r.pot, r.gauge)]),
     "talagrand": Check("convexity", (), lambda r: [
         check_talagrand(r.sol, r.pot, r.gauge)]),
     "talagrand-equilibrium": Check("convexity", (), lambda r: [
         check_talagrand_equilibrium(r.sol, r.pot, r.gauge)]),
-    "hwi": Check("convexity", (), lambda r: [check_hwi(r.sol, r.pot, r.gauge)]),
+    "hwi": Check("convexity", (), lambda r: [
+        check_hwi(r.sol, r.pot, r.gauge, r.conserved)]),
     "mkv-distance": Check("convexity", (), lambda r: [check_mkv_distance(
         r.sol, r.pot, r.gauge, r.mkv, strict_w2=r.strict_w2)]),
     "corrector-bounds": Check("classical-limit", (),

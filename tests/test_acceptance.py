@@ -65,7 +65,7 @@ def test_criterion_03_mkv_optimality(mkv_pair):
 
 
 def test_criterion_04_conserved_quantity(sol_asym, pot_quad05):
-    entry = V.check_conserved(sol_asym, pot_quad05)
+    entry = V.check_conserved(V.conserved_profile(sol_asym, pot_quad05))
     _report("criterion-04 conserved pairing",
             entry.passed,
             f"interior spread {entry.lhs:.2e} <= {entry.rhs:.2e} "
@@ -86,19 +86,24 @@ def test_criterion_06_inequality_suite(sol_asym, sol_asym_rev, sol_relax,
     mu_in, _ = asym_endpoints
     mkv_asym = mkv_flow(pot_quad05, mu_in, sol_asym.flow.time_grid)
     mkv_in, mkv_flow_ref, sol_mkv = mkv_pair
+    prof_asym = V.conserved_profile(sol_asym, pot_quad05)
+    energies_asym = V.flow_relative_energies(sol_asym, gauge)
 
     entries = [
         V.check_talagrand(sol_asym, pot_quad05, gauge),
         V.check_talagrand_equilibrium(sol_relax, pot_quad05, gauge),
-        V.check_entropy_bound(sol_asym, pot_quad05, gauge),
-        V.check_entropy_bound(sol_mkv, pot_quad05, gauge),
-        V.check_entropy_bound(sol_classical, pot_zero, gauge0),
-        V.check_turnpike(sol_asym, pot_quad05, gauge),
+        V.check_entropy_bound(sol_asym, pot_quad05, energies_asym),
+        V.check_entropy_bound(sol_mkv, pot_quad05,
+                              V.flow_relative_energies(sol_mkv, gauge)),
+        V.check_entropy_bound(sol_classical, pot_zero,
+                              V.flow_relative_energies(sol_classical, gauge0)),
+        V.check_turnpike(sol_asym, pot_quad05, energies_asym, prof_asym),
         *V.check_corrector_bounds(sol_asym, pot_quad05),
         *V.check_corrector_bounds(sol_classical, pot_zero),
-        V.check_conserved_bound(sol_asym, pot_quad05, gauge,
+        V.check_conserved_bound(sol_asym, pot_quad05, gauge, prof_asym,
                                 cost_reverse=sol_asym_rev.cost),
-        V.check_hwi(sol_relax, pot_quad05, gauge),
+        V.check_hwi(sol_relax, pot_quad05, gauge,
+                    V.conserved_profile(sol_relax, pot_quad05)),
         V.check_mkv_distance(sol_asym, pot_quad05, gauge, mkv_asym),
         V.check_mkv_distance(sol_mkv, pot_quad05, gauge, mkv_flow_ref),
     ]

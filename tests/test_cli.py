@@ -101,6 +101,8 @@ MALFORMED = {
     "wide-half-width": (("grid", "half_width"), 1e200, "density has no mass"),
     "infinite-horizon": (("time", "horizon"), INF, "horizon"),
     "nan-horizon": (("time", "horizon"), NAN, "horizon"),
+    # finite, but 2·horizon, the horizon of turnpike-rate's second bridge, is not
+    "overflowing-horizon": (("time", "horizon"), 1e308, "horizon"),
     "histogram-length": (("mu_in",), {"kind": "histogram", "values": [1.0] * 10},
                          "expected 64 values"),
     "boolean-seed": (("seed",), True, "seed"),
@@ -175,6 +177,15 @@ def test_malformed_scenario_is_parse_error(tmp_path, case):
     path, value, message = MALFORMED[case]
     with pytest.raises(ParseError, match=message):
         load_scenario(_write(tmp_path, _with(path, value)))
+
+
+def test_overflowing_horizon_exits_2_without_a_traceback(tmp_path, capsys):
+    doc = {**_with(("time", "horizon"), 1e308), "checks": ["turnpike-rate"]}
+    rc = cli.main(["verify", "--scenario", str(_write(tmp_path, doc)),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION == 2
+    assert "2*horizon finite" in err and "Traceback" not in err
 
 
 def _leaves(node, path=()):
@@ -576,18 +587,27 @@ def test_cli_verify_solves_each_bridge_once_on_demand(tmp_path, monkeypatch,
 def test_cli_computes_the_relative_energy_profile_once(tmp_path, monkeypatch, command):
     calls = []
     relative = V.FreeEnergyGauge.relative
+    backward = V.backward_corrector
+    backward_calls = []
 
     def counted(self, mu):
         calls.append(mu)
         return relative(self, mu)
 
+    def counted_backward(*args):
+        backward_calls.append(args)
+        return backward(*args)
+
     monkeypatch.setattr(V.FreeEnergyGauge, "relative", counted)
-    doc = {**MINIMAL, "checks": ["entropy-bound", "turnpike"]}
+    monkeypatch.setattr(V, "backward_corrector", counted_backward)
+    doc = {**MINIMAL, "checks": ["entropy-bound", "turnpike", "conserved"]}
     out = tmp_path / "v"
     assert cli.main([command, "--scenario", str(_write(tmp_path, doc)),
                      "--out", str(out)]) == cli.EXIT_OK
     # one call per time node: the checks, or the report, share one profile
     assert len(calls) == MINIMAL["time"]["n_steps"] + 1
+    # and one conserved profile, built from one backward corrector
+    assert len(backward_calls) == 1
 
 
 @pytest.mark.parametrize("checks, bridge", [(["time-reversal"], "reverse"),

@@ -31,10 +31,7 @@ DEFAULTS = {
     "verify.CheckEntry": {"detail"},
     "verify.VerificationReport": {"environment"},
     "verify.check_conserved_bound": {"cost_reverse"},
-    "verify.check_entropy_bound": {"energies"},
     "verify.check_mkv_distance": {"strict_w2"},
-    "verify.check_turnpike": {"energies"},
-    "verify.entropy_envelope": {"energies"},
 }
 
 

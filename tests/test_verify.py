@@ -27,6 +27,8 @@ from mfsb.verify import (
     check_theta,
     check_time_reversal,
     check_turnpike,
+    conserved_profile,
+    flow_relative_energies,
     turnpike_rate,
 )
 
@@ -56,7 +58,7 @@ def test_entry_semantics():
 
 def test_report_assembly_is_sorted(sol_eq, pot_quad05):
     entries = {
-        "b-check": check_conserved(sol_eq, pot_quad05),
+        "b-check": check_conserved(conserved_profile(sol_eq, pot_quad05)),
         "a-check": check_mean_linearity(sol_eq),
     }
     report = VerificationReport("scenario-x", entries, {"seed": 1})
@@ -71,13 +73,15 @@ def test_report_assembly_is_sorted(sol_eq, pot_quad05):
 
 def test_equilibrium_bridge_passes_everything(sol_eq, pot_quad05, gauge,
                                               grid256, eq05):
-    assert check_conserved(sol_eq, pot_quad05).passed
-    assert check_conserved_bound(sol_eq, pot_quad05, gauge).passed
-    assert check_entropy_bound(sol_eq, pot_quad05, gauge).passed
-    assert check_turnpike(sol_eq, pot_quad05, gauge).passed
+    prof = conserved_profile(sol_eq, pot_quad05)
+    energies = flow_relative_energies(sol_eq, gauge)
+    assert check_conserved(prof).passed
+    assert check_conserved_bound(sol_eq, pot_quad05, gauge, prof).passed
+    assert check_entropy_bound(sol_eq, pot_quad05, energies).passed
+    assert check_turnpike(sol_eq, pot_quad05, energies, prof).passed
     assert check_talagrand(sol_eq, pot_quad05, gauge).passed
     assert check_talagrand_equilibrium(sol_eq, pot_quad05, gauge).passed
-    assert check_hwi(sol_eq, pot_quad05, gauge).passed
+    assert check_hwi(sol_eq, pot_quad05, gauge, prof).passed
     partial, pointwise = check_corrector_bounds(sol_eq, pot_quad05)
     assert partial.passed and pointwise.passed
     assert check_mean_linearity(sol_eq).passed
@@ -86,7 +90,7 @@ def test_equilibrium_bridge_passes_everything(sol_eq, pot_quad05, gauge,
 
 
 def test_conserved_spread_equilibrium_is_tiny(sol_eq, pot_quad05):
-    entry = check_conserved(sol_eq, pot_quad05)
+    entry = check_conserved(conserved_profile(sol_eq, pot_quad05))
     assert entry.lhs <= 1e-6
 
 
@@ -95,12 +99,14 @@ def test_conserved_spread_equilibrium_is_tiny(sol_eq, pot_quad05):
 
 def test_inequalities_on_asymmetric_bridge(sol_asym, sol_asym_rev, pot_quad05,
                                            gauge, grid256, asym_endpoints):
+    prof = conserved_profile(sol_asym, pot_quad05)
+    energies = flow_relative_energies(sol_asym, gauge)
     entries = [
-        check_conserved(sol_asym, pot_quad05),
-        check_conserved_bound(sol_asym, pot_quad05, gauge,
+        check_conserved(prof),
+        check_conserved_bound(sol_asym, pot_quad05, gauge, prof,
                               cost_reverse=sol_asym_rev.cost),
-        check_entropy_bound(sol_asym, pot_quad05, gauge),
-        check_turnpike(sol_asym, pot_quad05, gauge),
+        check_entropy_bound(sol_asym, pot_quad05, energies),
+        check_turnpike(sol_asym, pot_quad05, energies, prof),
         check_talagrand(sol_asym, pot_quad05, gauge),
         check_time_reversal(sol_asym, sol_asym_rev, pot_quad05),
         check_mean_linearity(sol_asym),
@@ -116,8 +122,9 @@ def test_inequalities_on_asymmetric_bridge(sol_asym, sol_asym_rev, pot_quad05,
 
 def test_conserved_bound_derived_reverse_cost(sol_asym, sol_asym_rev,
                                               pot_quad05, gauge):
-    derived = check_conserved_bound(sol_asym, pot_quad05, gauge)
-    solved = check_conserved_bound(sol_asym, pot_quad05, gauge,
+    prof = conserved_profile(sol_asym, pot_quad05)
+    derived = check_conserved_bound(sol_asym, pot_quad05, gauge, prof)
+    solved = check_conserved_bound(sol_asym, pot_quad05, gauge, prof,
                                    cost_reverse=sol_asym_rev.cost)
     assert derived.detail["reverse_cost_derived"]
     assert not solved.detail["reverse_cost_derived"]
@@ -126,8 +133,10 @@ def test_conserved_bound_derived_reverse_cost(sol_asym, sol_asym_rev,
 
 def test_conserved_bound_shrinks_with_horizon(sol_asym, sol_asym_t8,
                                               pot_quad05, gauge):
-    short = check_conserved_bound(sol_asym, pot_quad05, gauge)
-    long = check_conserved_bound(sol_asym_t8, pot_quad05, gauge)
+    short = check_conserved_bound(sol_asym, pot_quad05, gauge,
+                                  conserved_profile(sol_asym, pot_quad05))
+    long = check_conserved_bound(sol_asym_t8, pot_quad05, gauge,
+                                 conserved_profile(sol_asym_t8, pot_quad05))
     # doubling T shrinks the bound roughly like exp(-kappa T); the pairing
     # stays below it in both cases
     assert long.rhs < short.rhs
@@ -143,14 +152,16 @@ def test_turnpike_rate_across_horizons(sol_asym, sol_asym_t8, pot_quad05, gauge)
 
 def test_entropy_bound_classical_limit(sol_classical, pot_zero, grid256):
     gauge0 = FreeEnergyGauge(pot_zero, grid256, 0.0)
-    entry = check_entropy_bound(sol_classical, pot_zero, gauge0)
+    entry = check_entropy_bound(sol_classical, pot_zero,
+                                flow_relative_energies(sol_classical, gauge0))
     assert entry.passed
     partial, pointwise = check_corrector_bounds(sol_classical, pot_zero)
     assert partial.passed and pointwise.passed
 
 
 def test_hwi_on_relaxation(sol_relax, pot_quad05, gauge):
-    entry = check_hwi(sol_relax, pot_quad05, gauge)
+    entry = check_hwi(sol_relax, pot_quad05, gauge,
+                      conserved_profile(sol_relax, pot_quad05))
     assert entry.passed
     assert entry.detail["early_fisher_bounded"]
     tal = check_talagrand_equilibrium(sol_relax, pot_quad05, gauge)
@@ -159,7 +170,8 @@ def test_hwi_on_relaxation(sol_relax, pot_quad05, gauge):
 
 def test_hwi_large_horizon_matches_log_sobolev(sol_relax, pot_quad05, gauge):
     # as T grows the bound's leading term approaches I/(4 kappa) >= F
-    entry = check_hwi(sol_relax, pot_quad05, gauge)
+    entry = check_hwi(sol_relax, pot_quad05, gauge,
+                      conserved_profile(sol_relax, pot_quad05))
     fisher = entry.detail["fisher_in"]
     assert entry.lhs <= fisher / (4 * 0.5) + 1e-2
 
@@ -177,7 +189,9 @@ def test_mkv_distance_strict_w2_mode(mkv_pair, pot_quad05, gauge):
 def test_checks_require_convexity(sol_classical, pot_zero, grid256):
     gauge0 = FreeEnergyGauge(pot_zero, grid256, 0.0)
     with pytest.raises(ValueError):
-        check_turnpike(sol_classical, pot_zero, gauge0)
+        check_turnpike(sol_classical, pot_zero,
+                       flow_relative_energies(sol_classical, gauge0),
+                       conserved_profile(sol_classical, pot_zero))
     with pytest.raises(ValueError):
         check_talagrand(sol_classical, pot_zero, gauge0)
 
