@@ -92,10 +92,6 @@ class _Run:
     def conserved(self):
         return V.conserved_profile(self.sol, self.pot)
 
-    @property
-    def mkv(self):
-        return self.scenario.mkv
-
     @cached_property
     def ensemble(self):
         sc = self.scenario
@@ -144,8 +140,8 @@ def _cmd_solve(run: _Run, out: Path, fmt: str) -> int:
 
 
 def _cmd_mkv(run: _Run, out: Path, fmt: str) -> int:
-    final = run.mkv.density(run.scenario.time_grid.n_steps)
-    flowio.save_flow(out / f"mkv_flow.{fmt}", run.mkv, fmt)
+    final = run.scenario.mkv.density(run.scenario.time_grid.n_steps)
+    flowio.save_flow(out / f"mkv_flow.{fmt}", run.scenario.mkv, fmt)
     flowio.write_json(out / "summary.json", {
         "final_mean": float(final.mean()),
         "final_variance": float(final.variance()),
@@ -301,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--format", choices=("bin", "csv"), default="bin")
-        p.add_argument("--strict-w2", action="store_true", dest="strict_w2",
-                       help="check squared-distance bounds with exact quantile W2")
+        if name == "verify":
+            p.add_argument("--strict-w2", action="store_true", dest="strict_w2",
+                           help="check squared-distance bounds with exact quantile W2")
         if name == "report":
             p.add_argument("--plots", action="store_true",
                            help="also write SVG figures (needs matplotlib)")
@@ -314,7 +311,8 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         return run(scenario, args.command, args.out, fmt=args.format,
-                   strict_w2=args.strict_w2, plots=getattr(args, "plots", False))
+                   strict_w2=getattr(args, "strict_w2", False),
+                   plots=getattr(args, "plots", False))
     except ScenarioError as exc:
         print(f"scenario validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -68,31 +68,23 @@ def _particle_streams(seed: int, n_particles: int):
 
 
 def simulate_particles(pot: InteractionPotential, mu_in: Density,
-                       time_grid: TimeGrid, n_particles: int, seed: int, *,
-                       init: str = "stratified") -> PathEnsemble:
+                       time_grid: TimeGrid, n_particles: int, seed: int) -> PathEnsemble:
     """Euler-Maruyama simulation of the interacting particle system.
 
-    Initial positions are drawn from mu_in by inverse CDF, either at the
-    stratified quantiles (i + 1/2)/N (default, variance reduction for marginal
-    comparisons) or iid.  Deterministic given the seed, which lies in
-    [0, 2**64).
+    Initial positions are drawn from mu_in by inverse CDF at the stratified
+    quantiles (i + 1/2)/N, a variance reduction for marginal comparisons.
+    Deterministic given the seed, which lies in [0, 2**64).
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if n_particles < 2:
         raise ValueError("need at least 2 particles")
-    if init not in ("stratified", "iid"):
-        raise ValueError(f"unknown init mode {init!r}")
     k_steps, dt = time_grid.n_steps, time_grid.dt
     streams = _particle_streams(seed, n_particles)
 
     cdf = mu_in.cdf_at_edges()
-    edges = mu_in.grid.edges
-    if init == "stratified":
-        quantiles = (np.arange(n_particles) + 0.5) / n_particles
-    else:
-        quantiles = np.array([g.uniform() for g in streams])
-    x0 = np.interp(quantiles, cdf / cdf[-1], edges)
+    quantiles = (np.arange(n_particles) + 0.5) / n_particles
+    x0 = np.interp(quantiles, cdf / cdf[-1], mu_in.grid.edges)
 
     increments = np.empty((n_particles, k_steps))
     for row, g in zip(increments, streams):

@@ -42,10 +42,9 @@ class EquilibriumMeasure:
 
 @dataclass
 class BridgeSolution:
-    """A solved bridge: marginal flow, tangent velocity, corrector and cost."""
+    """A solved bridge: marginal flow, corrector and cost."""
 
     flow: MarginalFlow
-    velocity: GridField
     corrector: GridField
     cost: float
     diagnostics: dict = field(default_factory=dict)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -19,7 +21,7 @@ from .grids import (Density, MarginalFlow, SpatialGrid, TimeGrid, density_from_s
                     real_number)
 from .potentials import InteractionPotential
 from .solver import SolverConfig
-from .verify import CHECKS
+from .verify import CHECKS, EXPONENTIAL_CHECKS
 
 BOUNDARY_MASS_GATE = 1e-10
 MEAN_MATCH_TOL = 1e-6
@@ -35,6 +37,7 @@ PARTICLE_STEP_LIMIT = 1.0
 # about twenty of them.  At both bounds each such float64 array is 32 MiB.
 MAX_N_CELLS = 2048
 MAX_N_STEPS = 2048
+_EXP_LIMIT = math.log(sys.float_info.max)  # the largest x with exp(x) finite
 
 
 @dataclass
@@ -201,6 +204,15 @@ def _validate_hypotheses(sc: Scenario):
             f"for a stable particle step, got {step:.3g}; raise time.n_steps"
         )
 
+    exponential = sorted(EXPONENTIAL_CHECKS.intersection(sc.checks))
+    growth = 2.0 * pot.kappa * sc.time_grid.horizon
+    if exponential and growth > _EXP_LIMIT:
+        raise ParseError(
+            f"checks {exponential} take exp(2·kappa·horizon), which needs "
+            f"2·kappa·horizon <= log(float max) = {_EXP_LIMIT:.6g}, got {growth:.6g}; "
+            "shorten time.horizon"
+        )
+
     # H2: admissible endpoints with controlled domain truncation.
     try:
         mu_in = sc.mu_in()
@@ -260,9 +272,7 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
-    scenario = _parse_structure(doc)
-    _validate_hypotheses(scenario)
-    return scenario
+    return scenario_from_dict(doc)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -522,7 +522,12 @@ def _initial_flow(name: str, pot, mu_in, mu_fin, sgrid, tgrid) -> MarginalFlow:
 
 def _centered_gradient(ws: _Buffers, mu: np.ndarray, rows) -> None:
     """The mirror gradient on rows, from dJ/dmu and the running sum that
-    _cell_gradients left; and the row sums of its weights mu * g^2."""
+    _cell_gradients left; and the row sums of its weights mu * g^2.
+
+    The gradient is that of J in mu, the momentum slaved to mu through
+    _momentum.  It is zero on the pinned endpoints and on the frozen cells
+    (ws.immovable), and centred per slice so that a step keeps each slice's
+    mass."""
     r = slice(*rows)
     q, adj, prod, weighted, g = (ws.scratch[i] for i in (3, 1, 4, 2, 5))
     # dJ/dm through the adjoint of _momentum: the running sum, then the
@@ -544,18 +549,6 @@ def _centered_gradient(ws: _Buffers, mu: np.ndarray, rows) -> None:
     np.multiply(centered, centered, out=weighted[r])
     weighted[r] *= mu[r]
     np.sum(weighted[r], axis=1, out=ws.sums[1][r])
-
-
-def _projected_gradient(ws: _Buffers, mu: np.ndarray, m: np.ndarray):
-    """Cells that may not move, and the mirror gradient on the others.
-
-    The gradient of J in mu, the momentum slaved to mu through _momentum, is
-    zero on the pinned endpoints and on frozen cells, and centred per slice
-    so that a step keeps each slice's mass.
-    """
-    _action_gradients(ws, mu, m)
-    _centered_gradient(ws, mu, ws.all)
-    return ws.immovable, ws.centered
 
 
 # The phases of one descent iteration.  Each runs on a block of rows, with
@@ -757,14 +750,13 @@ def _descend(pot: InteractionPotential, flow0: MarginalFlow, config: SolverConfi
 def _solve(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
            sgrid: SpatialGrid, tgrid: TimeGrid, config: SolverConfig) -> BridgeSolution:
     """The body of solve_mfsb: validate, initialize, descend, then take the
-    solved flow's velocity, corrector and reported cost."""
+    solved flow's corrector and reported cost."""
     _validate_endpoints(mu_in, mu_fin, sgrid)
     flow0 = _initial_flow(config.init, pot, mu_in, mu_fin, sgrid, tgrid)
     stall = {}
     mu, J, pg_norm, iters, status = _descend(pot, flow0, config, stall)
     flow = MarginalFlow(tgrid, sgrid, mu)
-    velocity = velocity_from_flow(flow)
-    psi = corrector(flow, velocity, pot)
+    psi = corrector(flow, velocity_from_flow(flow), pot)
     diagnostics = {
         "converged": status == "converged",
         "status": status,
@@ -777,7 +769,7 @@ def _solve(pot: InteractionPotential, mu_in: Density, mu_fin: Density,
     }
     if stall:
         diagnostics["stall"] = stall
-    return BridgeSolution(flow, velocity, psi, entropic_cost(psi, flow), diagnostics)
+    return BridgeSolution(flow, psi, entropic_cost(psi, flow), diagnostics)
 
 
 def solve_mfsb(pot: InteractionPotential, mu_in: Density, mu_fin: Density,

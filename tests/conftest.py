@@ -100,10 +100,8 @@ def heat_bridges(pot_zero):
         grid = SpatialGrid(8.0, n_cells)
         mu = density_from_spec(grid, {"kind": "gaussian", "mean": 0.0, "std": 1.0})
         flow = heat_interpolation_flow(mu, mu, grid, TimeGrid(1.0, n_steps))
-        velocity = velocity_from_flow(flow)
-        psi = corrector(flow, velocity, pot_zero)
-        bridges[n_cells] = BridgeSolution(flow, velocity, psi,
-                                          entropic_cost(psi, flow), {})
+        psi = corrector(flow, velocity_from_flow(flow), pot_zero)
+        bridges[n_cells] = BridgeSolution(flow, psi, entropic_cost(psi, flow), {})
     return bridges
 
 
@@ -123,6 +121,12 @@ def sol_asym_rev(grid256, pot_quad05, asym_endpoints):
 def sol_asym_t8(grid256, pot_quad05, asym_endpoints):
     mu_in, mu_fin = asym_endpoints
     return solve_mfsb(pot_quad05, mu_in, mu_fin, grid256, TimeGrid(8.0, 128))
+
+
+@pytest.fixture(scope="session")
+def sol_asym_t8_rev(grid256, pot_quad05, asym_endpoints):
+    mu_in, mu_fin = asym_endpoints
+    return solve_mfsb(pot_quad05, mu_fin, mu_in, grid256, TimeGrid(8.0, 128))
 
 
 @pytest.fixture(scope="session")

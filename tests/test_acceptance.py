@@ -100,7 +100,7 @@ def test_criterion_06_inequality_suite(sol_asym, sol_asym_rev, sol_relax,
         V.check_turnpike(sol_asym, pot_quad05, energies_asym, prof_asym),
         *V.check_corrector_bounds(sol_asym, pot_quad05),
         *V.check_corrector_bounds(sol_classical, pot_zero),
-        V.check_conserved_bound(sol_asym, pot_quad05, gauge, prof_asym,
+        V.check_conserved_bound(sol_asym, pot_quad05, prof_asym,
                                 cost_reverse=sol_asym_rev.cost),
         V.check_hwi(sol_relax, pot_quad05, gauge,
                     V.conserved_profile(sol_relax, pot_quad05)),

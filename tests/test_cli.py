@@ -1,7 +1,10 @@
 import copy
 import json
+import math
 import re
+import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +189,46 @@ def test_overflowing_horizon_exits_2_without_a_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_VALIDATION == 2
     assert "2*horizon finite" in err and "Traceback" not in err
+
+
+def _exponential_checks(kappa, horizon, n_steps):
+    return {**MINIMAL, "potential": {"kind": "quadratic", "kappa": kappa},
+            "time": {"horizon": horizon, "n_steps": n_steps},
+            "checks": ["talagrand", "turnpike"]}
+
+
+@pytest.mark.parametrize("kappa, horizon, n_steps", [(0.5, 1500.0, 8), (20.0, 20.0, 32),
+                                                     (0.5, 1e300, 8)])
+def test_overflowing_exponential_checks_exit_2(tmp_path, capsys, kappa, horizon,
+                                               n_steps):
+    # each of these reached a check and read rhs=nan, with RuntimeWarnings
+    doc = _exponential_checks(kappa, horizon, n_steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would exit 4
+        rc = cli.main(["verify", "--scenario", str(_write(tmp_path, doc)),
+                       "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION == 2
+    assert "['talagrand', 'turnpike']" in err and "709.783" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_exponential_checks_load_up_to_the_overflow_bound():
+    bound = math.log(sys.float_info.max)
+    assert set(V.EXPONENTIAL_CHECKS) <= set(V.CHECKS)
+    for name in sorted(V.EXPONENTIAL_CHECKS):
+        doc = {**_exponential_checks(0.5, bound, 8), "checks": [name]}
+        assert scenario_from_dict(doc).time_grid.horizon == bound
+        doc["time"]["horizon"] = math.nextafter(bound, math.inf)
+        with pytest.raises(ParseError, match=re.escape(f"checks ['{name}']")):
+            scenario_from_dict(doc)
+    # the other checks, and kappa = 0, take no exponential of the horizon
+    assert scenario_from_dict({**_exponential_checks(0.5, 1e300, 8),
+                               "checks": ["hwi", "conserved"]}).checks
+    zero = {**_exponential_checks(0.0, 1e300, 8),
+            "potential": {"kind": "zero"}, "checks": ["entropy-bound"]}
+    assert scenario_from_dict(zero).checks
 
 
 def _leaves(node, path=()):
@@ -715,6 +758,28 @@ def test_cli_mkv_simulate_report(tmp_path):
     for name in ("free_energy_profile.csv", "corrector_energy.csv",
                  "conserved_profile.csv"):
         assert (tmp_path / "r" / name).exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "mkv", "simulate", "report"])
+def test_strict_w2_is_a_verify_flag_only(tmp_path, capsys, command):
+    scenario = _write(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o"),
+                  "--strict-w2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict-w2" in capsys.readouterr().err
+
+
+def test_cli_verify_strict_w2_measures_the_quantile_w2(tmp_path):
+    scenario = _write(tmp_path, {**MINIMAL, "checks": ["mkv-distance"]})
+    metrics = {}
+    for flag in ([], ["--strict-w2"]):
+        out = tmp_path / "-".join(["o", *flag])
+        assert cli.main(["verify", "--scenario", str(scenario), "--out", str(out),
+                         *flag]) == cli.EXIT_OK
+        entry = json.loads((out / "report.json").read_text())["checks"]["mkv-distance"]
+        metrics[entry["detail"]["metric"]] = entry["lhs"]
+    assert set(metrics) == {"w1", "w2"} and metrics["w1"] != metrics["w2"]
 
 
 def test_cli_report_plots(tmp_path):

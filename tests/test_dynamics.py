@@ -110,14 +110,6 @@ def test_increment_variance_sanity(grid256, pot_zero, std_gaussian, tg):
     assert 0.8 <= ratio <= 1.2
 
 
-def test_iid_initialization_mode(grid256, pot_zero, std_gaussian, tg):
-    ens = simulate_particles(pot_zero, std_gaussian, tg, 4000, seed=11,
-                             init="iid")
-    assert ens.positions[:, 0].mean() == pytest.approx(0.0, abs=3 / np.sqrt(4000))
-    with pytest.raises(ValueError):
-        simulate_particles(pot_zero, std_gaussian, tg, 16, seed=1, init="sobol")
-
-
 # ----------------------------------------------------------- noise-to-path map
 
 
@@ -417,12 +409,13 @@ def test_propagation_of_chaos_rate(grid256, pot_quad05, std_gaussian):
     sizes = [500, 2000, 8000]
     gaps = []
     for n in sizes:
-        # iid initials (the stratified mode suppresses the O(1/sqrt(N))
-        # initial fluctuation), averaged over seeds to stabilize the fit
+        # the stratified start suppresses the initial fluctuation, and the
+        # independent increments still give the O(1/sqrt(N)) one; averaged
+        # over seeds to stabilize the fit
         per_seed = [
             empirical_density_w1(
                 simulate_particles(pot_quad05, std_gaussian, tg1, n,
-                                   seed=s, init="iid").positions[:, -1],
+                                   seed=s).positions[:, -1],
                 final)
             for s in (101, 102, 103, 104)
         ]

@@ -19,7 +19,6 @@ DEFAULTS = {
     "cli.main": {"argv"},
     "cli.run": {"fmt", "strict_w2", "plots"},
     "dynamics.interaction_drift": {"chunk"},
-    "dynamics.simulate_particles": {"init"},
     "flowio.save_flow": {"fmt"},
     "flowio.save_matrix": {"fmt"},
     "flowio.write_manifest": {"extra"},
@@ -30,7 +29,6 @@ DEFAULTS = {
     "solver.solve_mfsb": {"config"},
     "verify.CheckEntry": {"detail"},
     "verify.VerificationReport": {"environment"},
-    "verify.check_conserved_bound": {"cost_reverse"},
     "verify.check_mkv_distance": {"strict_w2"},
 }
 

@@ -28,11 +28,13 @@ from mfsb.solver import (
     _Buffers,
     _action,
     _action_gradients,
+    _cell_gradients,
+    _centered_gradient,
     _descend,
+    _edge_gradients,
     _edge_terms,
     _initial_flow,
     _momentum,
-    _projected_gradient,
     heat_interpolation_flow,
 )
 from oracles import ipfp_cost, momentum, reference_action, reference_descend
@@ -154,6 +156,42 @@ def test_bb_gradient_matches_finite_differences(small, kind):
         assert abs(fd - analytic) <= 1e-5 * max(abs(fd), 1e-12)
 
 
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_descent_direction_matches_finite_differences(small, kind):
+    # the gradient _descend steps along, from the phases it runs: J of mu
+    # alone, the momentum slaved through _momentum, with the mollifier
+    # frozen at the start's slice peaks.  Elsewhere the solver's adjoint of
+    # _momentum is only compared bitwise to tests/oracles.py
+    pot = KERNELS[kind]
+    grid, tg, mu0, mu1 = small
+    mu = heat_interpolation_flow(mu0, mu1, grid, tg).values
+    ws = _Buffers(pot, grid, tg)
+    ws.reg = _KINETIC_REG * mu.max(axis=1, keepdims=True)
+
+    def J(mu_p):
+        _edge_terms(ws, mu_p, _momentum(ws, mu_p, ws.m), ws.reg, ws.logs[0])
+        return _action(ws)
+
+    J(mu)
+    _edge_gradients(ws, mu, ws.m, ws.all)
+    _cell_gradients(ws, ws.all)
+    _centered_gradient(ws, mu, ws.all)
+    centered = ws.centered.copy()
+    # relative perturbations, zero-sum per slice, on the comfortably-retained
+    # cells of the interior slices
+    retained = np.where(mu >= 1e-3 * mu.max(axis=1, keepdims=True), mu, 0.0)[1:-1]
+    rng = np.random.default_rng(7)
+    h = 1e-6
+    for _ in range(20):
+        dmu = np.zeros_like(mu)
+        dmu[1:-1] = retained * rng.normal(size=retained.shape)
+        dmu[1:-1] -= retained * (dmu[1:-1].sum(axis=1, keepdims=True)
+                                 / retained.sum(axis=1, keepdims=True))
+        fd = (J(mu + h * dmu) - J(mu - h * dmu)) / (2 * h)
+        analytic = float(np.sum(centered * dmu))
+        assert abs(fd - analytic) <= 1e-5 * max(abs(fd), 1e-12)
+
+
 def _unfused_edge_gradients(ws, mu, m, reg):
     """The edge gradient with every subexpression computed where it is used."""
     peak = mu.max(axis=1, keepdims=True)
@@ -198,7 +236,9 @@ def test_gradient_from_carried_terms_is_bitwise_the_recomputed_one(small, kind):
     # one line-search candidate, formed and evaluated in the buffers the
     # start was evaluated in, as the descent does
     _edge_terms(ws, mu, _momentum(ws, mu, m), reg, log_mu)
-    immovable, centered = _projected_gradient(ws, mu, m)
+    _action_gradients(ws, mu, m)
+    _centered_gradient(ws, mu, ws.all)
+    immovable, centered = ws.immovable, ws.centered
     cand = mu * np.exp(np.clip(np.where(immovable, 0.0, -0.5 * centered),
                                -50.0, 50.0))
     cand[0], cand[-1] = mu[0], mu[-1]

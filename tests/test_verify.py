@@ -76,7 +76,9 @@ def test_equilibrium_bridge_passes_everything(sol_eq, pot_quad05, gauge,
     prof = conserved_profile(sol_eq, pot_quad05)
     energies = flow_relative_energies(sol_eq, gauge)
     assert check_conserved(prof).passed
-    assert check_conserved_bound(sol_eq, pot_quad05, gauge, prof).passed
+    # the bridge from the equilibrium to itself is its own reverse
+    assert check_conserved_bound(sol_eq, pot_quad05, prof,
+                                 cost_reverse=sol_eq.cost).passed
     assert check_entropy_bound(sol_eq, pot_quad05, energies).passed
     assert check_turnpike(sol_eq, pot_quad05, energies, prof).passed
     assert check_talagrand(sol_eq, pot_quad05, gauge).passed
@@ -103,7 +105,7 @@ def test_inequalities_on_asymmetric_bridge(sol_asym, sol_asym_rev, pot_quad05,
     energies = flow_relative_energies(sol_asym, gauge)
     entries = [
         check_conserved(prof),
-        check_conserved_bound(sol_asym, pot_quad05, gauge, prof,
+        check_conserved_bound(sol_asym, pot_quad05, prof,
                               cost_reverse=sol_asym_rev.cost),
         check_entropy_bound(sol_asym, pot_quad05, energies),
         check_turnpike(sol_asym, pot_quad05, energies, prof),
@@ -120,23 +122,14 @@ def test_inequalities_on_asymmetric_bridge(sol_asym, sol_asym_rev, pot_quad05,
         assert np.isfinite(entry.rhs)
 
 
-def test_conserved_bound_derived_reverse_cost(sol_asym, sol_asym_rev,
-                                              pot_quad05, gauge):
-    prof = conserved_profile(sol_asym, pot_quad05)
-    derived = check_conserved_bound(sol_asym, pot_quad05, gauge, prof)
-    solved = check_conserved_bound(sol_asym, pot_quad05, gauge, prof,
-                                   cost_reverse=sol_asym_rev.cost)
-    assert derived.detail["reverse_cost_derived"]
-    assert not solved.detail["reverse_cost_derived"]
-    assert derived.rhs == pytest.approx(solved.rhs, rel=0.05)
-
-
-def test_conserved_bound_shrinks_with_horizon(sol_asym, sol_asym_t8,
-                                              pot_quad05, gauge):
-    short = check_conserved_bound(sol_asym, pot_quad05, gauge,
-                                  conserved_profile(sol_asym, pot_quad05))
-    long = check_conserved_bound(sol_asym_t8, pot_quad05, gauge,
-                                 conserved_profile(sol_asym_t8, pot_quad05))
+def test_conserved_bound_shrinks_with_horizon(sol_asym, sol_asym_rev, sol_asym_t8,
+                                              sol_asym_t8_rev, pot_quad05):
+    short = check_conserved_bound(sol_asym, pot_quad05,
+                                  conserved_profile(sol_asym, pot_quad05),
+                                  cost_reverse=sol_asym_rev.cost)
+    long = check_conserved_bound(sol_asym_t8, pot_quad05,
+                                 conserved_profile(sol_asym_t8, pot_quad05),
+                                 cost_reverse=sol_asym_t8_rev.cost)
     # doubling T shrinks the bound roughly like exp(-kappa T); the pairing
     # stays below it in both cases
     assert long.rhs < short.rhs
