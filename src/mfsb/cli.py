@@ -93,6 +93,10 @@ class _Run:
         return V.conserved_profile(self.sol, self.pot)
 
     @cached_property
+    def corrector_energy(self):
+        return corrector_energy(self.sol.corrector, self.sol.flow)
+
+    @cached_property
     def ensemble(self):
         sc = self.scenario
         return simulate_particles(self.pot, sc.mu_in(), sc.time_grid,
@@ -212,9 +216,8 @@ def _cmd_report(run: _Run, out: Path, fmt: str) -> int:
     sol = run.sol
     ts = run.scenario.time_grid.nodes
     envelope = V.entropy_envelope(sol, run.pot, run.energies)
-    energy = corrector_energy(sol.corrector, sol.flow)
-    cumulative = np.concatenate([[0.0], np.cumsum(
-        0.5 * (energy[1:] + energy[:-1]) * run.scenario.time_grid.dt)])
+    energy = run.corrector_energy
+    cumulative = run.scenario.time_grid.cumulative_trapezoid(energy)
     flowio.save_matrix(out / "free_energy_profile.csv", "free_energy",
                        np.column_stack([ts, run.energies, envelope]), "csv")
     flowio.save_matrix(out / "corrector_energy.csv", "corrector_energy",

@@ -83,8 +83,7 @@ def equilibrium(pot: InteractionPotential, grid: SpatialGrid,
             logits = phi + b * x
             vals = np.exp(logits - logits.max())
             vals /= vals.sum() * grid.dx
-            m = np.sum(x * vals) * grid.dx
-            if m < mean:
+            if grid.mean(vals) < mean:
                 lo = b
             else:
                 hi = b

@@ -60,6 +60,11 @@ class SpatialGrid:
         e.setflags(write=False)
         return e
 
+    def mean(self, values: np.ndarray) -> np.ndarray:
+        """Mean of a density, or of each row of a stack: a row's bits do not
+        depend on the stack or on the BLAS thread count."""
+        return np.sum(self.centers * values, axis=-1) * self.dx
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -95,6 +100,11 @@ class TimeGrid:
         tw.setflags(write=False)
         return tw
 
+    def cumulative_trapezoid(self, values: np.ndarray) -> np.ndarray:
+        """Trapezoid integrals of node values from 0 to each node."""
+        steps = 0.5 * (values[1:] + values[:-1]) * self.dt
+        return np.concatenate([[0.0], np.cumsum(steps)])
+
 
 class Density:
     """Probability density sampled at cell centers, normalized on construction."""
@@ -122,7 +132,7 @@ class Density:
         return float(self.values.sum() * self.grid.dx)
 
     def mean(self) -> float:
-        return float(np.sum(self.grid.centers * self.values) * self.grid.dx)
+        return float(self.grid.mean(self.values))
 
     def variance(self) -> float:
         m = self.mean()
@@ -212,7 +222,7 @@ class MarginalFlow:
         return self.values.sum(axis=1) * self.grid.dx
 
     def mean_trajectory(self) -> np.ndarray:
-        return self.values @ self.grid.centers * self.grid.dx
+        return self.grid.mean(self.values)
 
 
 @dataclass

@@ -153,13 +153,12 @@ class _Quadratic(InteractionPotential):
         return np.full_like(np.asarray(z, dtype=float), self.kappa)
 
     def force(self, mu, grid):
-        x, dx = grid.centers, grid.dx
-        # kappa * (x - mean); the two reduction orders are kept apart because
-        # near-zero bridge costs are sensitive to their roundoff
+        x = grid.centers
+        # kappa * (x - mean); the stack keeps its BLAS product, because
+        # near-zero bridge costs are sensitive to its roundoff
         if mu.ndim == 1:
-            return self.kappa * (x - np.sum(x * mu) * dx)
-        # kappa * (x - mean), in the one array the stack's force needs
-        force = np.subtract(x, (mu @ x * dx)[:, None])
+            return self.kappa * (x - grid.mean(mu))
+        force = np.subtract(x, (mu @ x * grid.dx)[:, None])
         force *= self.kappa
         return force
 

@@ -21,7 +21,7 @@ from .grids import (Density, MarginalFlow, SpatialGrid, TimeGrid, density_from_s
                     real_number)
 from .potentials import InteractionPotential
 from .solver import SolverConfig
-from .verify import CHECKS, EXPONENTIAL_CHECKS
+from .verify import CHECKS
 
 BOUNDARY_MASS_GATE = 1e-10
 MEAN_MATCH_TOL = 1e-6
@@ -204,15 +204,6 @@ def _validate_hypotheses(sc: Scenario):
             f"for a stable particle step, got {step:.3g}; raise time.n_steps"
         )
 
-    exponential = sorted(EXPONENTIAL_CHECKS.intersection(sc.checks))
-    growth = 2.0 * pot.kappa * sc.time_grid.horizon
-    if exponential and growth > _EXP_LIMIT:
-        raise ParseError(
-            f"checks {exponential} take exp(2·kappa·horizon), which needs "
-            f"2·kappa·horizon <= log(float max) = {_EXP_LIMIT:.6g}, got {growth:.6g}; "
-            "shorten time.horizon"
-        )
-
     # H2: admissible endpoints with controlled domain truncation.
     try:
         mu_in = sc.mu_in()
@@ -243,19 +234,27 @@ def _validate_hypotheses(sc: Scenario):
                 f"gap is {gap:.2e}"
             )
     # the same measure a symbolic "equilibrium" final density resolves to
-    if pot.kappa <= 0:
-        return
-    try:
-        eq_density = sc.equilibrium.density
-    except ValueError as exc:  # a stiff potential's equilibrium misses every cell
-        raise HypothesisViolation(
-            "H2", f"equilibrium density is not resolved on the grid ({exc}); "
-            "raise grid.n_cells"
-        ) from exc
-    if eq_density.boundary_mass() > BOUNDARY_MASS_GATE:
-        raise HypothesisViolation(
-            "H2", "equilibrium density has boundary mass above the gate; "
-            "enlarge half_width"
+    if pot.kappa > 0:
+        try:
+            eq_density = sc.equilibrium.density
+        except ValueError as exc:  # a stiff potential's equilibrium misses every cell
+            raise HypothesisViolation(
+                "H2", f"equilibrium density is not resolved on the grid ({exc}); "
+                "raise grid.n_cells"
+            ) from exc
+        if eq_density.boundary_mass() > BOUNDARY_MASS_GATE:
+            raise HypothesisViolation(
+                "H2", "equilibrium density has boundary mass above the gate; "
+                "enlarge half_width"
+            )
+    # the descent's products overflow unless dt^3 and dt^-3 are finite, and the
+    # checks unless exp(2·kappa·horizon) is (no probed descent past it converged)
+    dt, growth = sc.time_grid.dt, 2.0 * pot.kappa * sc.time_grid.horizon
+    if abs(math.log(dt)) > _EXP_LIMIT / 3 or growth > _EXP_LIMIT:
+        raise ParseError(
+            f"the time grid needs dt^3, dt^-3 and exp(2·kappa·horizon) finite, got "
+            f"dt = {dt:.6g} and 2·kappa·horizon = {growth:.6g} (log(float max) = "
+            f"{_EXP_LIMIT:.6g}); change time.horizon or time.n_steps"
         )
 
 

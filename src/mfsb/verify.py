@@ -20,7 +20,6 @@ from .functionals import (
     ConservedProfile,
     backward_corrector,
     conserved_quantity_profile,
-    corrector_energy,
     equilibrium,
     fisher_information,
     free_energy,
@@ -122,26 +121,19 @@ class FreeEnergyGauge:
         return free_energy(self.pot, mu) - self.offset
 
 
-def _exp_coeff_start(kappa: float, horizon: float, t: float) -> float:
-    """Weight of the initial free energy in the entropy envelope."""
+def _expm1_ratio(kappa: float, s, horizon: float):
+    """expm1(2 kappa s) / expm1(2 kappa horizon), and s / horizon at kappa = 0."""
     if kappa == 0.0:
-        return (horizon - t) / horizon
-    num = np.expm1(2.0 * kappa * (horizon - t))
-    return num / np.expm1(2.0 * kappa * horizon)
+        return s / horizon
+    return np.expm1(2.0 * kappa * s) / np.expm1(2.0 * kappa * horizon)
 
 
-def _exp_coeff_cost(kappa: float, horizon: float, t: float) -> float:
+def _exp_coeff_cost(kappa: float, horizon: float, t):
     """Weight of the cost term in the entropy envelope (vanishes as kappa -> 0)."""
     if kappa == 0.0:
         return 0.0
     den = np.expm1(2.0 * kappa * horizon)
     return np.expm1(2.0 * kappa * (horizon - t)) * np.expm1(2.0 * kappa * t) / den
-
-
-def _partial_cost_coeff(kappa: float, horizon: float, t: float) -> float:
-    if kappa == 0.0:
-        return t / horizon
-    return np.expm1(2.0 * kappa * t) / np.expm1(2.0 * kappa * horizon)
 
 
 def _pointwise_cost_coeff(kappa: float, horizon: float, t: float) -> float:
@@ -200,8 +192,8 @@ def entropy_envelope(sol: BridgeSolution, pot: InteractionPotential,
                      energies: np.ndarray) -> np.ndarray:
     """Exponential envelope of the relative free energies at the time nodes."""
     tg = sol.flow.time_grid
-    c1 = np.array([_exp_coeff_start(pot.kappa, tg.horizon, t) for t in tg.nodes])
-    c3 = np.array([_exp_coeff_cost(pot.kappa, tg.horizon, t) for t in tg.nodes])
+    c1 = _expm1_ratio(pot.kappa, tg.horizon - tg.nodes, tg.horizon)
+    c3 = _exp_coeff_cost(pot.kappa, tg.horizon, tg.nodes)
     return c1 * energies[0] + (1.0 - c1) * energies[-1] - c3 * sol.cost
 
 
@@ -387,18 +379,19 @@ def check_mkv_distance(sol: BridgeSolution, pot: InteractionPotential,
     )
 
 
-def check_corrector_bounds(sol: BridgeSolution, pot: InteractionPotential):
-    """Partial-time and pointwise-in-time corrector energy bounds."""
+def check_corrector_bounds(sol: BridgeSolution, pot: InteractionPotential,
+                           energy: np.ndarray):
+    """Partial-time and pointwise-in-time corrector energy bounds; energy is
+    the corrector energy of sol at each time node."""
     tg = sol.flow.time_grid
     kap, horizon = pot.kappa, tg.horizon
-    energy = corrector_energy(sol.corrector, sol.flow)
-    tw = tg.trapezoid_weights
+    cumulative = tg.cumulative_trapezoid(energy)
     worst_partial = None
     worst_point = None
     for t in (horizon / 4, horizon / 2, 3 * horizon / 4):
         k = int(round(t / tg.dt))
-        partial = float(np.sum((tw * energy)[:k + 1]) - 0.5 * tw[k] * energy[k])
-        b_partial = _partial_cost_coeff(kap, horizon, t) * sol.cost
+        partial = float(cumulative[k])
+        b_partial = _expm1_ratio(kap, t, horizon) * sol.cost
         b_point = _pointwise_cost_coeff(kap, horizon, t) * sol.cost
         if worst_partial is None or (b_partial - partial) < worst_partial.slack:
             worst_partial = CheckEntry("corrector-bound-partial", partial,
@@ -468,21 +461,14 @@ class Check(NamedTuple):
     start solving them before the first check runs.  entries maps a run to
     the check's entries.  The run computes sol, sol_reverse, sol_double,
     residual, gauge, energies (flow_relative_energies of sol), conserved
-    (conserved_profile of sol) and ensemble on first use, and its scenario
-    computes mkv on first use.
+    (conserved_profile of sol), corrector_energy and ensemble on first use,
+    and its scenario computes mkv on first use.
     """
 
     assumes: str | None
     bridges: tuple
     entries: Callable
 
-
-# Checks whose right-hand sides take exp(2 kappa t), or its sinh or expm1,
-# for t up to the horizon: where 2 kappa horizon exceeds log(float max)
-# they overflow, and the scenario loader rejects them.
-EXPONENTIAL_CHECKS = frozenset({
-    "conserved-bound", "corrector-bounds", "entropy-bound", "mkv-distance",
-    "talagrand", "talagrand-equilibrium", "turnpike"})
 
 # Check functions are looked up by name at call time.
 CHECKS = {
@@ -505,7 +491,8 @@ CHECKS = {
     "mkv-distance": Check("convexity", (), lambda r: [check_mkv_distance(
         r.sol, r.pot, r.gauge, r.scenario.mkv, strict_w2=r.strict_w2)]),
     "corrector-bounds": Check("classical-limit", (),
-                              lambda r: check_corrector_bounds(r.sol, r.pot)),
+                              lambda r: check_corrector_bounds(r.sol, r.pot,
+                                                               r.corrector_energy)),
     "time-reversal": Check(None, ("reverse",), lambda r: [
         check_time_reversal(r.sol, r.sol_reverse, r.pot)]),
     "theta": Check("particle-step", (), lambda r: [check_theta(r.pot, r.ensemble)]),

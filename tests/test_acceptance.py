@@ -26,6 +26,7 @@ from mfsb import (
     wasserstein1,
 )
 from mfsb import cli, verify as V
+from mfsb.functionals import corrector_energy
 from mfsb.solver import heat_interpolation_flow
 from oracles import ipfp_cost, momentum
 
@@ -98,8 +99,10 @@ def test_criterion_06_inequality_suite(sol_asym, sol_asym_rev, sol_relax,
         V.check_entropy_bound(sol_classical, pot_zero,
                               V.flow_relative_energies(sol_classical, gauge0)),
         V.check_turnpike(sol_asym, pot_quad05, energies_asym, prof_asym),
-        *V.check_corrector_bounds(sol_asym, pot_quad05),
-        *V.check_corrector_bounds(sol_classical, pot_zero),
+        *V.check_corrector_bounds(sol_asym, pot_quad05,
+                                  corrector_energy(sol_asym.corrector, sol_asym.flow)),
+        *V.check_corrector_bounds(sol_classical, pot_zero, corrector_energy(
+            sol_classical.corrector, sol_classical.flow)),
         V.check_conserved_bound(sol_asym, pot_quad05, prof_asym,
                                 cost_reverse=sol_asym_rev.cost),
         V.check_hwi(sol_relax, pot_quad05, gauge,

@@ -209,26 +209,50 @@ def test_overflowing_exponential_checks_exit_2(tmp_path, capsys, kappa, horizon,
                        "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_VALIDATION == 2
-    assert "['talagrand', 'turnpike']" in err and "709.783" in err
+    assert "exp(2·kappa·horizon)" in err and "709.783" in err
     assert "Traceback" not in err and "Warning" not in err
     assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_exponential_checks_load_up_to_the_overflow_bound():
+    # the bound holds for every scenario, whatever its checks
     bound = math.log(sys.float_info.max)
-    assert set(V.EXPONENTIAL_CHECKS) <= set(V.CHECKS)
-    for name in sorted(V.EXPONENTIAL_CHECKS):
-        doc = {**_exponential_checks(0.5, bound, 8), "checks": [name]}
+    for checks in ([], ["mean-linearity"], ["talagrand", "turnpike"]):
+        doc = {**_exponential_checks(0.5, bound, 8), "checks": checks}
         assert scenario_from_dict(doc).time_grid.horizon == bound
         doc["time"]["horizon"] = math.nextafter(bound, math.inf)
-        with pytest.raises(ParseError, match=re.escape(f"checks ['{name}']")):
+        with pytest.raises(ParseError, match=re.escape("exp(2·kappa·horizon)")):
             scenario_from_dict(doc)
-    # the other checks, and kappa = 0, take no exponential of the horizon
-    assert scenario_from_dict({**_exponential_checks(0.5, 1e300, 8),
-                               "checks": ["hwi", "conserved"]}).checks
-    zero = {**_exponential_checks(0.0, 1e300, 8),
-            "potential": {"kind": "zero"}, "checks": ["entropy-bound"]}
-    assert scenario_from_dict(zero).checks
+    # kappa = 0 bounds the time step alone: dt^3 and dt^-3 are finite
+    step = sys.float_info.max ** (1 / 3)
+    for dt, loads in ((0.99 * step, True), (1.01 * step, False),
+                      (1.01 / step, True), (0.99 / step, False)):
+        doc = {**_exponential_checks(0.0, 8 * dt, 8), "potential": {"kind": "zero"},
+               "checks": ["mean-linearity"]}
+        if loads:
+            assert scenario_from_dict(doc).time_grid.dt == pytest.approx(dt)
+        else:
+            with pytest.raises(ParseError, match=re.escape("dt^3, dt^-3")):
+                scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("horizon", [1e105, 1e300, 1e-153, 1e-300])
+@pytest.mark.parametrize("potential", [
+    {"kind": "quadratic", "kappa": 0.5}, {"kind": "zero"},
+    {"kind": "gaussian-well", "amplitude": 1.0, "width": 1.0}])
+def test_extreme_time_steps_exit_2_without_a_warning(tmp_path, capsys, potential,
+                                                     horizon):
+    # each of these loaded, then overflowed in the descent: it warned, and
+    # exited 3 on a stall or 2 on a source without zero mass
+    doc = {**_with(("time", "horizon"), horizon), "potential": potential}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would exit 4
+        rc = cli.main(["verify", "--scenario", str(_write(tmp_path, doc)),
+                       "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION == 2
+    assert "scenario validation failed" in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def _leaves(node, path=()):
@@ -643,7 +667,16 @@ def test_cli_computes_the_relative_energy_profile_once(tmp_path, monkeypatch, co
 
     monkeypatch.setattr(V.FreeEnergyGauge, "relative", counted)
     monkeypatch.setattr(V, "backward_corrector", counted_backward)
-    doc = {**MINIMAL, "checks": ["entropy-bound", "turnpike", "conserved"]}
+    energy = cli.corrector_energy
+    energy_calls = []
+
+    def counted_energy(*args):
+        energy_calls.append(args)
+        return energy(*args)
+
+    monkeypatch.setattr(cli, "corrector_energy", counted_energy)
+    doc = {**MINIMAL, "checks": ["entropy-bound", "turnpike", "conserved",
+                                 "corrector-bounds"]}
     out = tmp_path / "v"
     assert cli.main([command, "--scenario", str(_write(tmp_path, doc)),
                      "--out", str(out)]) == cli.EXIT_OK
@@ -651,6 +684,8 @@ def test_cli_computes_the_relative_energy_profile_once(tmp_path, monkeypatch, co
     assert len(calls) == MINIMAL["time"]["n_steps"] + 1
     # and one conserved profile, built from one backward corrector
     assert len(backward_calls) == 1
+    # and one corrector-energy profile
+    assert len(energy_calls) == 1
 
 
 @pytest.mark.parametrize("checks, bridge", [(["time-reversal"], "reverse"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mfsb import (
     Density,
     GridMismatch,
+    MarginalFlow,
     NonZeroMass,
     SpatialGrid,
     TimeGrid,
@@ -16,6 +17,7 @@ from mfsb import (
     grad,
     wasserstein1,
 )
+from mfsb import _fork
 from oracles import (brute_force_path_distance, gaussian_entropy_integral,
                      path_distance)
 
@@ -85,6 +87,44 @@ def test_density_normalization_and_moments(grid):
     assert d.mean() == pytest.approx(0.5, abs=1e-9)
     assert d.variance() == pytest.approx(0.64, abs=1e-6)
     assert d.entropy() == pytest.approx(gaussian_entropy_integral(0.8), abs=1e-3)
+
+
+@pytest.mark.parametrize("n_rows, n_cells", [(129, 256), (33, 1024)])
+def test_mean_of_a_stack_is_bitwise_the_mean_of_each_row(n_rows, n_cells):
+    grid = SpatialGrid(8.0, n_cells)
+    stack = np.random.default_rng(n_cells).random((n_rows, n_cells))
+    rows = np.array([grid.mean(row) for row in stack])
+    assert grid.mean(stack).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("n_rows, n_cells", [(2049, 256), (513, 1024), (257, 2048)])
+def test_mean_trajectory_bytes_do_not_depend_on_the_blas_thread_count(n_rows, n_cells):
+    # at these shapes a BLAS matrix-vector product gives other bits on one
+    # thread than on two
+    calls = _fork.blas_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no thread-count calls")
+    get, put = calls
+    flow = MarginalFlow(TimeGrid(1.0, n_rows - 1), SpatialGrid(8.0, n_cells),
+                        np.random.default_rng(n_rows).random((n_rows, n_cells)))
+    before = get()
+    try:
+        means = []
+        for threads in (1, 2):
+            put(threads)
+            means.append(flow.mean_trajectory().tobytes())
+    finally:
+        put(before)
+    assert means[0] == means[1]
+
+
+def test_cumulative_trapezoid_is_exact_for_linear_values():
+    tg = TimeGrid(2.0, 8)  # dt = 1/4: every rounding below is exact
+    t = tg.nodes
+    cumulative = tg.cumulative_trapezoid(3.0 + 2.0 * t)
+    assert cumulative[0] == 0.0
+    assert np.array_equal(cumulative, 3.0 * t + t**2)
+    assert cumulative[-1] == np.sum(tg.trapezoid_weights * (3.0 + 2.0 * t))
 
 
 def test_density_from_spec_variants(grid):

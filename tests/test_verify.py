@@ -13,6 +13,7 @@ from mfsb import (
     solve_mfsb,
     tanaka_theta,
 )
+from mfsb.functionals import corrector_energy
 from mfsb.verify import (
     VerificationReport,
     check_conserved,
@@ -84,7 +85,8 @@ def test_equilibrium_bridge_passes_everything(sol_eq, pot_quad05, gauge,
     assert check_talagrand(sol_eq, pot_quad05, gauge).passed
     assert check_talagrand_equilibrium(sol_eq, pot_quad05, gauge).passed
     assert check_hwi(sol_eq, pot_quad05, gauge, prof).passed
-    partial, pointwise = check_corrector_bounds(sol_eq, pot_quad05)
+    partial, pointwise = check_corrector_bounds(
+        sol_eq, pot_quad05, corrector_energy(sol_eq.corrector, sol_eq.flow))
     assert partial.passed and pointwise.passed
     assert check_mean_linearity(sol_eq).passed
     mkv = mkv_flow(pot_quad05, eq05.density, sol_eq.flow.time_grid)
@@ -116,7 +118,8 @@ def test_inequalities_on_asymmetric_bridge(sol_asym, sol_asym_rev, pot_quad05,
     mu_in, _ = asym_endpoints
     mkv = mkv_flow(pot_quad05, mu_in, sol_asym.flow.time_grid)
     entries.append(check_mkv_distance(sol_asym, pot_quad05, gauge, mkv))
-    entries.extend(check_corrector_bounds(sol_asym, pot_quad05))
+    entries.extend(check_corrector_bounds(
+        sol_asym, pot_quad05, corrector_energy(sol_asym.corrector, sol_asym.flow)))
     for entry in entries:
         assert entry.passed, f"{entry.name}: slack {entry.slack}"
         assert np.isfinite(entry.rhs)
@@ -148,7 +151,8 @@ def test_entropy_bound_classical_limit(sol_classical, pot_zero, grid256):
     entry = check_entropy_bound(sol_classical, pot_zero,
                                 flow_relative_energies(sol_classical, gauge0))
     assert entry.passed
-    partial, pointwise = check_corrector_bounds(sol_classical, pot_zero)
+    partial, pointwise = check_corrector_bounds(sol_classical, pot_zero, corrector_energy(
+        sol_classical.corrector, sol_classical.flow))
     assert partial.passed and pointwise.passed
 
 
